@@ -10,15 +10,15 @@ BENCHTIME ?= 0.3s
 
 # Benchmarks the JSON artifact (and therefore the perf ratchet) covers:
 # the selection kernel, the sweep scheduler, the serving-path select and
-# merge, the weighted merge, and the cross-session batcher.
-BENCH_PATTERN ?= Kernel|SweepParallelism|ServiceSelect|ServiceMerge|WeightedMerge|BatchSelect
+# merge, and the weighted merge.
+BENCH_PATTERN ?= Kernel|SweepParallelism|ServiceSelect|ServiceMerge|WeightedMerge
 
 # Benchmarks bench-diff never fails on: the HTTP and cached-select paths
 # are dominated by the net stack and the allocator, the parallelism sweep
 # by scheduler jitter, and the /Reference/ oracles exist for differential
 # correctness, not speed — their ns/op is trend data, not a gate. The
-# production kernels (Butterfly, Fast, PatternCache, BatchSelect, the
-# service paths) all stay gated.
+# production kernels (Butterfly, Fast, PatternCache, the service paths)
+# all stay gated.
 BENCH_ALLOW ?= ServiceSelectCached|ServiceSelectHTTP|SweepParallelism|/Reference/
 
 # Whole-suite passes for the JSON artifact and the ratchet. benchdiff
@@ -36,7 +36,7 @@ BENCH_REPS ?= 3
 STATICCHECK ?= staticcheck
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test test-cover lint cover bench bench-json bench-diff smoke smoke-restart smoke-cluster smoke-chaos ci
+.PHONY: build test test-cover loadgen-test lint cover bench bench-json bench-diff smoke smoke-restart smoke-cluster smoke-chaos ci
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,12 @@ test:
 test-cover:
 	$(GO) test -race -covermode=atomic -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
+
+# The end-to-end load generator is its own module (cmd/loadgen/go.mod), so
+# the root `go test ./...` never reaches its tests: it scrapes /metrics
+# and reads trace spans, so a renamed metric family or span breaks it.
+loadgen-test:
+	$(GO) -C cmd/loadgen test -race ./...
 
 lint:
 	$(GO) vet ./...
@@ -145,4 +151,4 @@ smoke-chaos:
 	$(GO) build -o bin/chaosproxy ./cmd/chaosproxy
 	./scripts/chaos_smoke.sh ./bin/crowdfusiond ./bin/chaosproxy
 
-ci: build lint test-cover bench bench-json bench-diff smoke smoke-restart smoke-cluster smoke-chaos
+ci: build lint test-cover loadgen-test bench bench-json bench-diff smoke smoke-restart smoke-cluster smoke-chaos

@@ -67,16 +67,15 @@ type patMass struct {
 }
 
 // kernelScratch holds the reusable buffers of the entropy hot path: the
-// dense 2^k answer vector (float64 and float32 variants), the pattern/mass
-// pairs of sort-based grouping, a flat mass buffer for entropy input, and
-// the index/offset double buffers of the preprocessing partition. Instances
-// are pooled so concurrent selections (parallel sweeps) never share a
-// buffer, and steady-state evaluation allocates nothing.
+// dense 2^k answer vector, the pattern/mass pairs of sort-based grouping, a
+// flat mass buffer for entropy input, and the index/offset double buffers
+// of the preprocessing partition. Instances are pooled so concurrent
+// selections (parallel sweeps) never share a buffer, and steady-state
+// evaluation allocates nothing.
 type kernelScratch struct {
-	dense   []float64
-	dense32 []float32
-	pairs   []patMass
-	masses  []float64
+	dense  []float64
+	pairs  []patMass
+	masses []float64
 	// Partition double buffers (see partition): support indices grouped
 	// contiguously, plus the group-boundary offsets, two of each so refine
 	// can ping-pong without allocating.
@@ -98,17 +97,6 @@ func (s *kernelScratch) denseZero(n int) []float64 {
 		s.dense = make([]float64, (n+7)&^7)
 	}
 	d := s.dense[:n]
-	clear(d)
-	return d
-}
-
-// denseZero32 is denseZero for the float32 stage variant (16 float32s per
-// cache line).
-func (s *kernelScratch) denseZero32(n int) []float32 {
-	if cap(s.dense32) < n {
-		s.dense32 = make([]float32, (n+15)&^15)
-	}
-	d := s.dense32[:n]
 	clear(d)
 	return d
 }
@@ -182,59 +170,6 @@ func bscButterfly(dense []float64, k int, pc float64) {
 			}
 		}
 	}
-}
-
-// bscButterfly32 is the float32 stage variant of bscButterfly: same
-// structure, half the memory traffic (a 2^k cube occupies half as many
-// cache lines, and twice as many lanes fit a vector register). Stage
-// arithmetic in float32 perturbs entropies around the 7th decimal digit;
-// whether that is admissible for selection is an *argmax*-stability
-// question, decided by the differential tests against the float64 path and
-// the reference oracles — the variant is only reachable behind
-// GreedyOptions.Float32.
-func bscButterfly32(dense []float32, k int, pc float32) {
-	qc := 1 - pc
-	bb := butterflyBlockBits
-	if bb > k {
-		bb = k
-	}
-	block := 1 << uint(bb)
-	for base := 0; base < len(dense); base += block {
-		for b := 0; b < bb; b++ {
-			step := 1 << uint(b)
-			for lo := base; lo < base+block; lo += step << 1 {
-				for i := lo; i < lo+step; i++ {
-					x, y := dense[i], dense[i+step]
-					dense[i] = pc*x + qc*y
-					dense[i+step] = qc*x + pc*y
-				}
-			}
-		}
-	}
-	for b := bb; b < k; b++ {
-		step := 1 << uint(b)
-		for base := 0; base < len(dense); base += step << 1 {
-			for i := base; i < base+step; i++ {
-				x, y := dense[i], dense[i+step]
-				dense[i] = pc*x + qc*y
-				dense[i+step] = qc*x + pc*y
-			}
-		}
-	}
-}
-
-// entropy32 returns the Shannon entropy, in bits, of a float32 mass vector,
-// accumulating in float64 so only the channel stages — not the final sum —
-// carry reduced precision.
-func entropy32(ps []float32) float64 {
-	var h float64
-	for _, p := range ps {
-		if p > 0 {
-			pf := float64(p)
-			h -= pf * math.Log2(pf)
-		}
-	}
-	return h
 }
 
 // scatterPatterns accumulates each support world's probability at its

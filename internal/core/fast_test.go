@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -222,7 +223,7 @@ func TestPreprocessPairwiseBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3, 8} {
-			got := preprocessPairwise(j, pc, workers, nil)
+			got := preprocessPairwise(j, pc, workers)
 			if !reflect.DeepEqual(got.answerP, ref.answerP) {
 				t.Fatalf("workers=%d n=%d |O|=%d: answer joint not bit-identical to reference",
 					workers, n, support)
@@ -308,7 +309,7 @@ func TestPatternCacheMatchesTaskEntropy(t *testing.T) {
 		n := 4 + rng.Intn(10)
 		j := randomSparseJoint(t, rng, n, 1+rng.Intn(1<<uint(min(n, 9))))
 		pc := []float64{0.5, 0.7, 0.9, 1}[rng.Intn(4)]
-		cache := newPatternCache(j, pc, false)
+		cache := newPatternCache(j, pc)
 		var selected []int
 		inSet := make([]bool, n)
 		for depth := 0; depth < min(n, 6); depth++ {
@@ -493,4 +494,182 @@ func TestRandomSelectorDraw(t *testing.T) {
 			t.Errorf("fact %d never drawn in 2000 single draws", f)
 		}
 	}
+}
+
+// TestBlockedButterflyBitIdentical: the cache-blocked butterfly is the
+// same arithmetic as the naive stage-by-stage sweep, bit for bit, above
+// and below the block size.
+func TestBlockedButterflyBitIdentical(t *testing.T) {
+	naive := func(dense []float64, k int, pc float64) {
+		qc := 1 - pc
+		for b := 0; b < k; b++ {
+			step := 1 << uint(b)
+			for base := 0; base < len(dense); base += step << 1 {
+				for i := base; i < base+step; i++ {
+					lo, hi := dense[i], dense[i+step]
+					dense[i] = pc*lo + qc*hi
+					dense[i+step] = qc*lo + pc*hi
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(103))
+	for _, k := range []int{0, 1, 5, 11, 12, 13, 15} {
+		a := make([]float64, 1<<uint(k))
+		b := make([]float64, len(a))
+		for i := range a {
+			a[i] = rng.Float64()
+			b[i] = a[i]
+		}
+		pc := 0.5 + rng.Float64()/2
+		bscButterfly(a, k, pc)
+		naive(b, k, pc)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("k=%d: blocked and naive butterflies diverge at %d: %v != %v",
+					k, i, a[i], b[i])
+			}
+		}
+	}
+}
+
+// greedyCase is one selection: a greedy configuration, a posterior, and
+// the (k, pc) channel parameters.
+type greedyCase struct {
+	sel *GreedySelector
+	j   *dist.Joint
+	k   int
+	pc  float64
+}
+
+// greedyCases builds a mixed selection workload: random joints spread over
+// a few (pc, k) configurations and all four greedy configurations, with
+// selectors shared across cases.
+func greedyCases(tb testing.TB, rng *rand.Rand, count int) []greedyCase {
+	tb.Helper()
+	selectors := []*GreedySelector{
+		NewGreedy(), NewGreedyPrune(), NewGreedyPre(), NewGreedyPrunePre(),
+	}
+	pcs := []float64{0.6, 0.75, 0.9}
+	ks := []int{1, 2, 3, 5}
+	cases := make([]greedyCase, 0, count)
+	for i := 0; i < count; i++ {
+		n := 4 + rng.Intn(9)
+		cases = append(cases, greedyCase{
+			sel: selectors[rng.Intn(len(selectors))],
+			j:   randomSparseJoint(tb, rng, n, 1+rng.Intn(1<<uint(min(n, 9)))),
+			k:   ks[rng.Intn(len(ks))],
+			pc:  pcs[rng.Intn(len(pcs))],
+		})
+	}
+	return cases
+}
+
+// TestGreedySelectorBitIdentical: a mixed workload split across any number
+// of goroutines returns, for every case, exactly the tasks of its own
+// sequential GreedySelector.Select — not within tolerance.
+func TestGreedySelectorBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	cases := greedyCases(t, rng, 40)
+	want := make([][]int, len(cases))
+	for i, c := range cases {
+		var err error
+		want[i], err = c.sel.Select(c.j, c.k, c.pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
+		got := make([][]int, len(cases))
+		errs := make([]error, len(cases))
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(cases); i += workers {
+					c := cases[i]
+					got[i], errs[i] = c.sel.Select(c.j, c.k, c.pc)
+				}
+			}(w)
+		}
+		wg.Wait()
+		for i, c := range cases {
+			if errs[i] != nil {
+				t.Fatalf("workers=%d case %d: %v", workers, i, errs[i])
+			}
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("workers=%d case %d (%s k=%d pc=%v): concurrent %v != sequential %v",
+					workers, i, c.sel.Name(), c.k, c.pc, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestGreedySelectorConcurrent: many goroutines selecting over shared
+// selectors and shared joints stay bit-identical to sequential selection —
+// the -race proof that the pooled kernel scratch introduces no shared
+// mutable state.
+func TestGreedySelectorConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	cases := greedyCases(t, rng, 12)
+	want := make([][]int, len(cases))
+	for i, c := range cases {
+		var err error
+		want[i], err = c.sel.Select(c.j, c.k, c.pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 5; rep++ {
+				for i, c := range cases {
+					got, err := c.sel.Select(c.j, c.k, c.pc)
+					if err != nil {
+						t.Errorf("case %d: %v", i, err)
+						return
+					}
+					if !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("case %d (%s k=%d pc=%v): concurrent %v != sequential %v",
+							i, c.sel.Name(), c.k, c.pc, got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestGreedySelectorSharedJoint ensures concurrent selections over one
+// immutable joint with one selector (the common case: one session selected
+// twice concurrently) are safe and identical.
+func TestGreedySelectorSharedJoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(107))
+	j := randomSparseJoint(t, rng, 10, 200)
+	sel := NewGreedyPrunePre()
+	want, err := sel.Select(j, 3, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got, err := sel.Select(j, 3, 0.8)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("goroutine %d: %v != %v", g, got, want)
+			}
+		}(g)
+	}
+	wg.Wait()
 }

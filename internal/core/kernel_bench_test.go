@@ -155,35 +155,3 @@ func BenchmarkGreedySelectKernel(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkBatchSelect measures cross-session batched selection: width
-// sessions, each with its own posterior over a shared (pc, k) group,
-// selected in one SelectBatch call. Width=1 is the single-session
-// degenerate case the service's coalescer hits under light load; ns/op is
-// per batch, so per-session cost is ns/op ÷ width.
-func BenchmarkBatchSelect(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	sel := NewGreedyPrunePre()
-	for _, width := range []int{1, 4, 16} {
-		items := make([]BatchItem, width)
-		for i := range items {
-			items[i] = BatchItem{
-				Selector: sel,
-				Joint:    randomSparseJoint(b, rng, 12, 4096),
-				K:        3,
-				Pc:       0.8,
-			}
-		}
-		bs := NewBatchSelector()
-		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, r := range bs.SelectBatch(items) {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
-			}
-		})
-	}
-}

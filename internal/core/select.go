@@ -129,14 +129,6 @@ type GreedyOptions struct {
 	// and every candidate evaluation becomes an O(|O|) partition scan
 	// (Algorithm 2) instead of an exact O(2^|T|·|O|) channel computation.
 	Preprocess bool
-	// Float32 runs the butterfly channel stages of exact candidate
-	// evaluation in float32 (half the cache traffic per 2^k cube). The
-	// final entropy sum stays float64, so entropies differ from the
-	// float64 path only around the 7th decimal; the argmax-stability
-	// property tests measure whether that preserves selection ordering.
-	// Only affects the pattern-cache path — preprocessed evaluation is
-	// partition sums, not butterfly stages.
-	Float32 bool
 }
 
 // GreedySelector implements Algorithm 1: iteratively add the task with the
@@ -168,21 +160,16 @@ func NewGreedyPrunePre() *GreedySelector {
 
 // Name implements Selector.
 func (g *GreedySelector) Name() string {
-	var name string
 	switch {
 	case g.Options.Prune && g.Options.Preprocess:
-		name = "Approx+Prune+Pre"
+		return "Approx+Prune+Pre"
 	case g.Options.Prune:
-		name = "Approx+Prune"
+		return "Approx+Prune"
 	case g.Options.Preprocess:
-		name = "Approx+Pre"
+		return "Approx+Pre"
 	default:
-		name = "Approx"
+		return "Approx"
 	}
-	if g.Options.Float32 {
-		name += "+F32"
-	}
-	return name
 }
 
 // patternCache incrementally maintains each support world's answer pattern
@@ -194,17 +181,15 @@ func (g *GreedySelector) Name() string {
 type patternCache struct {
 	j       *dist.Joint
 	pc      float64
-	f32     bool     // run channel stages in float32 (GreedyOptions.Float32)
 	depth   int      // number of selected tasks folded into base
 	base    []uint64 // per-support-world pattern on the selected set
 	scratch *kernelScratch
 }
 
-func newPatternCache(j *dist.Joint, pc float64, f32 bool) *patternCache {
+func newPatternCache(j *dist.Joint, pc float64) *patternCache {
 	return &patternCache{
 		j:       j,
 		pc:      pc,
-		f32:     f32,
 		base:    make([]uint64, j.SupportSize()),
 		scratch: getScratch(),
 	}
@@ -219,9 +204,6 @@ func (c *patternCache) release() { putScratch(c.scratch) }
 // order of the patterns, so folding f into the top bit matches
 // TaskEntropy(j, append(selected, f), pc) exactly.
 func (c *patternCache) entropyWith(f int) float64 {
-	if c.f32 {
-		return c.entropyWith32(f)
-	}
 	k := c.depth + 1
 	dense := c.scratch.denseZero(1 << uint(k))
 	worlds := c.j.Worlds()
@@ -240,28 +222,6 @@ func (c *patternCache) entropyWith(f int) float64 {
 	return info.Entropy(dense)
 }
 
-// entropyWith32 is entropyWith over the float32 stage variant: masses are
-// scattered and convolved in float32, and only the final entropy reduction
-// runs in float64.
-func (c *patternCache) entropyWith32(f int) float64 {
-	k := c.depth + 1
-	dense := c.scratch.denseZero32(1 << uint(k))
-	worlds := c.j.Worlds()
-	probs := c.j.Probs()
-	bit := uint64(1) << uint(c.depth)
-	for i, w := range worlds {
-		p := c.base[i]
-		if w.Has(f) {
-			p |= bit
-		}
-		dense[p] += float32(probs[i])
-	}
-	if c.pc != 1 {
-		bscButterfly32(dense, k, float32(c.pc))
-	}
-	return entropy32(dense)
-}
-
 // pick folds the chosen fact into the cached patterns.
 func (c *patternCache) pick(f int) {
 	bit := uint64(1) << uint(c.depth)
@@ -275,16 +235,6 @@ func (c *patternCache) pick(f int) {
 
 // Select implements Selector.
 func (g *GreedySelector) Select(j *dist.Joint, k int, pc float64) ([]int, error) {
-	return g.selectPlan(j, k, pc, nil)
-}
-
-// selectPlan is Select with an optional shared channel plan: a
-// BatchSelector computes the (pc, k)-dependent setup once per group and
-// hands it to every member's greedy pass. A nil plan computes the same
-// values inline; every plan value is a pure function of (pc, k) and the
-// instance's fact count, so the planned and unplanned paths are
-// bit-identical (the batch differential tests assert this).
-func (g *GreedySelector) selectPlan(j *dist.Joint, k int, pc float64, plan *ChannelPlan) ([]int, error) {
 	if k <= 0 {
 		return nil, ErrNoTasks
 	}
@@ -305,7 +255,7 @@ func (g *GreedySelector) selectPlan(j *dist.Joint, k int, pc float64, plan *Chan
 	var cache *patternCache
 	if g.Options.Preprocess {
 		var err error
-		pre, err = preprocessPlan(j, pc, 0, plan)
+		pre, err = Preprocess(j, pc)
 		if err != nil {
 			return nil, err
 		}
@@ -313,7 +263,7 @@ func (g *GreedySelector) selectPlan(j *dist.Joint, k int, pc float64, plan *Chan
 		defer putScratch(preScratch)
 		part = newPartition(j.SupportSize(), preScratch)
 	} else {
-		cache = newPatternCache(j, pc, g.Options.Float32)
+		cache = newPatternCache(j, pc)
 		defer cache.release()
 	}
 	eval := func(f int) (float64, error) {
@@ -353,7 +303,7 @@ func (g *GreedySelector) selectPlan(j *dist.Joint, k int, pc float64, plan *Chan
 	// ΔQ = H(T) - |T|·H(Crowd)). The loop stops when no task's net gain
 	// is positive — by Theorem 2 exactly when every remaining fact is
 	// already certain.
-	noiseFloor := plan.noiseFloor(pc)
+	noiseFloor := info.Binary(pc)
 
 	selected := make([]int, 0, k)
 	inSet := make([]bool, n)

@@ -6,85 +6,11 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"crowdfusion/internal/store"
 )
-
-// latencyWindow is how many recent observations each latency tracker keeps
-// for quantile estimation. A fixed ring keeps the tracker O(1) per request
-// and allocation-free in steady state; quantiles are over the trailing
-// window, which is what an operator watching a live service wants anyway.
-const latencyWindow = 1024
-
-// latencyTracker records request durations and reports count, p50 and p99
-// over the trailing window.
-//
-// DEPRECATED: the summary lines rendered from these trackers cannot be
-// aggregated across nodes; the fixed-bucket histograms below replace them.
-// The summaries are kept for one release so existing dashboards migrate,
-// and their # HELP text says so.
-type latencyTracker struct {
-	mu    sync.Mutex
-	ring  [latencyWindow]time.Duration
-	n     int   // filled entries, up to latencyWindow
-	next  int   // next write position
-	total int64 // observations ever
-
-	// scratch is the reusable sort buffer for quantiles: scrapes are
-	// frequent (Prometheus default 15s, tests tighter) and allocating plus
-	// sorting a fresh 1024-entry slice per scrape per tracker was measurable
-	// garbage. snapMu serializes scrapers over the scratch without making
-	// them block observers: the copy out of the ring holds mu only as long
-	// as a memcpy, and the sort runs outside it.
-	snapMu  sync.Mutex
-	scratch []time.Duration
-}
-
-// observe records one duration.
-func (l *latencyTracker) observe(d time.Duration) {
-	l.mu.Lock()
-	l.ring[l.next] = d
-	l.next = (l.next + 1) % latencyWindow
-	if l.n < latencyWindow {
-		l.n++
-	}
-	l.total++
-	l.mu.Unlock()
-}
-
-// quantiles returns the observation count and (p50, p99) over the window.
-// Allocation-free after the first call: the window snapshot lands in a
-// retained scratch buffer guarded by snapMu.
-func (l *latencyTracker) quantiles() (total int64, p50, p99 time.Duration) {
-	l.snapMu.Lock()
-	defer l.snapMu.Unlock()
-	if l.scratch == nil {
-		l.scratch = make([]time.Duration, 0, latencyWindow)
-	}
-	l.mu.Lock()
-	n := l.n
-	buf := l.scratch[:n]
-	copy(buf, l.ring[:n])
-	total = l.total
-	l.mu.Unlock()
-	if n == 0 {
-		return total, 0, 0
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	// Nearest-rank on the sorted window; index clamped so p99 of a small
-	// window degrades to the max.
-	idx := func(q float64) int {
-		i := int(q * float64(n))
-		if i >= n {
-			i = n - 1
-		}
-		return i
-	}
-	return total, buf[idx(0.50)], buf[idx(0.99)]
-}
 
 // latencyBuckets are the shared fixed histogram bounds, in seconds:
 // exponential-ish from 50µs (a cached select is well under the first
@@ -136,9 +62,10 @@ func (h *histogram) write(w io.Writer, name, help string) error {
 	return err
 }
 
-// widthBuckets are the fixed bounds of the batch-width histogram: exact
-// low counts (1–4, where width 1 means no coalescing happened) then
-// coarser steps up to the compute-slot ceiling any realistic burst hits.
+// widthBuckets are the fixed bounds of the select batch-width histogram.
+// Every uncached select runs one single-session sweep, so only le="1"
+// fills; the bounds are kept so the family's shape does not change for
+// existing scrapers.
 var widthBuckets = [...]float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
 
 // countHistogram is a fixed-bucket histogram over small integer counts —
@@ -197,16 +124,10 @@ type Metrics struct {
 	FencedWritesRefused atomic.Int64
 	SelectsServed       atomic.Int64
 	SelectCacheHits     atomic.Int64
-	// BatchedSelects counts greedy sweeps that went through the
-	// cross-session batcher (every member of every dispatched batch,
-	// including width-1 batches under light load). SelectBatchWidth is the
-	// per-dispatch width distribution: mass above le="1" is coalescing
-	// actually happening.
-	BatchedSelects   atomic.Int64
-	MergesApplied    atomic.Int64
-	MergeReplays     atomic.Int64
-	PartialAnswers   atomic.Int64 // partial judgment sets journaled (not yet committed)
-	RequestsRejected atomic.Int64 // backpressure 503s
+	MergesApplied       atomic.Int64
+	MergeReplays        atomic.Int64
+	PartialAnswers      atomic.Int64 // partial judgment sets journaled (not yet committed)
+	RequestsRejected    atomic.Int64 // backpressure 503s
 
 	// Worker-model traffic. WorkerRefits counts worker-accuracy
 	// re-estimations (one per commit on an em/dawid-skene session with
@@ -233,10 +154,6 @@ type Metrics struct {
 	StoreDeletes atomic.Int64
 	StoreErrors  atomic.Int64
 
-	// Deprecated per-node quantile summaries (see latencyTracker).
-	SelectLatency latencyTracker
-	MergeLatency  latencyTracker
-
 	// Fixed-bucket histograms, aggregatable across the fleet. Select and
 	// merge are observed at the handler (whole compute path including the
 	// session mutex); store-append is observed inside the instrumented
@@ -251,8 +168,9 @@ type Metrics struct {
 	// inside the merge critical section — its tail is merge latency.
 	RefitDuration histogram
 
-	// SelectBatchWidth is the width of each batch the cross-session
-	// select coalescer dispatched.
+	// SelectBatchWidth observes width 1 for every select the handler
+	// answered without the cache (one sweep, one session). It is kept only
+	// because the end-to-end benchmark reads it.
 	SelectBatchWidth countHistogram
 }
 
@@ -284,7 +202,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, sessionsLive, leasesHeld, workers
 		counter("crowdfusion_store_errors_total", "Session store operations that failed.", m.StoreErrors.Load()) +
 		counter("crowdfusion_selects_served_total", "Select batches served (including cache hits).", m.SelectsServed.Load()) +
 		counter("crowdfusion_select_cache_hits_total", "Selects served from the posterior-version cache.", m.SelectCacheHits.Load()) +
-		counter("crowdfusion_batched_selects_total", "Greedy sweeps routed through the cross-session select batcher.", m.BatchedSelects.Load()) +
 		counter("crowdfusion_merges_applied_total", "Answer sets merged into posteriors.", m.MergesApplied.Load()) +
 		counter("crowdfusion_merge_replays_total", "Idempotent replays of already-applied answer sets.", m.MergeReplays.Load()) +
 		counter("crowdfusion_partial_answers_total", "Partial judgment sets journaled against pending batches.", m.PartialAnswers.Load()) +
@@ -314,27 +231,8 @@ func (m *Metrics) WritePrometheus(w io.Writer, sessionsLive, leasesHeld, workers
 			return err
 		}
 	}
-	if err := m.SelectBatchWidth.write(w, "crowdfusion_select_batch_width",
-		"Width of each batch the cross-session select coalescer dispatched."); err != nil {
-		return err
-	}
-	sums := ""
-	for _, lt := range []struct {
-		name string
-		t    *latencyTracker
-	}{
-		{"crowdfusion_select", &m.SelectLatency},
-		{"crowdfusion_merge", &m.MergeLatency},
-	} {
-		total, p50, p99 := lt.t.quantiles()
-		sums += fmt.Sprintf("# HELP %s_latency_seconds (DEPRECATED: use %s_duration_seconds histogram; removed next release) Request latency quantiles over the trailing window.\n", lt.name, lt.name)
-		sums += fmt.Sprintf("# TYPE %s_latency_seconds summary\n", lt.name)
-		sums += fmt.Sprintf("%s_latency_seconds{quantile=\"0.5\"} %g\n", lt.name, p50.Seconds())
-		sums += fmt.Sprintf("%s_latency_seconds{quantile=\"0.99\"} %g\n", lt.name, p99.Seconds())
-		sums += fmt.Sprintf("%s_latency_seconds_count %d\n", lt.name, total)
-	}
-	_, err := io.WriteString(w, sums)
-	return err
+	return m.SelectBatchWidth.write(w, "crowdfusion_select_batch_width",
+		"Uncached selects, each observed as width 1 (one single-session sweep).")
 }
 
 // instrumentedStore decorates a SessionStore with the service's store-op

@@ -363,9 +363,8 @@ func (s *Session) Info(now time.Time, withRounds bool) SessionInfo {
 
 // selectIntent is the frozen input of one greedy sweep, captured under the
 // session mutex by selectPrepare and consumed outside it: the posterior is
-// immutable, so the sweep itself needs no lock — which is what lets the
-// server coalesce sweeps from different sessions into one batched kernel
-// invocation.
+// immutable, so the sweep itself needs no lock and a merge never waits
+// behind one.
 type selectIntent struct {
 	joint    *dist.Joint
 	selector core.Selector

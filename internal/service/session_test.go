@@ -3,8 +3,11 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -311,3 +314,164 @@ func TestSessionMatchesEngine(t *testing.T) {
 type answerFunc func(tasks []int) []bool
 
 func (f answerFunc) Answers(tasks []int) []bool { return f(tasks) }
+
+// mixedSessions builds n standalone sessions over distinct product priors,
+// mixing pc and k across sessions.
+func mixedSessions(t *testing.T, n int) []*Session {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	pcs := []float64{0.7, 0.8, 0.9}
+	ks := []int{2, 3, 4}
+	sessions := make([]*Session, n)
+	for i := range sessions {
+		m := make([]float64, 10)
+		for f := range m {
+			m[f] = 0.2 + 0.6*rng.Float64()
+		}
+		j, err := dist.Independent(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions[i] = newSession(fmt.Sprintf("s%d", i), j, core.NewGreedyPrunePre(),
+			"Approx+Prune+Pre", pcs[i%len(pcs)], ks[i%len(ks)], 1<<30, time.Unix(0, 0))
+	}
+	return sessions
+}
+
+// TestConcurrentSelectBitIdentical: concurrent Session.Select calls on
+// different sessions each return exactly the batch the session's own
+// selector computes sequentially. Under -race this also checks that the
+// off-lock sweeps share no mutable state.
+func TestConcurrentSelectBitIdentical(t *testing.T) {
+	sessions := mixedSessions(t, 12)
+	want := make([][]int, len(sessions))
+	for i, s := range sessions {
+		tasks, err := s.selector.Select(s.Posterior(), s.k, s.pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = tasks
+	}
+
+	for rep := 0; rep < 3; rep++ {
+		for _, s := range sessions {
+			s.mu.Lock()
+			s.sel = nil // defeat the cache so every rep recomputes
+			s.mu.Unlock()
+		}
+		var wg sync.WaitGroup
+		got := make([][]int, len(sessions))
+		errs := make([]error, len(sessions))
+		for i, s := range sessions {
+			wg.Add(1)
+			go func(i int, s *Session) {
+				defer wg.Done()
+				resp, _, err := s.Select(context.Background(), time.Unix(1, 0), 0)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				got[i] = resp.Tasks
+			}(i, s)
+		}
+		wg.Wait()
+		for i := range sessions {
+			if errs[i] != nil {
+				t.Fatalf("rep %d session %d: %v", rep, i, errs[i])
+			}
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("rep %d session %d: concurrent select %v != sequential %v",
+					rep, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestConcurrentSelectSameSession checks concurrent selects against ONE
+// session: every caller gets the same batch at the same version, whether
+// it computed the sweep itself or was served the cache a concurrent
+// request committed.
+func TestConcurrentSelectSameSession(t *testing.T) {
+	s := mixedSessions(t, 1)[0]
+	want, err := s.selector.Select(s.Posterior(), s.k, s.pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const callers = 8
+	var wg sync.WaitGroup
+	resps := make([]*SelectResponse, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, _, err := s.Select(context.Background(), time.Unix(1, 0), 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resps[i] = resp
+		}(i)
+	}
+	wg.Wait()
+	for i, resp := range resps {
+		if resp == nil {
+			t.Fatalf("caller %d: no response", i)
+		}
+		if !reflect.DeepEqual(resp.Tasks, want) || resp.Version != 0 {
+			t.Fatalf("caller %d: got %v at v%d, want %v at v0", i, resp.Tasks, resp.Version, want)
+		}
+	}
+}
+
+// TestSelectCompleteRevalidates drives the off-lock select split by hand:
+// state that changes between selectPrepare and selectComplete must be
+// caught when the sweep's result comes back, never committed.
+func TestSelectCompleteRevalidates(t *testing.T) {
+	ctx := context.Background()
+	now := time.Unix(1, 0)
+	sweep := func(t *testing.T, s *Session) selectIntent {
+		t.Helper()
+		resp, _, intent, err := s.selectPrepare(now, 0)
+		if err != nil || resp != nil {
+			t.Fatalf("selectPrepare = %+v, %v; want a sweep intent", resp, err)
+		}
+		return intent
+	}
+
+	t.Run("retired", func(t *testing.T) {
+		s := testSession(t, 2, 6)
+		intent := sweep(t, s)
+		tasks, selErr := intent.selector.Select(intent.joint, intent.k, intent.pc)
+		s.retire()
+		resp, _, stale, err := s.selectComplete(ctx, now, intent, tasks, selErr)
+		if !errors.Is(err, errSessionRetired) || resp != nil || stale {
+			t.Fatalf("selectComplete after retire = %+v, stale=%v, %v; want errSessionRetired", resp, stale, err)
+		}
+	})
+
+	t.Run("stale", func(t *testing.T) {
+		s := testSession(t, 2, 6)
+		intent := sweep(t, s)
+		tasks, selErr := intent.selector.Select(intent.joint, intent.k, intent.pc)
+		if _, err := s.Merge(ctx, now, &AnswersRequest{Tasks: tasks, Answers: []bool{true, false}}); err != nil {
+			t.Fatal(err)
+		}
+		resp, _, stale, err := s.selectComplete(ctx, now, intent, tasks, selErr)
+		if err != nil || resp != nil || !stale {
+			t.Fatalf("selectComplete after merge = %+v, stale=%v, %v; want stale", resp, stale, err)
+		}
+
+		want, err := s.selector.Select(s.Posterior(), s.k, s.pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, cached, err := s.Select(ctx, now, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached || got.Version != 1 || !reflect.DeepEqual(got.Tasks, want) {
+			t.Fatalf("Select after stale sweep = %+v (cached=%v); want %v at v1", got, cached, want)
+		}
+	})
+}
