@@ -36,7 +36,7 @@ BENCH_REPS ?= 3
 STATICCHECK ?= staticcheck
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test test-cover loadgen-test lint cover bench bench-json bench-diff smoke smoke-restart smoke-cluster smoke-chaos ci
+.PHONY: build test test-cover fuzz-smoke loadgen-test lint cover bench bench-json bench-diff smoke smoke-restart smoke-cluster smoke-chaos ci
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,12 @@ test:
 test-cover:
 	$(GO) test -race -covermode=atomic -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
+
+# Short native-fuzzing pass over record restore: any JSON that decodes to
+# a store.Record must fail to restore or restore to a usable session. The
+# seed corpus lives in internal/service/testdata/fuzz/FuzzRestoreRecord.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzRestoreRecord -fuzztime 10s ./internal/service/
 
 # The end-to-end load generator is its own module (cmd/loadgen/go.mod), so
 # the root `go test ./...` never reaches its tests: it scrapes /metrics
@@ -151,4 +157,4 @@ smoke-chaos:
 	$(GO) build -o bin/chaosproxy ./cmd/chaosproxy
 	./scripts/chaos_smoke.sh ./bin/crowdfusiond ./bin/chaosproxy
 
-ci: build lint test-cover loadgen-test bench bench-json bench-diff smoke smoke-restart smoke-cluster smoke-chaos
+ci: build lint test-cover fuzz-smoke loadgen-test bench bench-json bench-diff smoke smoke-restart smoke-cluster smoke-chaos

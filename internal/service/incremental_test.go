@@ -266,6 +266,21 @@ func TestPartialSequenceSurvivesCrashMidLedger(t *testing.T) {
 	got.info.ID, want.info.ID = "", ""
 	requireIdentical(t, got, want)
 
+	// A retry of the whole committed batch replays from the idempotency
+	// log and reports partial exactly as the retry itself asked, on the
+	// live instance and after a restart alike.
+	retryCommitted := func(s *Session) {
+		t.Helper()
+		for _, partial := range []bool{true, false} {
+			resp, err := s.Merge(context.Background(), now, &AnswersRequest{
+				Tasks: tasks, Answers: answers, Version: &ver, Partial: partial})
+			if err != nil || resp.Merged || resp.Partial != partial || resp.Spent != len(tasks) {
+				t.Fatalf("retry of the committed batch (partial=%v): %+v, %v", partial, resp, err)
+			}
+		}
+	}
+	retryCommitted(s2)
+
 	// And the committed state must itself survive another restart.
 	m4 := newFileManager(t, dir, ManagerConfig{})
 	defer m4.Close()
@@ -276,6 +291,7 @@ func TestPartialSequenceSurvivesCrashMidLedger(t *testing.T) {
 	got4 := fingerprint(s4, now)
 	got4.info.ID = ""
 	requireIdentical(t, got4, want)
+	retryCommitted(s4)
 }
 
 // TestPartialSequenceOverHTTP runs the differential flow through the full

@@ -440,14 +440,10 @@ func (m *Manager) loadFromStore(ctx context.Context, id string) (s *Session, rel
 		release()
 		return nil, nil, fmt.Errorf("%w: %v", ErrStore, err)
 	}
-	m.sessionHooks(s)
-	s.leaseEpoch = epoch
-	s.tracer = m.tracer
-	s.persist = func(op store.Op) error { return m.store.Append(id, op) }
-	// The emit hook is attached only after replay: recovery transitions
-	// are not republished (subscribers already saw them or will re-sync
-	// from their snapshot), and the reloaded instance feeds the same
-	// ID-keyed stream its predecessor did.
-	s.emit = m.eventSink(id)
+	// The hooks are attached only after replay: recovery transitions are
+	// not republished (subscribers already saw them or will re-sync from
+	// their snapshot), and the reloaded instance feeds the same ID-keyed
+	// stream its predecessor did.
+	m.attach(s, epoch)
 	return s, release, nil
 }

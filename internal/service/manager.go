@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"crowdfusion/internal/crowd"
-	"crowdfusion/internal/dist"
 	"crowdfusion/internal/eval"
 	"crowdfusion/internal/store"
 	"crowdfusion/internal/trace"
@@ -209,14 +208,17 @@ type Manager struct {
 	weightedMerged func()
 }
 
-// sessionHooks wires the manager's metric hooks and identity config into a
-// session instance — the same wiring for created and reloaded sessions.
-func (m *Manager) sessionHooks(s *Session) {
-	if m.cfg.AnonWorker != "" {
-		s.anonWorker = m.cfg.AnonWorker
-	}
+// attach wires a session built by restoreSession into this manager: metric
+// hooks, the lease epoch its writes are stamped with, the tracer, the
+// persist hook and the event sink — the same wiring for created and
+// reloaded sessions, done before the instance is published.
+func (m *Manager) attach(s *Session, epoch uint64) {
 	s.onRefit = m.refitObserved
 	s.onWeightedMerge = m.weightedMerged
+	s.leaseEpoch = epoch
+	s.tracer = m.tracer
+	s.persist = func(op store.Op) error { return m.store.Append(s.id, op) }
+	s.emit = m.eventSink(s.id)
 }
 
 // NewManager builds a manager over cfg.Store and starts its TTL janitor
@@ -366,8 +368,9 @@ func (m *Manager) placeID() (string, error) {
 		placementTries)
 }
 
-// Create validates the request, builds the prior and selector, and stores
-// a fresh session owned by this node.
+// Create validates the request, records it as a fresh store.Record, and
+// builds the session from that record through restoreSession — the
+// constructor crash recovery uses — then stores it, owned by this node.
 func (m *Manager) Create(ctx context.Context, req *CreateSessionRequest) (*Session, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -392,59 +395,49 @@ func (m *Manager) Create(ctx context.Context, req *CreateSessionRequest) (*Sessi
 		m.countMu.Unlock()
 	}
 
-	var prior *dist.Joint
-	var err error
-	if req.Joint != nil {
-		prior, err = req.Joint.Joint()
-	} else {
-		prior, err = dist.Independent(req.Marginals)
-	}
-	if err != nil {
-		release()
-		return nil, err
-	}
-
-	selName := req.Selector
-	if selName == "" {
-		selName = string(eval.SelApproxFull)
-	}
-
-	// Random selectors get a per-session stream derived from the store
-	// seed and the creation sequence number, so sessions never share a
-	// random state (and a fixed store seed still reproduces a scripted
-	// test exactly).
-	seed := req.Seed
-	if seed == 0 {
-		seed = m.cfg.Seed + seq
-	}
-	selector, err := eval.NewSelector(eval.SelectorKind(selName), seed)
-	if err != nil {
-		release()
-		return nil, err
-	}
 	id, err := m.placeID()
 	if err != nil {
 		release()
 		return nil, err
 	}
-
-	s := newSession(id, prior, selector, selName, req.Pc, req.K, req.Budget, m.cfg.now())
-	s.seed = seed
-	if req.WorkerModel != "" {
-		s.workerModel = req.WorkerModel
+	now := m.cfg.now()
+	rec := &store.Record{
+		ID:          id,
+		Selector:    req.Selector,
+		Pc:          req.Pc,
+		K:           req.K,
+		Budget:      req.Budget,
+		Seed:        req.Seed,
+		Created:     now,
+		LastAccess:  now,
+		WorkerModel: req.WorkerModel,
 	}
-	m.sessionHooks(s)
-	// The prior is stored exactly as the client sent it — raw weights, not
-	// the normalized posterior — so recovery rebuilds it through the same
-	// constructor with the same inputs and gets the same bits.
+	if rec.Selector == "" {
+		rec.Selector = string(eval.SelApproxFull)
+	}
+	// Random selectors get a per-session stream derived from the store
+	// seed and the creation sequence number, so sessions never share a
+	// random state (and a fixed store seed still reproduces a scripted
+	// test exactly).
+	if rec.Seed == 0 {
+		rec.Seed = m.cfg.Seed + seq
+	}
+	// The prior is recorded exactly as the client sent it — raw weights,
+	// not the normalized posterior — so recovery rebuilds it through the
+	// same constructor with the same inputs and gets the same bits.
 	if req.Joint != nil {
-		s.priorRec = store.Prior{
+		rec.Prior = store.Prior{
 			N:      req.Joint.N,
 			Worlds: append([]uint64(nil), req.Joint.Worlds...),
 			Probs:  append([]float64(nil), req.Joint.Probs...),
 		}
 	} else {
-		s.priorRec = store.Prior{Marginals: append([]float64(nil), req.Marginals...)}
+		rec.Prior = store.Prior{Marginals: append([]float64(nil), req.Marginals...)}
+	}
+	s, err := restoreSession(rec, m.cfg.AnonWorker, now)
+	if err != nil {
+		release()
+		return nil, err
 	}
 	// Take the write lease before the first Put so the record (and every
 	// later op) is stamped with our epoch. A fresh random ID cannot have a
@@ -454,10 +447,7 @@ func (m *Manager) Create(ctx context.Context, req *CreateSessionRequest) (*Sessi
 		release()
 		return nil, err
 	}
-	s.leaseEpoch = epoch
-	s.tracer = m.tracer
-	s.persist = func(op store.Op) error { return m.store.Append(id, op) }
-	s.emit = m.eventSink(id)
+	m.attach(s, epoch)
 
 	// The session must be durable before it is acknowledged: a created
 	// session that vanished in a crash would strand the client's ID.

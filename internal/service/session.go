@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -55,6 +56,14 @@ var errSessionRetired = errors.New("service: session instance retired; re-resolv
 // Session is one refinement loop: a posterior distribution refined round by
 // round through the select → await → merge state machine.
 //
+// Its refinement state changes only through one transition function over
+// store.Op: stepLocked computes an op's effect, applyLocked commits it.
+// Live Merge and Select build the op, step it, persist it, then apply it;
+// Create and crash recovery both build the session from a store.Record and
+// apply its ops in journal order (restoreSession). The posterior after
+// round v is a deterministic function of the prior and the answer sets
+// merged so far (Equation 3), so replay recomputes live state bit for bit.
+//
 // Every operation runs under one per-session mutex, so concurrent requests
 // against the same session serialize: two merges can never interleave, a
 // select always sees a complete posterior, and the version counter names
@@ -84,23 +93,14 @@ type Session struct {
 	selK       int
 
 	// merges logs applied answer sets by content hash for idempotent
-	// replay of retried merges. mergeWorkers remembers, for every round
-	// whose observations were journaled, the canonical worker attribution
-	// of the committed set — a retry may replay the judgments but never
-	// re-attribute them (ErrAttributionConflict).
-	merges       map[uint64]*AnswersResponse
-	mergeWorkers map[uint64]string
+	// replay of retried merges.
+	merges map[uint64]*AnswersResponse
 
 	// Worker model state. workerModel names how crowd accuracy enters
 	// merging (fixed / em / dawid-skene); anonWorker is the identity that
 	// unattributed (legacy-form) judgments are recorded under.
-	// observations accumulates every journaled crowd.Answer-shaped
-	// observation in journal order; each entry's Version is the committed
-	// posterior version at journaling time, which is what lets recovery
-	// reconstruct the exact estimate sequence (the estimates conditioning
-	// the merge committed at version v were refit from observations with
-	// Version < v only — refits run at commit, after the round's own
-	// observations landed but before the next round's merge).
+	// observations is every journaled judgment in journal order, each
+	// stamped with the version it arrived at.
 	workerModel string
 	anonWorker  string
 
@@ -116,11 +116,6 @@ type Session struct {
 	workerRaw  map[string]float64
 	refits     int
 
-	// pendWorkers maps pending-batch tasks to the worker each journaled
-	// judgment was attributed to (absent for legacy-form judgments on
-	// fixed sessions, which journal no observation).
-	pendWorkers map[int]string
-
 	// sensBuf/specBuf are the reusable per-judgment channel buffers for
 	// weighted conditioning: the conditioning kernel consumes them before
 	// returning, so they recycle across merges and the weighted path stops
@@ -128,12 +123,6 @@ type Session struct {
 	// session scratch.
 	sensBuf []float64
 	specBuf []float64
-
-	// replaying suppresses observation accumulation inside Merge during
-	// record replay: restoreSession re-seeds observations straight from
-	// the record (exact journal order and metadata) before replaying each
-	// round, so the merge path appending them again would double-count.
-	replaying bool
 
 	// onRefit/onWeightedMerge are the metrics hooks (refit latency and
 	// weighted-merge count), invoked while holding mu; nil outside a
@@ -144,15 +133,11 @@ type Session struct {
 	// Pending-batch ledger for incremental (answer-at-a-time) merging.
 	// While pendBatch is non-nil, the selected batch at the current
 	// version is being answered one judgment at a time: pendAns holds the
-	// judgments received so far, pendTaskH the batch's H(T) from
-	// selection, and pendPost the PROVISIONAL posterior — the committed
-	// (round-start) posterior conditioned on the answered prefix in ONE
-	// batch-order conditioning pass. Recomputing the provisional from the
-	// round start on every partial is what makes the eventual commit
-	// bit-identical to a batched merge: when the ledger covers the batch,
-	// the provisional IS core.MergeAnswers(roundStart, batch, answers, pc)
-	// — the exact call the batched path makes. s.posterior itself never
-	// moves until commit, so budget and version advance exactly once.
+	// judgments received so far, pendTaskH the batch's H(T), and pendPost
+	// the PROVISIONAL posterior — the round-start posterior conditioned on
+	// the answered prefix in one batch-order pass (see
+	// mergePartialLocked). s.posterior never moves until commit, so budget
+	// and version advance exactly once.
 	pendBatch []int
 	pendAns   map[int]bool
 	pendTaskH float64
@@ -204,23 +189,22 @@ type Session struct {
 	leaseEpoch uint64
 }
 
-// newSession builds a session; the caller (Manager.Create) has validated
-// the request and constructed the prior.
+// newSession builds a session; the caller (restoreSession) has validated
+// the parameters and constructed the prior.
 func newSession(id string, prior *dist.Joint, selector core.Selector, selName string, pc float64, k, budget int, now time.Time) *Session {
 	return &Session{
-		id:           id,
-		selector:     selector,
-		selName:      selName,
-		pc:           pc,
-		k:            k,
-		budget:       budget,
-		posterior:    prior,
-		merges:       make(map[uint64]*AnswersResponse),
-		mergeWorkers: make(map[uint64]string),
-		workerModel:  WorkerModelFixed,
-		anonWorker:   DefaultAnonWorker,
-		lastAccess:   now,
-		created:      now,
+		id:          id,
+		selector:    selector,
+		selName:     selName,
+		pc:          pc,
+		k:           k,
+		budget:      budget,
+		posterior:   prior,
+		merges:      make(map[uint64]*AnswersResponse),
+		workerModel: WorkerModelFixed,
+		anonWorker:  DefaultAnonWorker,
+		lastAccess:  now,
+		created:     now,
 	}
 }
 
@@ -455,16 +439,16 @@ func (s *Session) selectComplete(ctx context.Context, now time.Time, intent sele
 	if len(tasks) == 0 {
 		// Theorem 2: no remaining task nets positive utility. Latch so
 		// later selects and Info report completion without re-sweeping.
-		s.done = true
 		resp.Done = true
+		op := store.Op{Kind: store.OpDone, Version: s.version, Epoch: s.leaseEpoch, Time: now}
 		if s.persist != nil {
 			// Best-effort: the latch is derived state — a restarted
 			// daemon re-derives it with one re-sweep — so a store
 			// hiccup must not fail the read. The persist hook records
 			// the failure in the store metrics.
-			_ = s.persistOp(ctx, store.Op{Kind: store.OpDone, Version: s.version, Epoch: s.leaseEpoch, Time: now})
+			_ = s.persistOp(ctx, op)
 		}
-		s.emitLocked(ctx, EventDone, nil)
+		s.applyLocked(ctx, transition{op: op})
 	} else {
 		h, err := core.TaskEntropy(s.posterior, tasks, s.pc)
 		if err != nil {
@@ -623,14 +607,8 @@ func (s *Session) Merge(ctx context.Context, now time.Time, req *AnswersRequest)
 	}
 
 	if req.Version != nil {
-		key := answerSetHash(*req.Version, tasks, answers)
-		if prev, ok := s.merges[key]; ok {
-			if err := s.checkAttributionLocked(key, workers, attributed); err != nil {
-				return nil, err
-			}
-			replay := *prev
-			replay.Merged = false
-			return &replay, nil
+		if resp, ok, err := s.replayLoggedLocked(*req.Version, req, tasks, answers, workers, attributed); ok {
+			return resp, err
 		}
 	}
 	if req.Partial || s.pendBatch != nil {
@@ -643,123 +621,66 @@ func (s *Session) Merge(ctx context.Context, now time.Time, req *AnswersRequest)
 	} else {
 		// No version: scan for a content match against any applied set.
 		for v := 0; v < s.version; v++ {
-			key := answerSetHash(v, tasks, answers)
-			if prev, ok := s.merges[key]; ok {
-				if err := s.checkAttributionLocked(key, workers, attributed); err != nil {
-					return nil, err
-				}
-				replay := *prev
-				replay.Merged = false
-				return &replay, nil
+			if resp, ok, err := s.replayLoggedLocked(v, req, tasks, answers, workers, attributed); ok {
+				return resp, err
 			}
 		}
 	}
-
-	if s.spent+len(tasks) > s.budget {
-		return nil, fmt.Errorf("%w: %d spent of %d, %d more requested",
-			ErrBudgetExhausted, s.spent, s.budget, len(tasks))
-	}
-	// In the normal select-then-answer flow the batch's H(T) was already
-	// computed by Select against this same posterior; reuse it rather
-	// than paying the entropy kernel a second time inside the critical
-	// section. Out-of-band answer sets still compute it fresh.
-	var taskH float64
-	if s.sel != nil && s.selVersion == s.version && slices.Equal(s.sel.Tasks, tasks) {
-		taskH = s.sel.TaskEntropy
-	} else {
-		var err error
-		taskH, err = core.TaskEntropy(s.posterior, tasks, s.pc)
-		if err != nil {
-			return nil, err
-		}
-	}
-	updated, err := s.conditionLocked(tasks, answers, workers)
-	if err != nil {
-		return nil, fmt.Errorf("service: merge: %w", err)
-	}
-	if err := s.observeLocked(ctx, now, tasks, answers, workers, sources); err != nil {
-		return nil, err
-	}
-	return s.commitLocked(ctx, now, tasks, answers, taskH, updated, false, workers)
+	return s.commitLocked(ctx, now, s.observeOpsLocked(now, tasks, answers, workers, sources), tasks, answers)
 }
 
-// canonicalWorkers renders a worker attribution for conflict comparison.
-func canonicalWorkers(workers []string) string {
-	return strings.Join(workers, "\x1f")
+// replayLoggedLocked serves a retry of the answer set committed from
+// version v out of the idempotency log; ok=false when no such set was
+// committed. The replay reports Partial as the retrying request set it: the
+// flag says whether this request joined an incremental sequence, which the
+// log cannot know.
+func (s *Session) replayLoggedLocked(v int, req *AnswersRequest, tasks []int, answers []bool, workers []string, attributed bool) (resp *AnswersResponse, ok bool, err error) {
+	prev, ok := s.merges[answerSetHash(v, tasks, answers)]
+	if !ok {
+		return nil, false, nil
+	}
+	// A retry carrying explicit judgments must keep the attribution the
+	// commit derived; the log at v is frozen once v commits, so deriving it
+	// again gives the committed one. Legacy-form retries carry no
+	// attribution to contradict.
+	if attributed {
+		if rec := s.attributionLocked(v, tasks, answers, nil); rec != nil && !slices.Equal(rec, workers) {
+			return nil, true, fmt.Errorf("%w: committed attribution %q", ErrAttributionConflict, strings.Join(rec, ","))
+		}
+	}
+	replay := *prev
+	replay.Merged = false
+	replay.Partial = req.Partial
+	return &replay, true, nil
 }
 
-// checkAttributionLocked guards an idempotent replay of a committed
-// answer set: a retry carrying explicit judgments must attribute them to
-// the workers the original commit journaled. Legacy-form retries (no
-// judgment attribution to contradict) always pass, as do retries of
-// rounds that journaled no observations.
-func (s *Session) checkAttributionLocked(key uint64, workers []string, attributed bool) error {
-	if !attributed {
+// observeOpsLocked returns the observe op journaling a judgment set ahead
+// of the merge or partial op consuming it. It returns none for
+// unattributed judgments on a fixed session, and none for a retry whose
+// judgments already end the log at this version (its observe op landed,
+// its merge op did not), so a retry cannot double-record.
+func (s *Session) observeOpsLocked(now time.Time, tasks []int, answers []bool, workers, sources []string) []store.Op {
+	if workers == nil || s.observationsTailMatchLocked(tasks, answers, workers) {
 		return nil
 	}
-	rec, ok := s.mergeWorkers[key]
-	if !ok || rec == canonicalWorkers(workers) {
-		return nil
+	op := store.Op{
+		Kind:    store.OpObserve,
+		Version: s.version,
+		Seq:     len(s.observations),
+		Tasks:   append([]int(nil), tasks...),
+		Answers: append([]bool(nil), answers...),
+		Workers: append([]string(nil), workers...),
+		Epoch:   s.leaseEpoch,
+		Time:    now,
 	}
-	return fmt.Errorf("%w: committed attribution %q", ErrAttributionConflict,
-		strings.ReplaceAll(rec, "\x1f", ","))
-}
-
-// observeLocked journals a judgment set as one observe op and accumulates
-// it in memory, before the merge or partial op that consumes it — so
-// replay always sees a round's observations ahead of its commit.
-// Conditioning runs before observe, so an answer set the posterior
-// rejects as impossible journals nothing.
-// A nil workers slice (unattributed judgments on a fixed session) records
-// nothing. A retry of an already-journaled set (the tail of the log at
-// the current version matches exactly) is skipped, so a client retrying
-// after a failed merge persist cannot double-record its judgments.
-// During record replay the whole method is a no-op: restoreSession
-// re-seeds the log from the record itself.
-func (s *Session) observeLocked(ctx context.Context, now time.Time, tasks []int, answers []bool, workers, sources []string) error {
-	if workers == nil || s.replaying {
-		return nil
+	if sources != nil {
+		op.Sources = append([]string(nil), sources...)
 	}
-	if s.observationsTailMatchLocked(tasks, answers, workers) {
-		return nil
-	}
-	if s.persist != nil {
-		op := store.Op{
-			Kind:    store.OpObserve,
-			Version: s.version,
-			Seq:     len(s.observations),
-			Tasks:   append([]int(nil), tasks...),
-			Answers: append([]bool(nil), answers...),
-			Workers: append([]string(nil), workers...),
-			Epoch:   s.leaseEpoch,
-			Time:    now,
-		}
-		if sources != nil {
-			op.Sources = append([]string(nil), sources...)
-		}
-		if err := s.persistOp(ctx, op); err != nil {
-			return persistError(s.id, err)
-		}
-	}
-	for i, t := range tasks {
-		o := store.Observation{
-			Task:    t,
-			Answer:  answers[i],
-			Worker:  workers[i],
-			Version: s.version,
-			Time:    now,
-		}
-		if sources != nil {
-			o.Source = sources[i]
-		}
-		s.observations = append(s.observations, o)
-	}
-	return nil
+	return []store.Op{op}
 }
 
 // observationsTailMatchLocked reports whether the observation log already
-// ends with exactly this judgment set at the current version — the
-// signature of a retry whose observe op landed but whose merge op did not.
+// ends with exactly this judgment set at the current version.
 func (s *Session) observationsTailMatchLocked(tasks []int, answers []bool, workers []string) bool {
 	n := len(tasks)
 	if len(s.observations) < n {
@@ -772,6 +693,51 @@ func (s *Session) observationsTailMatchLocked(tasks []int, answers []bool, worke
 		}
 	}
 	return true
+}
+
+// observedLocked returns the latest observation journaled for task at
+// version v, reading backwards from the log tail: first through extra (the
+// observations of an observe op about to be journaled ahead of the op being
+// stepped), then through the log itself. A retried observe op lands after
+// the one it retries, so the latest entry is the one a commit consumed.
+func (s *Session) observedLocked(v, task int, extra []store.Observation) (store.Observation, bool) {
+	for i := len(extra) - 1; i >= 0; i-- {
+		if extra[i].Task == task {
+			return extra[i], true
+		}
+	}
+	for i := len(s.observations) - 1; i >= 0 && s.observations[i].Version >= v; i-- {
+		if o := s.observations[i]; o.Version == v && o.Task == task {
+			return o, true
+		}
+	}
+	return store.Observation{}, false
+}
+
+// attributionLocked derives the worker attribution of a judgment set at
+// version v from the observation log: each task takes the worker of the
+// latest observation journaled for it at v when that observation carries
+// the same answer, the anonymous worker otherwise. It is nil when the log
+// attributes none of the judgments — unattributed judgments on a fixed
+// session. Live merges and replay both derive attribution here, so the
+// conditioning channels and the idempotency log's attribution can never
+// depend on which of the two built the state.
+func (s *Session) attributionLocked(v int, tasks []int, answers []bool, extra []store.Observation) []string {
+	var workers []string
+	for i, t := range tasks {
+		o, ok := s.observedLocked(v, t, extra)
+		if !ok || o.Answer != answers[i] {
+			continue
+		}
+		if workers == nil {
+			workers = make([]string, len(tasks))
+			for j := range workers {
+				workers[j] = s.anonWorker
+			}
+		}
+		workers[i] = o.Worker
+	}
+	return workers
 }
 
 // workerChannelLocked returns the smoothed (sensitivity, specificity)
@@ -820,7 +786,7 @@ func (s *Session) conditionLocked(tasks []int, answers []bool, workers []string)
 // the configured pc by a Beta prior of strength workerPriorStrength. An
 // estimator failure keeps the previous estimates — the merge that
 // triggered the refit is already committed and must not be unwound.
-func (s *Session) refitLocked(ctx context.Context, _ time.Time) {
+func (s *Session) refitLocked(ctx context.Context) {
 	if s.workerModel != WorkerModelEM && s.workerModel != WorkerModelDawidSkene {
 		return
 	}
@@ -867,59 +833,207 @@ func (s *Session) refitLocked(ctx context.Context, _ time.Time) {
 	s.emitLocked(ctx, EventRefit, func(ev *SessionEvent) { ev.Refits = s.refits })
 }
 
-// commitLocked durably applies one complete answer set and advances the
-// version; callers hold mu and have already conditioned the posterior.
-// Persist-then-commit: the op is durable (fsynced, for durable stores)
-// before any in-memory state changes, so an acknowledged merge can never
-// be lost — and a failed persist leaves the session exactly as it was,
-// safe for the client to retry. workers, when non-nil, is the judgment
-// attribution the round's observations were journaled under; it is
-// recorded against the idempotency entry so a conflicting re-attribution
-// on retry is refused, and it triggers the post-commit refit.
-func (s *Session) commitLocked(ctx context.Context, now time.Time, tasks []int, answers []bool, taskH float64, updated *dist.Joint, partial bool, workers []string) (*AnswersResponse, error) {
-	if s.spent+len(tasks) > s.budget {
-		return nil, fmt.Errorf("%w: %d spent of %d, %d more requested",
-			ErrBudgetExhausted, s.spent, s.budget, len(tasks))
+// transition is one op's effect, computed by stepLocked and committed by
+// applyLocked. The split lets the live path refuse an op — an answer set
+// the posterior rules out, a spent budget, a task outside the batch —
+// before anything is journaled, while replay runs the same computation.
+type transition struct {
+	op    store.Op
+	obs   []store.Observation // an observe op's observations
+	post  *dist.Joint         // a merge's next posterior, a partial's provisional one
+	taskH float64             // H(T) of a merge's answer set or a partial's batch
+}
+
+// stepLocked computes op's transition against the current state, changing
+// nothing; callers hold mu. extra holds the observations the live path is
+// about to journal ahead of op (on replay they are already applied), so
+// attribution reads the same log either way.
+func (s *Session) stepLocked(op store.Op, extra []store.Observation) (transition, error) {
+	t := transition{op: op}
+	if op.Version != s.version {
+		return t, fmt.Errorf("service: %s op at version %d, session at %d", op.Kind, op.Version, s.version)
 	}
-	mergedAt := s.version
-	if s.persist != nil {
-		op := store.Op{
-			Kind:    store.OpMerge,
-			Version: mergedAt,
-			Tasks:   append([]int(nil), tasks...),
-			Answers: append([]bool(nil), answers...),
-			Epoch:   s.leaseEpoch,
-			Time:    now,
-		}
-		if err := s.persistOp(ctx, op); err != nil {
-			return nil, persistError(s.id, err)
-		}
+	if len(op.Answers) != len(op.Tasks) {
+		return t, fmt.Errorf("service: %s op has %d tasks but %d answers", op.Kind, len(op.Tasks), len(op.Answers))
 	}
-	s.posterior = updated
-	s.version++
-	s.spent += len(tasks)
-	s.sel = nil    // selection cache is bound to the previous posterior
-	s.done = false // the new posterior may be uncertain again; re-derive
-	s.pendBatch, s.pendAns, s.pendPost, s.pendTaskH = nil, nil, nil, 0
-	s.pendWorkers = nil
-	s.rounds = append(s.rounds, RoundInfo{
-		Round:   s.version,
+	switch op.Kind {
+	case store.OpObserve:
+		if len(op.Workers) != len(op.Tasks) || (len(op.Sources) != 0 && len(op.Sources) != len(op.Tasks)) {
+			return t, fmt.Errorf("service: observe op has %d tasks, %d workers, %d sources",
+				len(op.Tasks), len(op.Workers), len(op.Sources))
+		}
+		t.obs = make([]store.Observation, len(op.Tasks))
+		for i, task := range op.Tasks {
+			t.obs[i] = store.Observation{
+				Task:    task,
+				Answer:  op.Answers[i],
+				Worker:  op.Workers[i],
+				Version: op.Version,
+				Time:    op.Time,
+			}
+			if len(op.Sources) != 0 {
+				t.obs[i].Source = op.Sources[i]
+			}
+		}
+	case store.OpPartial, store.OpMerge:
+		// A merge conditions on its answer set; a partial conditions on the
+		// ledger prefix it extends, and its batch is the one it pins.
+		batch, tasks, answers := op.Tasks, op.Tasks, op.Answers
+		if op.Kind == store.OpPartial {
+			if batch = s.pendBatch; batch == nil {
+				batch = op.Batch
+			}
+			for _, task := range op.Tasks {
+				if !slices.Contains(batch, task) {
+					return t, fmt.Errorf("%w: task %d", ErrNotInBatch, task)
+				}
+			}
+			// The judgment completing a batch is journaled as its merge.
+			if tasks, answers = s.ledgerPrefixLocked(batch, op.Tasks, op.Answers); len(tasks) == len(batch) {
+				return t, fmt.Errorf("service: partial op completes its batch of %d", len(batch))
+			}
+		} else if s.spent+len(op.Tasks) > s.budget {
+			return t, fmt.Errorf("%w: %d spent of %d, %d more requested",
+				ErrBudgetExhausted, s.spent, s.budget, len(op.Tasks))
+		}
+		var err error
+		if t.taskH, err = s.taskEntropyLocked(batch); err != nil {
+			return t, err
+		}
+		if t.post, err = s.conditionLocked(tasks, answers, s.attributionLocked(op.Version, tasks, answers, extra)); err != nil {
+			return t, fmt.Errorf("service: merge: %w", err)
+		}
+	case store.OpDone:
+	default:
+		return t, fmt.Errorf("service: unknown op kind %q", op.Kind)
+	}
+	return t, nil
+}
+
+// applyLocked commits a transition computed by stepLocked; callers hold mu.
+// It is the only code that changes the session's refinement state, and it
+// cannot fail: everything that can was checked by stepLocked.
+func (s *Session) applyLocked(ctx context.Context, t transition) {
+	op := t.op
+	switch op.Kind {
+	case store.OpObserve:
+		s.observations = append(s.observations, t.obs...)
+	case store.OpPartial:
+		if s.pendBatch == nil {
+			s.pendBatch = append([]int(nil), op.Batch...)
+			s.pendAns = make(map[int]bool, len(op.Batch))
+			s.pendTaskH = t.taskH
+		}
+		for i, task := range op.Tasks {
+			s.pendAns[task] = op.Answers[i]
+		}
+		s.pendPost = t.post
+		s.emitLocked(ctx, EventPartial, nil)
+	case store.OpMerge:
+		s.posterior = t.post
+		s.version++
+		s.spent += len(op.Tasks)
+		s.sel = nil    // selection cache is bound to the previous posterior
+		s.done = false // the new posterior may be uncertain again; re-derive
+		s.pendBatch, s.pendAns, s.pendPost, s.pendTaskH = nil, nil, nil, 0
+		s.rounds = append(s.rounds, RoundInfo{
+			Round:   s.version,
+			Tasks:   append([]int(nil), op.Tasks...),
+			Answers: append([]bool(nil), op.Answers...),
+			CumCost: s.spent,
+			Entropy: t.post.Entropy(),
+			TaskH:   t.taskH,
+		})
+		s.merges[answerSetHash(op.Version, op.Tasks, op.Answers)] = &AnswersResponse{SessionInfo: s.infoLocked(false), Merged: true}
+		s.emitLocked(ctx, EventMerge, nil)
+		s.refitLocked(ctx)
+	case store.OpDone:
+		s.done = true
+		s.emitLocked(ctx, EventDone, nil)
+	}
+}
+
+// journalLocked is the live path's persist-then-apply. It steps every op
+// first — each seeing the observations of the observe ops ahead of it — so
+// nothing is journaled for an op the state would refuse, then persists and
+// applies them in order: an acknowledged transition is durable before any
+// in-memory state changes, and a failed persist leaves the session as it
+// was, safe to retry. An observe op that landed ahead of a failed persist
+// stays; it is durable, and the retry's observe op is a tail match.
+func (s *Session) journalLocked(ctx context.Context, ops ...store.Op) error {
+	ts := make([]transition, len(ops))
+	var extra []store.Observation
+	for i, op := range ops {
+		t, err := s.stepLocked(op, extra)
+		if err != nil {
+			return err
+		}
+		ts[i] = t
+		extra = append(extra, t.obs...)
+	}
+	for _, t := range ts {
+		if s.persist != nil {
+			if err := s.persistOp(ctx, t.op); err != nil {
+				return persistError(s.id, err)
+			}
+		}
+		s.applyLocked(ctx, t)
+	}
+	return nil
+}
+
+// taskEntropyLocked returns H(T) for tasks against the committed
+// posterior. In the normal select-then-answer flow it was already computed
+// for the pinned batch or the cached selection; reusing it rather than
+// paying the entropy kernel a second time inside the critical section is
+// exact, because the kernel is deterministic in its inputs.
+func (s *Session) taskEntropyLocked(tasks []int) (float64, error) {
+	if s.pendBatch != nil && slices.Equal(s.pendBatch, tasks) {
+		return s.pendTaskH, nil
+	}
+	if s.sel != nil && s.selVersion == s.version && slices.Equal(s.sel.Tasks, tasks) {
+		return s.sel.TaskEntropy, nil
+	}
+	return core.TaskEntropy(s.posterior, tasks, s.pc)
+}
+
+// ledgerPrefixLocked returns the pending ledger extended by (tasks,
+// answers), in batch order — the answered prefix the provisional posterior
+// conditions on.
+func (s *Session) ledgerPrefixLocked(batch, tasks []int, answers []bool) ([]int, []bool) {
+	prefT := make([]int, 0, len(s.pendAns)+len(tasks))
+	prefA := make([]bool, 0, len(s.pendAns)+len(tasks))
+	for _, t := range batch {
+		a, ok := s.pendAns[t]
+		if !ok {
+			j := slices.Index(tasks, t)
+			if j < 0 {
+				continue
+			}
+			a = answers[j]
+		}
+		prefT = append(prefT, t)
+		prefA = append(prefA, a)
+	}
+	return prefT, prefA
+}
+
+// commitLocked journals and applies one complete answer set at the current
+// version, behind the observe ops in obs.
+func (s *Session) commitLocked(ctx context.Context, now time.Time, obs []store.Op, tasks []int, answers []bool) (*AnswersResponse, error) {
+	op := store.Op{
+		Kind:    store.OpMerge,
+		Version: s.version,
 		Tasks:   append([]int(nil), tasks...),
 		Answers: append([]bool(nil), answers...),
-		CumCost: s.spent,
-		Entropy: updated.Entropy(),
-		TaskH:   taskH,
-	})
-
-	resp := &AnswersResponse{SessionInfo: s.infoLocked(false), Merged: true, Partial: partial}
-	key := answerSetHash(mergedAt, tasks, answers)
-	s.merges[key] = resp
-	if workers != nil {
-		s.mergeWorkers[key] = canonicalWorkers(workers)
+		Epoch:   s.leaseEpoch,
+		Time:    now,
 	}
-	s.emitLocked(ctx, EventMerge, nil)
-	s.refitLocked(ctx, now)
-	return resp, nil
+	if err := s.journalLocked(ctx, append(obs, op)...); err != nil {
+		return nil, err
+	}
+	resp := *s.merges[answerSetHash(op.Version, op.Tasks, op.Answers)]
+	return &resp, nil
 }
 
 // mergePartialLocked is the incremental answer path; callers hold mu.
@@ -928,10 +1042,10 @@ func (s *Session) commitLocked(ctx context.Context, now time.Time, tasks []int, 
 // posterior step by step. Every partial recomputes the provisional
 // posterior as ONE batch conditioning of the answered prefix (in batch
 // order) against the round-start posterior, so when the final judgment
-// arrives the provisional is literally core.MergeAnswers(roundStart,
-// batch, answers, pc) — the same call, on the same inputs, the batched
-// path makes — and the commit reuses it. Budget is spent only inside that
-// commit, so no retry of any prefix can double-spend.
+// arrives the ledger commits as the merge op of the whole batch in batch
+// order — the same op, on the same inputs, the batched path journals.
+// Budget is spent only inside that commit, so no retry of any prefix can
+// double-spend.
 func (s *Session) mergePartialLocked(ctx context.Context, now time.Time, req *AnswersRequest, tasks []int, answers []bool, workers, sources []string, attributed bool) (*AnswersResponse, error) {
 	if req.Version != nil {
 		if *req.Version > s.version {
@@ -954,8 +1068,8 @@ func (s *Session) mergePartialLocked(ctx context.Context, now time.Time, req *An
 		batch = s.sel.Tasks
 	}
 
-	// Validate the judgments against the batch and the ledger before
-	// touching any state.
+	// Validate the judgments against the batch and the ledger, and drop
+	// the ones already journaled, before touching any state.
 	var newTasks []int
 	var newAns []bool
 	var newWorkers, newSources []string
@@ -970,8 +1084,8 @@ func (s *Session) mergePartialLocked(ctx context.Context, now time.Time, req *An
 			// An attributed retry of a journaled judgment must carry the
 			// attribution it was journaled under.
 			if attributed {
-				if rec, ok := s.pendWorkers[t]; ok && rec != workers[i] {
-					return nil, fmt.Errorf("%w: task %d journaled for worker %q", ErrAttributionConflict, t, rec)
+				if o, ok := s.observedLocked(s.version, t, nil); ok && o.Worker != workers[i] {
+					return nil, fmt.Errorf("%w: task %d journaled for worker %q", ErrAttributionConflict, t, o.Worker)
 				}
 			}
 			continue // idempotent duplicate of a journaled judgment
@@ -995,100 +1109,34 @@ func (s *Session) mergePartialLocked(ctx context.Context, now time.Time, req *An
 		// Pure replay of already-journaled judgments.
 		return &AnswersResponse{SessionInfo: s.infoLocked(false), Merged: false, Partial: true}, nil
 	}
-	if newWorkers != nil && newSources == nil && sources != nil {
-		newSources = make([]string, len(newWorkers))
-	}
 
-	if s.pendBatch == nil {
-		s.pendBatch = append([]int(nil), batch...)
-		s.pendAns = make(map[int]bool, len(batch))
-		s.pendTaskH = s.sel.TaskEntropy
-	}
-	if s.pendWorkers == nil {
-		s.pendWorkers = make(map[int]string, len(batch))
-	}
-
-	// The provisional posterior: one batch conditioning of the answered
-	// prefix, in batch order, against the round-start posterior. Worker
-	// attribution rides along so em/dawid-skene sessions condition each
-	// judgment on its worker's channel; unattributed judgments on fixed
-	// sessions leave prefW nil and take the scalar path.
-	prefT := make([]int, 0, len(s.pendAns)+len(newTasks))
-	prefA := make([]bool, 0, len(s.pendAns)+len(newTasks))
-	var prefW []string
-	withWorkers := workers != nil || len(s.pendWorkers) > 0
-	for _, t := range s.pendBatch {
-		a, journaled := s.pendAns[t]
-		j := -1
-		if !journaled {
-			if j = slices.Index(newTasks, t); j < 0 {
-				continue
-			}
-			a = newAns[j]
-		}
-		prefT = append(prefT, t)
-		prefA = append(prefA, a)
-		if withWorkers {
-			w := ""
-			if journaled {
-				w = s.pendWorkers[t]
-			} else if newWorkers != nil {
-				w = newWorkers[j]
-			}
-			if w == "" {
-				w = s.anonWorker
-			}
-			prefW = append(prefW, w)
-		}
-	}
-	updated, err := s.conditionLocked(prefT, prefA, prefW)
-	if err != nil {
-		return nil, fmt.Errorf("service: merge: %w", err)
-	}
-
-	if err := s.observeLocked(ctx, now, newTasks, newAns, newWorkers, newSources); err != nil {
-		return nil, err
-	}
-
-	if len(prefT) == len(s.pendBatch) {
+	obs := s.observeOpsLocked(now, newTasks, newAns, newWorkers, newSources)
+	if prefT, prefA := s.ledgerPrefixLocked(batch, newTasks, newAns); len(prefT) == len(batch) {
 		// The ledger now covers the batch: commit. The completing
-		// judgments are journaled as the batch's OpMerge (inside the
-		// commit), never as a partial op — the durable ledger stays a
-		// strict subset of its batch, so crash recovery always re-enters
-		// the incremental path instead of committing mid-replay.
-		resp, err := s.commitLocked(ctx, now, prefT, prefA, s.pendTaskH, updated, true, prefW)
+		// judgments are journaled as the batch's OpMerge, never as a
+		// partial op — the durable ledger stays a strict subset of its
+		// batch, so crash recovery always re-enters the incremental path
+		// instead of committing mid-replay.
+		resp, err := s.commitLocked(ctx, now, obs, prefT, prefA)
 		if err != nil {
 			return nil, err
 		}
+		resp.Partial = true
 		return resp, nil
 	}
-
-	// Journal-then-commit, same discipline as merges: the judgments are
-	// durable before they are acknowledged or visible.
-	if s.persist != nil {
-		op := store.Op{
-			Kind:    store.OpPartial,
-			Version: s.version,
-			Tasks:   append([]int(nil), newTasks...),
-			Answers: append([]bool(nil), newAns...),
-			Batch:   append([]int(nil), s.pendBatch...),
-			Epoch:   s.leaseEpoch,
-			Time:    now,
-		}
-		if err := s.persistOp(ctx, op); err != nil {
-			return nil, persistError(s.id, err)
-		}
+	op := store.Op{
+		Kind:    store.OpPartial,
+		Version: s.version,
+		Tasks:   newTasks,
+		Answers: newAns,
+		Batch:   append([]int(nil), batch...),
+		Epoch:   s.leaseEpoch,
+		Time:    now,
 	}
-	for i, t := range newTasks {
-		s.pendAns[t] = newAns[i]
-		if newWorkers != nil {
-			s.pendWorkers[t] = newWorkers[i]
-		}
+	if err := s.journalLocked(ctx, append(obs, op)...); err != nil {
+		return nil, err
 	}
-	s.pendPost = updated
-	resp := &AnswersResponse{SessionInfo: s.infoLocked(false), Merged: false, Partial: true}
-	s.emitLocked(ctx, EventPartial, nil)
-	return resp, nil
+	return &AnswersResponse{SessionInfo: s.infoLocked(false), Merged: false, Partial: true}, nil
 }
 
 // replayCommittedPartialLocked serves a retried partial prefix whose batch
@@ -1311,50 +1359,32 @@ func (s *Session) retireAndFlush(st store.SessionStore) error {
 	return err
 }
 
-// restoreSession rebuilds a live session from its durable record by
-// replaying every merge against the reconstructed prior. Both steps run
-// the exact code paths that produced the original state — dist.Independent
-// or dist.New for the prior, Session.Merge for each op — so the recovered
-// posterior, version, budget accounting, rounds trace, and idempotency log
-// match the pre-crash session bit for bit. Random selectors are re-seeded
-// from the recorded seed; their stream position within the session is not
-// recovered (selection is a fresh draw after restart, which is sound: no
-// batch was outstanding durably).
-//
-// Worker-model sessions additionally replay their observation log in
-// journal order: before the merge op at version v replays, every recorded
-// observation with Version <= v is re-seeded, so the refit that ran at
-// each pre-crash commit reruns over the identical evidence — seeded by the
-// same session seed — and the recovered worker estimates and weighted
-// posterior match bit for bit too. The replaying flag keeps the merge
-// path from appending those observations a second time.
+// restoreSession builds a session from its durable record: the one
+// constructor behind Manager.Create (a fresh record) and crash recovery or
+// adoption (a stored one). It checks the parameters as
+// CreateSessionRequest.Validate does, rebuilds the prior and the selector,
+// and applies the record's ops in journal order through the transition
+// function live requests run, so the restored state matches the pre-crash
+// session bit for bit. Random selectors restart at the recorded seed. The
+// session comes back without persist, tracer or event hooks.
 func restoreSession(rec *store.Record, anonWorker string, now time.Time) (*Session, error) {
-	var prior *dist.Joint
-	var err error
-	switch {
-	case len(rec.Prior.Marginals) > 0:
-		prior, err = dist.Independent(rec.Prior.Marginals)
-	case len(rec.Prior.Worlds) > 0:
-		ws := make([]dist.World, len(rec.Prior.Worlds))
-		for i, w := range rec.Prior.Worlds {
-			ws[i] = dist.World(w)
-		}
-		prior, err = dist.New(rec.Prior.N, ws, rec.Prior.Probs)
-	default:
-		err = fmt.Errorf("record has no prior")
+	fail := func(err error) (*Session, error) {
+		return nil, fmt.Errorf("service: session %s: %w", rec.ID, err)
 	}
+	if err := validateParams(rec.Pc, rec.K, rec.Budget, rec.WorkerModel); err != nil {
+		return fail(err)
+	}
+	prior, err := priorJoint(rec.Prior)
 	if err != nil {
-		return nil, fmt.Errorf("service: restoring session %s: %w", rec.ID, err)
+		return fail(err)
 	}
 	selector, err := eval.NewSelector(eval.SelectorKind(rec.Selector), rec.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("service: restoring session %s: %w", rec.ID, err)
+		return fail(err)
 	}
 	// newSession stamps lastAccess = now deliberately: loading IS an
 	// access, so the TTL clock restarts rather than resuming from the
-	// recorded LastAccess (which would evict a just-recovered session on
-	// its next sweep). The persisted LastAccess exists for operators
-	// inspecting records on disk, not for the live eviction clock.
+	// recorded LastAccess, which exists for operators reading records.
 	s := newSession(rec.ID, prior, selector, rec.Selector, rec.Pc, rec.K, rec.Budget, now)
 	s.priorRec = rec.Prior
 	s.seed = rec.Seed
@@ -1365,103 +1395,60 @@ func restoreSession(rec *store.Record, anonWorker string, now time.Time) (*Sessi
 	if anonWorker != "" {
 		s.anonWorker = anonWorker
 	}
-	s.replaying = true
-	// persist stays nil during replay: the ops are already durable (and the
-	// tracer is nil, so replayed merges produce no spans — the adoption
-	// span in loadFromStore covers the whole replay instead).
-	obsIdx := 0
-	seedObservations := func(upTo int) {
-		for obsIdx < len(rec.Observations) && rec.Observations[obsIdx].Version <= upTo {
-			s.observations = append(s.observations, rec.Observations[obsIdx])
-			obsIdx++
-		}
-	}
-	for _, op := range rec.Ops {
-		v := op.Version
-		// The round's observations were journaled before its merge, so they
-		// re-seed first: the refit this replayed commit triggers sees the
-		// same evidence the pre-crash one did.
-		s.mu.Lock()
-		seedObservations(v)
-		req := &AnswersRequest{Version: &v}
-		if s.workerModel != WorkerModelFixed {
-			// Replay through the judgments form so the weighted conditioning
-			// sees each judgment's recorded attribution, not the anonymous
-			// fallback the legacy form would apply.
-			req.Judgments = replayJudgments(op.Tasks, op.Answers, s.observations, v, s.anonWorker)
-		} else {
-			req.Tasks, req.Answers = op.Tasks, op.Answers
-		}
-		s.mu.Unlock()
-		if _, err := s.Merge(context.Background(), now, req); err != nil {
-			return nil, fmt.Errorf("service: restoring session %s: replaying op %d: %w", rec.ID, v, err)
-		}
-	}
 	s.mu.Lock()
-	seedObservations(s.version)
-	s.done = rec.Done
-	s.mu.Unlock()
-	if len(rec.PendingBatch) > 0 {
-		// A partial answer sequence was in flight at the crash. Re-pin
-		// the recorded batch as the outstanding selection (TaskEntropy is
-		// deterministic in the posterior, so recomputing it reproduces
-		// the pre-crash value), then replay the journaled judgments
-		// through the same partial path that first recorded them — the
-		// provisional posterior comes back bit-identical.
-		s.mu.Lock()
-		taskH, err := core.TaskEntropy(s.posterior, rec.PendingBatch, s.pc)
+	defer s.mu.Unlock()
+	for _, op := range recordJournal(rec) {
+		t, err := s.stepLocked(op, nil)
 		if err != nil {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("service: restoring session %s: pending batch: %w", rec.ID, err)
+			return fail(fmt.Errorf("replaying %s op at version %d: %w", op.Kind, op.Version, err))
 		}
-		s.sel = &SelectResponse{
-			Tasks:       append([]int(nil), rec.PendingBatch...),
-			TaskEntropy: taskH,
-			Version:     s.version,
-		}
-		s.selVersion = s.version
-		s.selK = len(rec.PendingBatch)
-		v := s.version
-		s.mu.Unlock()
-		if len(rec.PendingTasks) > 0 {
-			req := &AnswersRequest{Version: &v, Partial: true}
-			if s.workerModel != WorkerModelFixed {
-				s.mu.Lock()
-				req.Judgments = replayJudgments(rec.PendingTasks, rec.PendingAnswers, s.observations, v, s.anonWorker)
-				s.mu.Unlock()
-			} else {
-				req.Tasks, req.Answers = rec.PendingTasks, rec.PendingAnswers
-			}
-			if _, err := s.Merge(context.Background(), now, req); err != nil {
-				return nil, fmt.Errorf("service: restoring session %s: replaying pending ledger: %w", rec.ID, err)
-			}
-		}
+		s.applyLocked(context.Background(), t)
 	}
-	s.mu.Lock()
-	s.replaying = false
-	s.mu.Unlock()
 	return s, nil
 }
 
-// replayJudgments rebuilds the judgments form for a replayed answer set
-// from the observation log: each task takes the worker of the last
-// observation journaled for it at that version (retried observe ops land
-// last, so the latest entry is the one whose commit succeeded), falling
-// back to the anonymous worker for tasks the log does not cover.
-func replayJudgments(tasks []int, answers []bool, observations []store.Observation, version int, anon string) []Judgment {
-	byTask := make(map[int]store.Observation, len(tasks))
-	for _, o := range observations {
-		if o.Version == version {
-			byTask[o.Task] = o
+// priorJoint rebuilds a prior from its raw recorded form through the
+// constructor that first built it, so the result has the same bits.
+func priorJoint(p store.Prior) (*dist.Joint, error) {
+	switch {
+	case len(p.Marginals) > 0:
+		return dist.Independent(p.Marginals)
+	case len(p.Worlds) > 0:
+		return WireJoint{N: p.N, Worlds: p.Worlds, Probs: p.Probs}.Joint()
+	}
+	return nil, errors.New("record has no prior")
+}
+
+// recordJournal unfolds a compacted record into journal order: every
+// observation journaled at version v precedes the merge that advanced v.
+// The open round's observations, its partial ledger (one op: a provisional
+// posterior depends only on the answered prefix) and the done latch follow.
+func recordJournal(rec *store.Record) []store.Op {
+	ops := make([]store.Op, 0, len(rec.Ops)+len(rec.Observations)+2)
+	obs := rec.Observations
+	observeUpTo := func(v int) {
+		for ; len(obs) > 0 && obs[0].Version <= v; obs = obs[1:] {
+			o := obs[0]
+			op := store.Op{Kind: store.OpObserve, Version: o.Version, Tasks: []int{o.Task},
+				Answers: []bool{o.Answer}, Workers: []string{o.Worker}, Time: o.Time}
+			if o.Source != "" {
+				op.Sources = []string{o.Source}
+			}
+			ops = append(ops, op)
 		}
 	}
-	js := make([]Judgment, len(tasks))
-	for i, t := range tasks {
-		js[i] = Judgment{Task: t, Answer: answers[i], Worker: anon}
-		if o, ok := byTask[t]; ok && o.Answer == answers[i] {
-			js[i].Worker = o.Worker
-			js[i].Source = o.Source
-		}
+	for _, m := range rec.Ops {
+		observeUpTo(m.Version)
+		ops = append(ops, m)
 	}
-	return js
+	observeUpTo(math.MaxInt)
+	v := len(rec.Ops)
+	if len(rec.PendingTasks) > 0 {
+		ops = append(ops, store.Op{Kind: store.OpPartial, Version: v,
+			Tasks: rec.PendingTasks, Answers: rec.PendingAnswers, Batch: rec.PendingBatch})
+	}
+	if rec.Done {
+		ops = append(ops, store.Op{Kind: store.OpDone, Version: v})
+	}
+	return ops
 }

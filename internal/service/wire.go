@@ -164,27 +164,34 @@ func (r *CreateSessionRequest) Validate() error {
 	if len(r.Marginals) > 0 && r.Joint != nil {
 		return errors.New("service: marginals and joint are mutually exclusive")
 	}
-	if r.Pc < 0.5 || r.Pc > 1 || math.IsNaN(r.Pc) {
-		return fmt.Errorf("service: pc %v outside [0.5, 1]", r.Pc)
+	return validateParams(r.Pc, r.K, r.Budget, r.WorkerModel)
+}
+
+// validateParams checks a session's scalar creation parameters. Creation
+// and record restore share it, so a record no create request could have
+// produced fails to restore instead of coming back half-configured.
+func validateParams(pc float64, k, budget int, workerModel string) error {
+	if pc < 0.5 || pc > 1 || math.IsNaN(pc) {
+		return fmt.Errorf("service: pc %v outside [0.5, 1]", pc)
 	}
-	if r.K <= 0 {
-		return fmt.Errorf("service: k %d must be positive", r.K)
+	if k <= 0 {
+		return fmt.Errorf("service: k %d must be positive", k)
 	}
-	if r.K > core.MaxTasksPerRound {
+	if k > core.MaxTasksPerRound {
 		return fmt.Errorf("service: k %d exceeds the per-round limit %d (the answer space is 2^k)",
-			r.K, core.MaxTasksPerRound)
+			k, core.MaxTasksPerRound)
 	}
-	if r.Budget <= 0 {
-		return fmt.Errorf("service: budget %d must be positive", r.Budget)
+	if budget <= 0 {
+		return fmt.Errorf("service: budget %d must be positive", budget)
 	}
-	if r.K > r.Budget {
-		return fmt.Errorf("service: k %d exceeds budget %d", r.K, r.Budget)
+	if k > budget {
+		return fmt.Errorf("service: k %d exceeds budget %d", k, budget)
 	}
-	switch r.WorkerModel {
+	switch workerModel {
 	case "", WorkerModelFixed, WorkerModelEM, WorkerModelDawidSkene:
 	default:
 		return fmt.Errorf("%w: %q (want %q, %q, or %q)", ErrUnknownWorkerModel,
-			r.WorkerModel, WorkerModelFixed, WorkerModelEM, WorkerModelDawidSkene)
+			workerModel, WorkerModelFixed, WorkerModelEM, WorkerModelDawidSkene)
 	}
 	return nil
 }
@@ -392,7 +399,8 @@ type AnswersResponse struct {
 	// Partial reports that the request joined an incremental answer
 	// sequence: judgments were recorded (or replayed) against the pending
 	// batch. When Merged is also true, this request's judgments completed
-	// the batch and the merge committed.
+	// the batch and the merge committed. A retry served from the
+	// idempotency log echoes the retrying request's own partial flag.
 	Partial bool `json:"partial,omitempty"`
 }
 

@@ -79,35 +79,58 @@ func TestJudgmentsRejectDuplicateTask(t *testing.T) {
 	}
 }
 
+// TestAttributionConflictOnRetry: under every worker model, a retry of a
+// committed attributed answer set replays when it keeps the attribution,
+// is refused when it re-attributes a judgment, and passes in legacy form —
+// on the live instance and, identically, on one recovered from the same
+// file store by a second manager.
 func TestAttributionConflictOnRetry(t *testing.T) {
-	m := NewManager(ManagerConfig{})
-	defer m.Close()
-	s, err := m.Create(context.Background(), workerCreateReq(4, WorkerModelEM))
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(1000, 0)
-	v := 0
-	tasks := []int{0, 1}
-	answers := []bool{true, false}
-	first := &AnswersRequest{Version: &v, Judgments: judge(tasks, answers, []string{"w1", "w2"})}
-	if resp, err := s.Merge(context.Background(), now, first); err != nil || !resp.Merged {
-		t.Fatalf("first merge: %+v, %v", resp, err)
-	}
-	// Same answer set, same attribution: idempotent replay.
-	resp, err := s.Merge(context.Background(), now, first)
-	if err != nil || resp.Merged {
-		t.Fatalf("identical retry: %+v, %v", resp, err)
-	}
-	// Same answer set re-attributed to a different worker: refused.
-	conflicting := &AnswersRequest{Version: &v, Judgments: judge(tasks, answers, []string{"w1", "w9"})}
-	if _, err := s.Merge(context.Background(), now, conflicting); !errors.Is(err, ErrAttributionConflict) {
-		t.Fatalf("re-attributed retry: err = %v, want ErrAttributionConflict", err)
-	}
-	// A legacy-form retry carries no attribution to contradict.
-	legacy := &AnswersRequest{Version: &v, Tasks: tasks, Answers: answers}
-	if resp, err := s.Merge(context.Background(), now, legacy); err != nil || resp.Merged {
-		t.Fatalf("legacy retry: %+v, %v", resp, err)
+	for _, model := range []string{WorkerModelFixed, WorkerModelEM, WorkerModelDawidSkene} {
+		t.Run(model, func(t *testing.T) {
+			dir := t.TempDir()
+			now := time.Unix(1000, 0)
+			cfg := ManagerConfig{now: func() time.Time { return now }}
+			m1 := newFileManager(t, dir, cfg)
+			s, err := m1.Create(context.Background(), workerCreateReq(4, model))
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := 0
+			tasks := []int{0, 1}
+			answers := []bool{true, false}
+			first := &AnswersRequest{Version: &v, Judgments: judge(tasks, answers, []string{"w1", "w2"})}
+			if resp, err := s.Merge(context.Background(), now, first); err != nil || !resp.Merged {
+				t.Fatalf("first merge: %+v, %v", resp, err)
+			}
+			checkRetries := func(t *testing.T, s *Session) {
+				t.Helper()
+				// Same answer set, same attribution: idempotent replay.
+				resp, err := s.Merge(context.Background(), now, first)
+				if err != nil || resp.Merged {
+					t.Fatalf("identical retry: %+v, %v", resp, err)
+				}
+				// Same answer set re-attributed to a different worker: refused.
+				conflicting := &AnswersRequest{Version: &v, Judgments: judge(tasks, answers, []string{"w1", "w9"})}
+				if _, err := s.Merge(context.Background(), now, conflicting); !errors.Is(err, ErrAttributionConflict) {
+					t.Fatalf("re-attributed retry: err = %v, want ErrAttributionConflict", err)
+				}
+				// A legacy-form retry carries no attribution to contradict.
+				legacy := &AnswersRequest{Version: &v, Tasks: tasks, Answers: answers}
+				if resp, err := s.Merge(context.Background(), now, legacy); err != nil || resp.Merged {
+					t.Fatalf("legacy retry: %+v, %v", resp, err)
+				}
+			}
+			checkRetries(t, s)
+			// No Close: the process just died.
+
+			m2 := newFileManager(t, dir, cfg)
+			defer m2.Close()
+			recovered, err := m2.Get(context.Background(), s.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRetries(t, recovered)
+		})
 	}
 }
 
