@@ -51,11 +51,15 @@ test-cover:
 	$(GO) test -race -covermode=atomic -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-# Short native-fuzzing pass over record restore: any JSON that decodes to
-# a store.Record must fail to restore or restore to a usable session. The
-# seed corpus lives in internal/service/testdata/fuzz/FuzzRestoreRecord.
+# Short native-fuzzing passes, 10 s each. FuzzRestoreRecord: any JSON that
+# decodes to a store.Record must fail to restore or restore to a session
+# whose record restores to the same state. FuzzFileLoad: any snapshot and
+# log pair must load to an error or a record, leave a line-boundary prefix
+# of the log, and load again to the same record without touching the
+# files. Seed corpora live under testdata/fuzz/ in each package.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRestoreRecord -fuzztime 10s ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzFileLoad -fuzztime 10s ./internal/store/
 
 # The end-to-end load generator is its own module (cmd/loadgen/go.mod), so
 # the root `go test ./...` never reaches its tests: it scrapes /metrics

@@ -118,9 +118,6 @@ func main() {
 		logger.Error(fmt.Sprintf(format, args...))
 		os.Exit(1)
 	}
-	// cluster.Ring and store.File keep their printf-style hook; adapt.
-	logf := func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) }
-
 	// Spans are always recorded in-process (bounded memory); -debug-addr
 	// decides whether anything serves them.
 	nodeName := *selfAddr
@@ -145,7 +142,7 @@ func main() {
 			Self:          *selfAddr,
 			Peers:         strings.Split(*peersFlag, ","),
 			ProbeInterval: *heartbeat,
-			Logf:          logf,
+			Logger:        logger,
 		})
 		if err != nil {
 			fatalf("building cluster ring: %v", err)
@@ -169,7 +166,7 @@ func main() {
 		if err != nil {
 			fatalf("opening session store: %v", err)
 		}
-		fileStore.Logf = logf
+		fileStore.Logger = logger
 		if ring == nil {
 			// One writer per data dir: a second daemon sharing it would
 			// corrupt session logs. The kernel drops the lock on process

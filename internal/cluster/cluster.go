@@ -38,6 +38,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"slices"
 	"sort"
@@ -178,8 +179,8 @@ type Config struct {
 	// aliveness transition (the epoch has already advanced). The session
 	// layer hooks it to relinquish sessions it no longer owns.
 	OnChange func()
-	// Logf receives peer up/down transitions. Nil discards them.
-	Logf func(format string, args ...any)
+	// Logger receives peer up/down transitions. Nil discards them.
+	Logger *slog.Logger
 }
 
 // Ring is one node's live view of the cluster: the static rendezvous
@@ -225,8 +226,8 @@ func New(cfg Config) (*Ring, error) {
 	if cfg.Probe == nil {
 		cfg.Probe = httpProbe
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
 	return &Ring{
 		self:  self,
@@ -418,15 +419,15 @@ func (r *Ring) probeOnce() {
 			if r.fails[res.peer] == r.cfg.SuspectAfter && !r.down[res.peer] {
 				r.down[res.peer] = true
 				changed = true
-				r.cfg.Logf("cluster: peer %s down (%d consecutive probe failures: %v)",
-					res.peer, r.fails[res.peer], res.err)
+				r.cfg.Logger.Warn("cluster: peer down", "peer", res.peer,
+					"probe_failures", r.fails[res.peer], "err", res.err)
 			}
 		} else {
 			r.fails[res.peer] = 0
 			if r.down[res.peer] {
 				delete(r.down, res.peer)
 				changed = true
-				r.cfg.Logf("cluster: peer %s back up", res.peer)
+				r.cfg.Logger.Info("cluster: peer back up", "peer", res.peer)
 			}
 		}
 	}

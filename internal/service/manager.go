@@ -613,16 +613,23 @@ func (m *Manager) summarize(id string) (SessionSummary, bool) {
 	if err != nil {
 		return SessionSummary{}, false
 	}
-	spent := 0
+	version, spent, done := 0, 0, false
 	for _, op := range rec.Ops {
-		spent += len(op.Tasks)
+		switch op.Kind {
+		case store.OpMerge:
+			version++
+			spent += len(op.Tasks)
+			done = false
+		case store.OpDone:
+			done = true
+		}
 	}
 	return SessionSummary{
 		ID:      id,
-		Version: len(rec.Ops),
+		Version: version,
 		Spent:   spent,
 		Budget:  rec.Budget,
-		Done:    rec.Done || spent >= rec.Budget,
+		Done:    done || spent >= rec.Budget,
 	}, true
 }
 

@@ -3,7 +3,9 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -47,21 +49,34 @@ func restoreFixture(t *testing.T) *store.Record {
 	return rec
 }
 
+// fixtureOp returns the n'th op of kind in a fixture record's journal.
+func fixtureOp(t *testing.T, r *store.Record, kind string, n int) *store.Op {
+	t.Helper()
+	for i := range r.Ops {
+		if r.Ops[i].Kind != kind {
+			continue
+		}
+		if n == 0 {
+			return &r.Ops[i]
+		}
+		n--
+	}
+	t.Fatalf("fixture has no %s op %d", kind, n)
+	return nil
+}
+
 // TestRestoreRejectsMalformedRecords: a record no live session could have
 // written fails to restore with an error — it never panics and never comes
 // back half-configured. The creation-parameter rows are the checks
-// CreateSessionRequest.Validate runs.
+// CreateSessionRequest.Validate runs; the journal rows are the rules
+// stepLocked alone enforces.
 func TestRestoreRejectsMalformedRecords(t *testing.T) {
 	base := restoreFixture(t)
+	batch := fixtureOp(t, base, store.OpPartial, 0).Batch
 	outside := -1
-	for task := 0; task < 4; task++ {
-		in := false
-		for _, b := range base.PendingBatch {
-			in = in || b == task
-		}
-		if !in {
+	for task := 0; task < 4 && outside < 0; task++ {
+		if !slices.Contains(batch, task) {
 			outside = task
-			break
 		}
 	}
 	for name, mutate := range map[string]func(r *store.Record){
@@ -78,22 +93,55 @@ func TestRestoreRejectsMalformedRecords(t *testing.T) {
 		"joint length mismatch": func(r *store.Record) {
 			r.Prior = store.Prior{N: 2, Worlds: []uint64{0, 1}, Probs: []float64{1}}
 		},
-		"merge version gap":       func(r *store.Record) { r.Ops[0].Version = 5 },
-		"merge task out of range": func(r *store.Record) { r.Ops[0].Tasks[0] = 99 },
-		"merge answers mismatch":  func(r *store.Record) { r.Ops[0].Answers = r.Ops[0].Answers[:1] },
-		"merge over budget":       func(r *store.Record) { r.K, r.Budget = 1, 1 },
-		"unknown op kind":         func(r *store.Record) { r.Ops[0].Kind = "bogus" },
-		"pending outside batch":   func(r *store.Record) { r.PendingTasks[0] = outside },
+		"merge version gap":       func(r *store.Record) { fixtureOp(t, r, store.OpMerge, 0).Version = 5 },
+		"merge task out of range": func(r *store.Record) { fixtureOp(t, r, store.OpMerge, 0).Tasks[0] = 99 },
+		"merge answers mismatch": func(r *store.Record) {
+			m := fixtureOp(t, r, store.OpMerge, 0)
+			m.Answers = m.Answers[:1]
+		},
+		"merge over budget":     func(r *store.Record) { r.K, r.Budget = 1, 1 },
+		"unknown op kind":       func(r *store.Record) { fixtureOp(t, r, store.OpMerge, 0).Kind = "bogus" },
+		"pending outside batch": func(r *store.Record) { fixtureOp(t, r, store.OpPartial, 0).Tasks[0] = outside },
 		"pending batch out of range": func(r *store.Record) {
-			r.PendingBatch = append(r.PendingBatch, 99)
+			p := fixtureOp(t, r, store.OpPartial, 0)
+			p.Batch = append(p.Batch, 99)
 		},
 		"pending covers batch": func(r *store.Record) {
-			r.PendingTasks = append([]int(nil), r.PendingBatch...)
-			r.PendingAnswers = make([]bool, len(r.PendingBatch))
+			p := fixtureOp(t, r, store.OpPartial, 0)
+			p.Tasks = append([]int(nil), p.Batch...)
+			p.Answers = make([]bool, len(p.Batch))
 		},
-		"pending answers missing": func(r *store.Record) { r.PendingAnswers = nil },
+		"pending answers missing": func(r *store.Record) { fixtureOp(t, r, store.OpPartial, 0).Answers = nil },
 		"observation from the future": func(r *store.Record) {
-			r.Observations[len(r.Observations)-1].Version = 99
+			fixtureOp(t, r, store.OpObserve, 1).Version = 99
+		},
+		"ledger judges a task twice": func(r *store.Record) {
+			p := fixtureOp(t, r, store.OpPartial, 0)
+			again := *p
+			again.Answers = []bool{!p.Answers[0]}
+			again.Tasks = p.Tasks[:1]
+			r.Ops = append(r.Ops, again)
+		},
+		"observation without worker": func(r *store.Record) { fixtureOp(t, r, store.OpObserve, 0).Workers[0] = "" },
+		"empty merge op": func(r *store.Record) {
+			m := fixtureOp(t, r, store.OpMerge, 0)
+			m.Tasks, m.Answers = nil, nil
+		},
+		"empty partial op": func(r *store.Record) {
+			p := fixtureOp(t, r, store.OpPartial, 0)
+			p.Tasks, p.Answers = nil, nil
+		},
+		"empty observe op": func(r *store.Record) {
+			o := fixtureOp(t, r, store.OpObserve, 0)
+			o.Tasks, o.Answers, o.Workers = nil, nil, nil
+		},
+		"negative task": func(r *store.Record) { fixtureOp(t, r, store.OpObserve, 0).Tasks[0] = -1 },
+		"observe workers unpaired": func(r *store.Record) {
+			o := fixtureOp(t, r, store.OpObserve, 0)
+			o.Workers = o.Workers[:1]
+		},
+		"observe sources unpaired": func(r *store.Record) {
+			fixtureOp(t, r, store.OpObserve, 0).Sources = []string{"a", "b", "c"}
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -106,9 +154,28 @@ func TestRestoreRejectsMalformedRecords(t *testing.T) {
 	}
 }
 
+// restoreFingerprint renders what a restored session shows a client — the
+// state with rounds, the per-worker view and the calibration report — with
+// every float in its exact shortest form, so equal strings mean equal bits.
+func restoreFingerprint(t *testing.T, s *Session, now time.Time) string {
+	t.Helper()
+	info := s.Info(now, true)
+	var pending PendingInfo
+	if info.Pending != nil {
+		pending = *info.Pending
+		info.Pending = nil
+	}
+	cal, err := s.Calibration(now, 10)
+	if err != nil {
+		t.Fatalf("calibration: %v", err)
+	}
+	return fmt.Sprintf("%+v\n%+v\n%+v\n%+v", info, pending, s.WorkerStats(), *cal)
+}
+
 // FuzzRestoreRecord: any JSON that decodes to a store.Record either fails
-// to restore or restores to a session that can be read, asked for a batch
-// and recorded again without panicking.
+// to restore or restores to a session that can be read and asked for a
+// batch without panicking — and whose record restores to the identical
+// state, before and after that select: restore∘record is a fixed point.
 func FuzzRestoreRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rec store.Record
@@ -120,13 +187,24 @@ func FuzzRestoreRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		info := s.Info(now, true)
+		fixedPoint := func() {
+			t.Helper()
+			again, err := restoreSession(s.record(), "", now)
+			if err != nil {
+				t.Fatalf("record of a restored session does not restore: %v", err)
+			}
+			if got, want := restoreFingerprint(t, again, now), restoreFingerprint(t, s, now); got != want {
+				t.Fatalf("restore∘record changed the session:\n got %s\nwant %s", got, want)
+			}
+		}
+		fixedPoint()
 		// Exhaustive selectors grow combinatorially in n and k; a small
 		// override keeps every input's selection cheap.
-		if info.N <= 12 {
+		if s.Info(now, false).N <= 12 {
 			if _, _, err := s.Select(context.Background(), now, min(rec.K, 4)); err != nil {
 				t.Logf("select: %v", err)
 			}
+			fixedPoint()
 		}
 		if got := s.record(); got.ID != rec.ID {
 			t.Fatalf("record id %q, want %q", got.ID, rec.ID)

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
+	"iter"
 	"slices"
 	"sort"
 	"strings"
@@ -96,15 +96,18 @@ type Session struct {
 	// replay of retried merges.
 	merges map[uint64]*AnswersResponse
 
+	// journal is every op the session applied, in order, less the
+	// partial and done ops a later merge superseded (store.Extend): the
+	// session's durable history, and the observation log the worker models
+	// are estimated from.
+	journal []store.Op
+
 	// Worker model state. workerModel names how crowd accuracy enters
 	// merging (fixed / em / dawid-skene); anonWorker is the identity that
 	// unattributed (legacy-form) judgments are recorded under.
-	// observations is every journaled judgment in journal order, each
-	// stamped with the version it arrived at.
 	workerModel string
 	anonWorker  string
 
-	observations []store.Observation
 	// workerSens/workerSpec are the smoothed per-worker channel estimates
 	// from the last refit: the raw estimator output shrunk toward the
 	// configured pc by a Beta prior of strength workerPriorStrength, so a
@@ -666,7 +669,6 @@ func (s *Session) observeOpsLocked(now time.Time, tasks []int, answers []bool, w
 	op := store.Op{
 		Kind:    store.OpObserve,
 		Version: s.version,
-		Seq:     len(s.observations),
 		Tasks:   append([]int(nil), tasks...),
 		Answers: append([]bool(nil), answers...),
 		Workers: append([]string(nil), workers...),
@@ -683,35 +685,60 @@ func (s *Session) observeOpsLocked(now time.Time, tasks []int, answers []bool, w
 // ends with exactly this judgment set at the current version.
 func (s *Session) observationsTailMatchLocked(tasks []int, answers []bool, workers []string) bool {
 	n := len(tasks)
-	if len(s.observations) < n {
-		return false
-	}
-	tail := s.observations[len(s.observations)-n:]
-	for i, o := range tail {
-		if o.Version != s.version || o.Task != tasks[i] || o.Answer != answers[i] || o.Worker != workers[i] {
+	for _, o := range observationsSince(s.journal, s.version) {
+		if n == 0 {
+			break
+		}
+		n--
+		if o.Task != tasks[n] || o.Answer != answers[n] || o.Worker != workers[n] {
 			return false
 		}
 	}
-	return true
+	return n == 0
 }
 
 // observedLocked returns the latest observation journaled for task at
-// version v, reading backwards from the log tail: first through extra (the
-// observations of an observe op about to be journaled ahead of the op being
-// stepped), then through the log itself. A retried observe op lands after
-// the one it retries, so the latest entry is the one a commit consumed.
-func (s *Session) observedLocked(v, task int, extra []store.Observation) (store.Observation, bool) {
-	for i := len(extra) - 1; i >= 0; i-- {
-		if extra[i].Task == task {
-			return extra[i], true
+// version v, reading backwards through extra (the observe ops about to be
+// journaled ahead of the op being stepped), then through the journal. A
+// retried observe op lands after the one it retries, so the latest entry
+// is the one a commit consumed.
+func (s *Session) observedLocked(v, task int, extra []store.Op) (Judgment, bool) {
+	for _, ops := range [][]store.Op{extra, s.journal} {
+		for ov, o := range observationsSince(ops, v) {
+			if ov == v && o.Task == task {
+				return o, true
+			}
 		}
 	}
-	for i := len(s.observations) - 1; i >= 0 && s.observations[i].Version >= v; i-- {
-		if o := s.observations[i]; o.Version == v && o.Task == task {
-			return o, true
+	return Judgment{}, false
+}
+
+// observationsSince yields the observations a journal holds from version v
+// on, from the last to the first, each with the version it arrived at.
+func observationsSince(ops []store.Op, v int) iter.Seq2[int, Judgment] {
+	return func(yield func(int, Judgment) bool) {
+		for i := len(ops) - 1; i >= 0 && ops[i].Version >= v; i-- {
+			op := ops[i]
+			for j := len(op.Tasks) - 1; j >= 0 && op.Kind == store.OpObserve; j-- {
+				if !yield(op.Version, Judgment{Task: op.Tasks[j], Answer: op.Answers[j], Worker: op.Workers[j]}) {
+					return
+				}
+			}
 		}
 	}
-	return store.Observation{}, false
+}
+
+// observationsLocked yields every journaled observation in journal order.
+func (s *Session) observationsLocked() iter.Seq[Judgment] {
+	return func(yield func(Judgment) bool) {
+		for _, op := range s.journal {
+			for i := 0; i < len(op.Tasks) && op.Kind == store.OpObserve; i++ {
+				if !yield(Judgment{Task: op.Tasks[i], Answer: op.Answers[i], Worker: op.Workers[i]}) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // attributionLocked derives the worker attribution of a judgment set at
@@ -722,7 +749,7 @@ func (s *Session) observedLocked(v, task int, extra []store.Observation) (store.
 // session. Live merges and replay both derive attribution here, so the
 // conditioning channels and the idempotency log's attribution can never
 // depend on which of the two built the state.
-func (s *Session) attributionLocked(v int, tasks []int, answers []bool, extra []store.Observation) []string {
+func (s *Session) attributionLocked(v int, tasks []int, answers []bool, extra []store.Op) []string {
 	var workers []string
 	for i, t := range tasks {
 		o, ok := s.observedLocked(v, t, extra)
@@ -790,15 +817,15 @@ func (s *Session) refitLocked(ctx context.Context) {
 	if s.workerModel != WorkerModelEM && s.workerModel != WorkerModelDawidSkene {
 		return
 	}
-	if len(s.observations) == 0 {
-		return
-	}
 	start := time.Now()
-	answers := make([]crowd.Answer, len(s.observations))
+	var answers []crowd.Answer
 	support := make(map[string]int)
-	for i, o := range s.observations {
-		answers[i] = crowd.Answer{Fact: o.Task, Value: o.Answer, Worker: o.Worker}
+	for o := range s.observationsLocked() {
+		answers = append(answers, crowd.Answer{Fact: o.Task, Value: o.Answer, Worker: o.Worker})
 		support[o.Worker]++
+	}
+	if len(answers) == 0 {
+		return
 	}
 	var rawSens, rawSpec map[string]float64
 	opts := crowd.EMOptions{Seed: s.seed}
@@ -839,16 +866,16 @@ func (s *Session) refitLocked(ctx context.Context) {
 // before anything is journaled, while replay runs the same computation.
 type transition struct {
 	op    store.Op
-	obs   []store.Observation // an observe op's observations
-	post  *dist.Joint         // a merge's next posterior, a partial's provisional one
-	taskH float64             // H(T) of a merge's answer set or a partial's batch
+	post  *dist.Joint // a merge's next posterior, a partial's provisional one
+	taskH float64     // H(T) of a merge's answer set or a partial's batch
 }
 
 // stepLocked computes op's transition against the current state, changing
-// nothing; callers hold mu. extra holds the observations the live path is
-// about to journal ahead of op (on replay they are already applied), so
-// attribution reads the same log either way.
-func (s *Session) stepLocked(op store.Op, extra []store.Observation) (transition, error) {
+// nothing; callers hold mu. It is the one place that knows which op may
+// come next — the store checks only the journal's ordering. extra holds
+// the observe ops the live path is about to journal ahead of op (on replay
+// they are already applied), so attribution reads the same log either way.
+func (s *Session) stepLocked(op store.Op, extra []store.Op) (transition, error) {
 	t := transition{op: op}
 	if op.Version != s.version {
 		return t, fmt.Errorf("service: %s op at version %d, session at %d", op.Kind, op.Version, s.version)
@@ -856,23 +883,21 @@ func (s *Session) stepLocked(op store.Op, extra []store.Observation) (transition
 	if len(op.Answers) != len(op.Tasks) {
 		return t, fmt.Errorf("service: %s op has %d tasks but %d answers", op.Kind, len(op.Tasks), len(op.Answers))
 	}
+	if len(op.Tasks) == 0 && op.Kind != store.OpDone {
+		return t, fmt.Errorf("service: empty %s op", op.Kind)
+	}
 	switch op.Kind {
 	case store.OpObserve:
 		if len(op.Workers) != len(op.Tasks) || (len(op.Sources) != 0 && len(op.Sources) != len(op.Tasks)) {
 			return t, fmt.Errorf("service: observe op has %d tasks, %d workers, %d sources",
 				len(op.Tasks), len(op.Workers), len(op.Sources))
 		}
-		t.obs = make([]store.Observation, len(op.Tasks))
 		for i, task := range op.Tasks {
-			t.obs[i] = store.Observation{
-				Task:    task,
-				Answer:  op.Answers[i],
-				Worker:  op.Workers[i],
-				Version: op.Version,
-				Time:    op.Time,
+			if task < 0 || task >= s.posterior.N() {
+				return t, fmt.Errorf("service: observe op task %d out of range [0,%d)", task, s.posterior.N())
 			}
-			if len(op.Sources) != 0 {
-				t.obs[i].Source = op.Sources[i]
+			if op.Workers[i] == "" {
+				return t, fmt.Errorf("service: observe op judgment %d has no worker", i)
 			}
 		}
 	case store.OpPartial, store.OpMerge:
@@ -883,9 +908,12 @@ func (s *Session) stepLocked(op store.Op, extra []store.Observation) (transition
 			if batch = s.pendBatch; batch == nil {
 				batch = op.Batch
 			}
-			for _, task := range op.Tasks {
+			for i, task := range op.Tasks {
 				if !slices.Contains(batch, task) {
 					return t, fmt.Errorf("%w: task %d", ErrNotInBatch, task)
+				}
+				if _, ok := s.pendAns[task]; ok || slices.Contains(op.Tasks[:i], task) {
+					return t, fmt.Errorf("%w: task %d judged twice", ErrAnswerConflict, task)
 				}
 			}
 			// The judgment completing a batch is journaled as its merge.
@@ -915,9 +943,8 @@ func (s *Session) stepLocked(op store.Op, extra []store.Observation) (transition
 // cannot fail: everything that can was checked by stepLocked.
 func (s *Session) applyLocked(ctx context.Context, t transition) {
 	op := t.op
+	s.journal = store.Extend(s.journal, op)
 	switch op.Kind {
-	case store.OpObserve:
-		s.observations = append(s.observations, t.obs...)
 	case store.OpPartial:
 		if s.pendBatch == nil {
 			s.pendBatch = append([]int(nil), op.Batch...)
@@ -938,8 +965,8 @@ func (s *Session) applyLocked(ctx context.Context, t transition) {
 		s.pendBatch, s.pendAns, s.pendPost, s.pendTaskH = nil, nil, nil, 0
 		s.rounds = append(s.rounds, RoundInfo{
 			Round:   s.version,
-			Tasks:   append([]int(nil), op.Tasks...),
-			Answers: append([]bool(nil), op.Answers...),
+			Tasks:   op.Tasks,
+			Answers: op.Answers,
 			CumCost: s.spent,
 			Entropy: t.post.Entropy(),
 			TaskH:   t.taskH,
@@ -962,14 +989,12 @@ func (s *Session) applyLocked(ctx context.Context, t transition) {
 // stays; it is durable, and the retry's observe op is a tail match.
 func (s *Session) journalLocked(ctx context.Context, ops ...store.Op) error {
 	ts := make([]transition, len(ops))
-	var extra []store.Observation
 	for i, op := range ops {
-		t, err := s.stepLocked(op, extra)
+		t, err := s.stepLocked(op, ops[:i])
 		if err != nil {
 			return err
 		}
 		ts[i] = t
-		extra = append(extra, t.obs...)
 	}
 	for _, t := range ts {
 		if s.persist != nil {
@@ -1185,6 +1210,10 @@ func (s *Session) Calibration(now time.Time, nBins int) (*CalibrationResponse, e
 	for i, p := range marginals {
 		gold[i] = p >= 0.5
 	}
+	observations := 0
+	for range s.observationsLocked() {
+		observations++
+	}
 	inst := &worlds.Instance{Statements: make([]bookdata.Statement, len(marginals)), Gold: gold}
 	cal, err := eval.CalibrationReport([]*worlds.Instance{inst}, []*dist.Joint{s.posterior}, nBins)
 	if err != nil {
@@ -1195,7 +1224,7 @@ func (s *Session) Calibration(now time.Time, nBins int) (*CalibrationResponse, e
 		Version:      s.version,
 		WorkerModel:  s.workerModel,
 		Refits:       s.refits,
-		Observations: len(s.observations),
+		Observations: observations,
 		Bins:         make([]CalibrationBinInfo, len(cal.Bins)),
 		ECE:          cal.ECE,
 		Brier:        cal.Brier,
@@ -1219,7 +1248,7 @@ func (s *Session) Calibration(now time.Time, nBins int) (*CalibrationResponse, e
 func (s *Session) workerInfosLocked(gold []bool) []WorkerInfo {
 	type tally struct{ support, correct, trues int }
 	tallies := make(map[string]*tally)
-	for _, o := range s.observations {
+	for o := range s.observationsLocked() {
 		t := tallies[o.Worker]
 		if t == nil {
 			t = &tally{}
@@ -1272,10 +1301,10 @@ func (s *Session) WorkerStats() []WorkerInfo {
 }
 
 // record snapshots the session's full durable state: creation parameters
-// plus the applied merge history (the rounds trace IS the op log). The
-// posterior itself is deliberately not serialized — recovery replays the
-// ops through the same conditioning arithmetic, which is what makes a
-// restored posterior bit-identical rather than merely close.
+// plus the journal. The posterior itself is deliberately not serialized —
+// recovery replays the journal through the same transition function,
+// which is what makes a restored posterior bit-identical rather than
+// merely close.
 func (s *Session) record() *store.Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1294,7 +1323,7 @@ func (s *Session) recordLocked() *store.Record {
 		Prior:      s.priorRec,
 		Created:    s.created,
 		LastAccess: s.lastAccess,
-		Done:       s.done,
+		Ops:        slices.Clone(s.journal),
 		LeaseEpoch: s.leaseEpoch,
 	}
 	if s.workerModel != WorkerModelFixed {
@@ -1302,27 +1331,6 @@ func (s *Session) recordLocked() *store.Record {
 		// record stays byte-identical to one written before worker models
 		// existed.
 		rec.WorkerModel = s.workerModel
-	}
-	if len(s.observations) > 0 {
-		rec.Observations = append([]store.Observation(nil), s.observations...)
-	}
-	rec.Ops = make([]store.Op, len(s.rounds))
-	for i, r := range s.rounds {
-		rec.Ops[i] = store.Op{
-			Kind:    store.OpMerge,
-			Version: r.Round - 1, // Round is 1-based; the op version is the pre-merge version
-			Tasks:   append([]int(nil), r.Tasks...),
-			Answers: append([]bool(nil), r.Answers...),
-		}
-	}
-	if s.pendBatch != nil {
-		rec.PendingBatch = append([]int(nil), s.pendBatch...)
-		for _, t := range s.pendBatch {
-			if a, ok := s.pendAns[t]; ok {
-				rec.PendingTasks = append(rec.PendingTasks, t)
-				rec.PendingAnswers = append(rec.PendingAnswers, a)
-			}
-		}
 	}
 	return rec
 }
@@ -1397,7 +1405,7 @@ func restoreSession(rec *store.Record, anonWorker string, now time.Time) (*Sessi
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, op := range recordJournal(rec) {
+	for _, op := range rec.Ops {
 		t, err := s.stepLocked(op, nil)
 		if err != nil {
 			return fail(fmt.Errorf("replaying %s op at version %d: %w", op.Kind, op.Version, err))
@@ -1417,38 +1425,4 @@ func priorJoint(p store.Prior) (*dist.Joint, error) {
 		return WireJoint{N: p.N, Worlds: p.Worlds, Probs: p.Probs}.Joint()
 	}
 	return nil, errors.New("record has no prior")
-}
-
-// recordJournal unfolds a compacted record into journal order: every
-// observation journaled at version v precedes the merge that advanced v.
-// The open round's observations, its partial ledger (one op: a provisional
-// posterior depends only on the answered prefix) and the done latch follow.
-func recordJournal(rec *store.Record) []store.Op {
-	ops := make([]store.Op, 0, len(rec.Ops)+len(rec.Observations)+2)
-	obs := rec.Observations
-	observeUpTo := func(v int) {
-		for ; len(obs) > 0 && obs[0].Version <= v; obs = obs[1:] {
-			o := obs[0]
-			op := store.Op{Kind: store.OpObserve, Version: o.Version, Tasks: []int{o.Task},
-				Answers: []bool{o.Answer}, Workers: []string{o.Worker}, Time: o.Time}
-			if o.Source != "" {
-				op.Sources = []string{o.Source}
-			}
-			ops = append(ops, op)
-		}
-	}
-	for _, m := range rec.Ops {
-		observeUpTo(m.Version)
-		ops = append(ops, m)
-	}
-	observeUpTo(math.MaxInt)
-	v := len(rec.Ops)
-	if len(rec.PendingTasks) > 0 {
-		ops = append(ops, store.Op{Kind: store.OpPartial, Version: v,
-			Tasks: rec.PendingTasks, Answers: rec.PendingAnswers, Batch: rec.PendingBatch})
-	}
-	if rec.Done {
-		ops = append(ops, store.Op{Kind: store.OpDone, Version: v})
-	}
-	return ops
 }

@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"crowdfusion/internal/store"
 )
 
 // workerCreateReq builds a create request with room for many attributed
@@ -508,9 +510,13 @@ func TestLegacyFixedJournalUnchanged(t *testing.T) {
 	want := fingerprint(s1, now)
 
 	rec := s1.record()
-	if rec.WorkerModel != "" || len(rec.Observations) != 0 {
-		t.Fatalf("legacy fixed session polluted its record: model %q, %d observations",
-			rec.WorkerModel, len(rec.Observations))
+	for _, op := range rec.Ops {
+		if op.Kind != store.OpMerge {
+			t.Fatalf("legacy fixed session journaled a %s op", op.Kind)
+		}
+	}
+	if rec.WorkerModel != "" {
+		t.Fatalf("legacy fixed session polluted its record: model %q", rec.WorkerModel)
 	}
 
 	m2 := newFileManager(t, dir, ManagerConfig{now: func() time.Time { return now }})

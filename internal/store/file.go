@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,21 +29,27 @@ const fileStripes = 16
 //
 // On-disk layout, one pair of files per session:
 //
-//	<dir>/<id>.json — the snapshot: a Record with compacted ops
-//	<dir>/<id>.log  — ops appended since the snapshot, one JSON per line
+//	<dir>/<id>.json — the snapshot: the Record (the head of its journal),
+//	                  a format marker, and the number of the last log line
+//	                  it absorbed
+//	<dir>/<id>.log  — the journal's tail: every op appended since, of any
+//	                  kind, one numbered JSON line each
 //
 // Durability contract: Append writes the op and fsyncs the log before
-// returning, so an acknowledged merge survives SIGKILL. Snapshots are
-// written to a temp file, fsynced, renamed into place, and the directory
-// fsynced — a crash leaves either the old or the new snapshot, never a torn
-// one. Compaction (folding the log into a fresh snapshot) runs
-// automatically every CompactEvery appends; a crash between the snapshot
-// rename and the log truncation is healed on load, because ops whose
-// version is already in the snapshot fold as no-ops.
+// returning, so an acknowledged op survives SIGKILL. Snapshots are written
+// to a temp file, fsynced, renamed into place, and the directory fsynced —
+// a crash leaves either the old or the new snapshot, never a torn one.
+// Compaction (folding the log into a fresh snapshot) runs automatically
+// every CompactEvery appends. Line numbers make a crash between the
+// snapshot rename and the log removal harmless: a load skips every line at
+// or below the snapshot's number. Lines are numbered consecutively, so a
+// line with no number or out of sequence — like a torn one, cut off
+// mid-write — marks a corrupt tail: the session recovers to the last good
+// line and the log is truncated back to it.
 //
-// A torn or corrupt log tail (the crash arrived mid-write) is detected on
-// load: the session recovers to the last good record and the log is
-// truncated back to the good prefix so later appends extend valid state.
+// A snapshot without the format marker was written in the older split
+// layout; its first load converts it and its log into a journal and
+// rewrites the session's files (legacy.go). There is no way back.
 //
 // Shared data dirs: a clustered deployment points several processes at
 // one directory, relying on session ownership for the one-writer-per-
@@ -63,37 +70,47 @@ type File struct {
 	dir          string
 	compactEvery int
 
-	// Logf, when set, receives background-failure log lines (best-effort
+	// Logger, when set, receives background-failure records (best-effort
 	// compaction retries). Nil discards them. Set it before first use.
-	Logf func(format string, args ...any)
+	Logger *slog.Logger
 
 	// lockFile pins the data dir against a second writer (see Lock).
 	lockFile *os.File
 
 	locks [fileStripes]sync.Mutex
 
-	// state tracks, per session, how many ops sit in the log since the
-	// last snapshot (the compaction trigger) and the next merge version
-	// (the append-ordering check). An entry's presence also records that
-	// the log tail has been verified (and repaired if torn) since this
-	// process opened the store. The map is guarded by stateMu; the values
-	// are only read or written under the session's stripe lock.
+	// state holds each session's bookkeeping. An entry's presence also
+	// records that the log tail has been verified (and repaired if torn)
+	// since this process opened the store. The map is guarded by stateMu;
+	// the values are only read or written under the session's stripe lock.
 	stateMu sync.Mutex
 	state   map[string]fileSessionState
 }
 
 // fileSessionState is the in-memory bookkeeping for one session's files.
-// pendBatch/pendDone mirror the record's pending ledger so partial appends
-// can be validated without re-reading the log: an append this state admits
-// is exactly an op the read path's fold will accept — the store never
-// acknowledges a partial that a later Get would truncate as corrupt.
 type fileSessionState struct {
-	logged    int   // ops in the log since the last snapshot
-	nextVer   int   // merge version the next logged op must carry
-	logSize   int64 // verified log bytes on disk as of the last read/write
-	pendBatch []int // pending batch, nil when no ledger is open
-	pendDone  []int // batch tasks already judged
-	obsCount  int   // observations folded so far (the next observe op's Seq)
+	logged   int    // lines in the log (the compaction trigger)
+	nextVer  int    // version the next op must carry (the ordering check)
+	lastLine uint64 // number of the last line logged or absorbed
+	logSize  int64  // verified log bytes on disk as of the last read/write
+}
+
+// snapshotFormat marks a snapshot written in the journal format.
+const snapshotFormat = 2
+
+// snapshot is the encoding of <id>.json.
+type snapshot struct {
+	Format int `json:"format"`
+	// Absorbed is the number of the last log line folded into the
+	// snapshot; a load skips lines at or below it.
+	Absorbed uint64 `json:"absorbed"`
+	*Record
+}
+
+// logLine is the encoding of one line of <id>.log.
+type logLine struct {
+	Line uint64 `json:"line"`
+	Op
 }
 
 // NewFile opens (creating if needed) a file store rooted at dir.
@@ -131,12 +148,6 @@ func (s *File) lockFor(id string) *sync.Mutex {
 	return &s.locks[h&(fileStripes-1)]
 }
 
-func (s *File) logf(format string, args ...any) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
-	}
-}
-
 func (s *File) snapPath(id string) string  { return filepath.Join(s.dir, id+".json") }
 func (s *File) logPath(id string) string   { return filepath.Join(s.dir, id+".log") }
 func (s *File) leasePath(id string) string { return filepath.Join(s.dir, id+".lease") }
@@ -165,13 +176,60 @@ func (s *File) Put(rec *Record) error {
 	if err := checkFence(rec.ID, rec.LeaseEpoch, cur); err != nil {
 		return err
 	}
-	return s.putLocked(rec)
+	// The snapshot absorbs the log it replaces, so it takes over the log's
+	// last line number: a crash before the log is removed leaves only
+	// lines a load skips, and the next append continues the numbering.
+	last, err := s.lastLineLocked(rec.ID)
+	if err != nil {
+		return err
+	}
+	return s.putLocked(rec, last)
 }
 
-// putLocked writes the snapshot (temp + fsync + rename + dir fsync), then
-// truncates the log. The caller holds the session's stripe lock.
-func (s *File) putLocked(rec *Record) error {
-	data, err := json.Marshal(rec)
+// lastLineLocked returns the number of the last line in the session's log
+// (0 with none): from the bookkeeping when it is current, from disk
+// otherwise. The caller holds the session's stripe lock.
+func (s *File) lastLineLocked(id string) (uint64, error) {
+	if st, ok := s.getState(id); ok && s.logSizeOnDisk(id) == st.logSize {
+		return st.lastLine, nil
+	}
+	logData, err := os.ReadFile(s.logPath(id))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return 0, fmt.Errorf("store: reading log %s: %w", id, err)
+	}
+	var last uint64
+	eachLine(logData, func(line []byte) bool {
+		var l logLine
+		if json.Unmarshal(line, &l) != nil {
+			return false
+		}
+		last = max(last, l.Line)
+		return true
+	})
+	return last, nil
+}
+
+// eachLine calls f on the complete lines of a log in order until f
+// returns false, and returns the byte offset just past the last line f
+// accepted — always a line boundary. A final line with no newline is torn:
+// the crash arrived mid-append.
+func eachLine(logData []byte, f func(line []byte) bool) (good int) {
+	for off := 0; off < len(logData); {
+		nl := bytes.IndexByte(logData[off:], '\n')
+		if nl < 0 || !f(logData[off:off+nl]) {
+			break
+		}
+		off += nl + 1
+		good = off
+	}
+	return good
+}
+
+// putLocked writes the snapshot (temp + fsync + rename + dir fsync)
+// stamped with the last log line it absorbs, then removes the log. The
+// caller holds the session's stripe lock.
+func (s *File) putLocked(rec *Record, absorbed uint64) error {
+	data, err := json.Marshal(snapshot{Format: snapshotFormat, Absorbed: absorbed, Record: rec})
 	if err != nil {
 		return fmt.Errorf("store: encoding snapshot %s: %w", rec.ID, err)
 	}
@@ -197,19 +255,12 @@ func (s *File) putLocked(rec *Record) error {
 	if err := s.syncDir(); err != nil {
 		return err
 	}
-	// The log's ops are folded into the snapshot now; a crash before this
-	// remove is healed on load by version dedup.
+	// The log's lines are absorbed now; a crash before this remove leaves
+	// lines numbered at or below the snapshot's stamp, which a load skips.
 	if err := os.Remove(s.logPath(rec.ID)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("store: truncating log %s: %w", rec.ID, err)
 	}
-	s.setState(rec.ID, fileSessionState{
-		logged:    0,
-		nextVer:   len(rec.Ops),
-		logSize:   0,
-		pendBatch: append([]int(nil), rec.PendingBatch...),
-		pendDone:  append([]int(nil), rec.PendingTasks...),
-		obsCount:  len(rec.Observations),
-	})
+	s.setState(rec.ID, fileSessionState{nextVer: rec.version(), lastLine: absorbed})
 	return nil
 }
 
@@ -260,108 +311,34 @@ func (s *File) Append(id string, op Op) error {
 	}
 
 	st, seen := s.getState(id)
-	if !seen {
+	if !seen || s.logSizeOnDisk(id) != st.logSize {
 		// First touch since the store opened: verify the record exists and
-		// repair any torn log tail so this append extends valid state.
-		if _, err := s.getLocked(id); err != nil {
-			return err
-		}
-		st, _ = s.getState(id)
-	} else if size := s.logSizeOnDisk(id); size != st.logSize {
-		// The log changed under us: another PROCESS sharing the data dir
+		// repair any torn log tail so this append extends valid state. Or
+		// the log changed under us: another PROCESS sharing the data dir
 		// wrote since our bookkeeping was current — a peer that adopted
 		// this session during a handoff and has since handed it back.
-		// Resync from disk so the version gate below judges this op
+		// Resync from disk so the ordering check below judges this op
 		// against the real log, not a stale cache. With leases enabled the
 		// epoch gate above has already refused any *divergent* writer;
 		// this stat fence remains as defense-in-depth for unleased
 		// deployments (where a divergent writer is refused with
 		// ErrCorrupt) and as the bookkeeping refresh for legitimate
 		// hand-backs.
-		if _, err := s.getLocked(id); err != nil {
+		if _, st, err = s.getLocked(id); err != nil {
 			return err
 		}
-		st, _ = s.getState(id)
 	}
 
-	// Appends must extend the record in strict version order. A gap could
+	// Appends must follow the journal in strict version order. A gap could
 	// never replay; an op BEHIND the current version is just as dangerous:
 	// retries are deduplicated in memory before they reach the store, so a
 	// stale append means a second, divergent writer — silently dropping it
-	// would let its in-memory state part ways with disk. (The skip-stale
-	// tolerance lives only on the read path, where it heals the log a
-	// crashed compaction leaves behind.)
-	if op.Kind != OpMerge && op.Kind != OpDone && op.Kind != OpPartial && op.Kind != OpObserve {
-		return fmt.Errorf("%w: op kind %q for %s", ErrCorrupt, op.Kind, id)
+	// would let its in-memory state part ways with disk.
+	next, err := follows(st.nextVer, op)
+	if err != nil {
+		return fmt.Errorf("append to %s: %w", id, err)
 	}
-	if op.Version != st.nextVer {
-		return fmt.Errorf("%w: op %q version %d does not extend %d applied ops for %s",
-			ErrCorrupt, op.Kind, op.Version, st.nextVer, id)
-	}
-	if op.Kind == OpMerge && (len(op.Tasks) == 0 || len(op.Tasks) != len(op.Answers)) {
-		return fmt.Errorf("%w: merge op for %s has %d tasks, %d answers",
-			ErrCorrupt, id, len(op.Tasks), len(op.Answers))
-	}
-	if op.Kind == OpPartial {
-		if len(op.Tasks) == 0 || len(op.Tasks) != len(op.Answers) || len(op.Batch) == 0 {
-			return fmt.Errorf("%w: partial op for %s has %d tasks, %d answers, batch %d",
-				ErrCorrupt, id, len(op.Tasks), len(op.Answers), len(op.Batch))
-		}
-		// Semantic gate, mirroring fold: membership in the open ledger's
-		// batch, no duplicate judgments, strict subset of the batch.
-		batch := st.pendBatch
-		if len(batch) == 0 {
-			batch = op.Batch
-		}
-		inBatch := make(map[int]bool, len(batch))
-		for _, task := range batch {
-			inBatch[task] = true
-		}
-		judged := make(map[int]bool, len(st.pendDone))
-		for _, task := range st.pendDone {
-			judged[task] = true
-		}
-		for _, task := range op.Tasks {
-			if !inBatch[task] {
-				return fmt.Errorf("%w: partial op for %s judges task %d outside batch %v",
-					ErrCorrupt, id, task, batch)
-			}
-			if judged[task] {
-				return fmt.Errorf("%w: partial op for %s re-judges task %d",
-					ErrCorrupt, id, task)
-			}
-			judged[task] = true
-		}
-		if len(st.pendDone)+len(op.Tasks) >= len(batch) {
-			return fmt.Errorf("%w: partial ops for %s would cover batch %v; a complete round must arrive as its merge op",
-				ErrCorrupt, id, batch)
-		}
-	}
-	if op.Kind == OpObserve {
-		// Shape and ordering gates, mirroring fold: an acknowledged observe
-		// op must be exactly one the read path will fold, never one a later
-		// Get would truncate as a corrupt tail.
-		if len(op.Tasks) == 0 || len(op.Tasks) != len(op.Answers) || len(op.Tasks) != len(op.Workers) {
-			return fmt.Errorf("%w: observe op for %s has %d tasks, %d answers, %d workers",
-				ErrCorrupt, id, len(op.Tasks), len(op.Answers), len(op.Workers))
-		}
-		if len(op.Sources) != 0 && len(op.Sources) != len(op.Tasks) {
-			return fmt.Errorf("%w: observe op for %s has %d tasks but %d sources",
-				ErrCorrupt, id, len(op.Tasks), len(op.Sources))
-		}
-		for i, w := range op.Workers {
-			if w == "" {
-				return fmt.Errorf("%w: observe op for %s has unattributed judgment %d",
-					ErrCorrupt, id, i)
-			}
-		}
-		if op.Seq != st.obsCount {
-			return fmt.Errorf("%w: observe op seq %d does not extend %d observations for %s",
-				ErrCorrupt, op.Seq, st.obsCount, id)
-		}
-	}
-
-	line, err := json.Marshal(op)
+	line, err := json.Marshal(logLine{Line: st.lastLine + 1, Op: op})
 	if err != nil {
 		return fmt.Errorf("store: encoding op for %s: %w", id, err)
 	}
@@ -381,19 +358,9 @@ func (s *File) Append(id string, op Op) error {
 	}
 
 	st.logged++
+	st.nextVer = next
+	st.lastLine++
 	st.logSize += int64(len(line))
-	switch op.Kind {
-	case OpMerge:
-		st.nextVer++
-		st.pendBatch, st.pendDone = nil, nil
-	case OpPartial:
-		if len(st.pendBatch) == 0 {
-			st.pendBatch = append([]int(nil), op.Batch...)
-		}
-		st.pendDone = append(append([]int(nil), st.pendDone...), op.Tasks...)
-	case OpObserve:
-		st.obsCount += len(op.Tasks)
-	}
 	s.setState(id, st)
 	if st.logged >= s.compactEvery {
 		// Best-effort: the op above is already durable, so a compaction
@@ -402,8 +369,8 @@ func (s *File) Append(id string, op Op) error {
 		// counter stays high, so the next append retries the compaction;
 		// a persistent disk problem surfaces through that append's own
 		// write instead.
-		if err := s.compactLocked(id); err != nil {
-			s.logf("store: compacting %s: %v (will retry)", id, err)
+		if err := s.compactLocked(id); err != nil && s.Logger != nil {
+			s.Logger.Warn("store: compaction failed; will retry", "session", id, "err", err)
 		}
 	}
 	return nil
@@ -412,11 +379,11 @@ func (s *File) Append(id string, op Op) error {
 // compactLocked folds the session's log back into its snapshot. The
 // caller holds the session's stripe lock.
 func (s *File) compactLocked(id string) error {
-	rec, err := s.getLocked(id)
+	rec, st, err := s.getLocked(id)
 	if err != nil {
 		return err
 	}
-	return s.putLocked(rec)
+	return s.putLocked(rec, st.lastLine)
 }
 
 // Get loads the snapshot and folds in the logged ops. It takes the
@@ -434,67 +401,77 @@ func (s *File) Get(id string) (*Record, error) {
 		return nil, err
 	}
 	defer unlock()
-	return s.getLocked(id)
+	rec, _, err := s.getLocked(id)
+	return rec, err
 }
 
-// getLocked reads snapshot + log. A corrupt or torn log tail is truncated
-// away so the on-disk state matches the recovered record. The caller holds
-// the session's stripe lock.
-func (s *File) getLocked(id string) (*Record, error) {
+// getLocked reads snapshot + log, migrating a snapshot in the split
+// layout, and refreshes the session's bookkeeping. A corrupt or torn log
+// tail is truncated away so the on-disk state matches the recovered
+// record. The caller holds the session's stripe lock.
+func (s *File) getLocked(id string) (*Record, fileSessionState, error) {
+	var st fileSessionState
 	data, err := os.ReadFile(s.snapPath(id))
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("%w: %s", ErrNotExist, id)
+		return nil, st, fmt.Errorf("%w: %s", ErrNotExist, id)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("store: reading snapshot %s: %w", id, err)
+		return nil, st, fmt.Errorf("store: reading snapshot %s: %w", id, err)
 	}
-	rec := &Record{}
-	if err := json.Unmarshal(data, rec); err != nil {
-		return nil, fmt.Errorf("%w: snapshot %s: %v", ErrCorrupt, id, err)
+	snap := snapshot{Record: &Record{}}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return nil, st, fmt.Errorf("%w: snapshot %s: %v", ErrCorrupt, id, err)
 	}
+	switch snap.Format {
+	case snapshotFormat:
+	case 0:
+		return s.migrateLocked(id, data)
+	default:
+		return nil, st, fmt.Errorf("%w: snapshot %s has format %d", ErrCorrupt, id, snap.Format)
+	}
+	rec := snap.Record
 	if rec.ID != id {
-		return nil, fmt.Errorf("%w: snapshot %s names session %q", ErrCorrupt, id, rec.ID)
+		return nil, st, fmt.Errorf("%w: snapshot %s names session %q", ErrCorrupt, id, rec.ID)
 	}
 	if err := rec.validate(); err != nil {
-		return nil, fmt.Errorf("snapshot %s: %w", id, err)
+		return nil, st, fmt.Errorf("snapshot %s: %w", id, err)
 	}
 
-	logged := 0
 	logData, err := os.ReadFile(s.logPath(id))
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("store: reading log %s: %w", id, err)
+		return nil, st, fmt.Errorf("store: reading log %s: %w", id, err)
 	}
-	good := 0 // byte offset of the end of the last good line
-	for off := 0; off < len(logData); {
-		nl := bytes.IndexByte(logData[off:], '\n')
-		if nl < 0 {
-			break // torn final line: the crash arrived mid-append
+	st.lastLine = snap.Absorbed
+	var prev uint64 // the previous line's number, 0 before the first
+	good := eachLine(logData, func(line []byte) bool {
+		var l logLine
+		if json.Unmarshal(line, &l) != nil {
+			return false
 		}
-		line := logData[off : off+nl]
-		var op Op
-		if json.Unmarshal(line, &op) != nil || !rec.fold(op) {
-			break // corrupt tail: recover to the last good record
+		// The first line may predate the snapshot (a compaction crashed
+		// before removing the log); after it, numbers are consecutive.
+		if l.Line == 0 || (prev == 0 && l.Line > snap.Absorbed+1) || (prev != 0 && l.Line != prev+1) {
+			return false
 		}
-		off += nl + 1
-		good = off
-		logged++
-	}
+		if l.Line > snap.Absorbed && rec.fold(l.Op) != nil {
+			return false
+		}
+		prev = l.Line
+		st.lastLine = max(st.lastLine, l.Line)
+		st.logged++
+		return true
+	})
 	if good < len(logData) {
 		// Truncate the bad tail so subsequent appends extend valid state
 		// instead of hiding behind garbage.
 		if err := os.Truncate(s.logPath(id), int64(good)); err != nil {
-			return nil, fmt.Errorf("store: repairing log %s: %w", id, err)
+			return nil, st, fmt.Errorf("store: repairing log %s: %w", id, err)
 		}
 	}
-	s.setState(id, fileSessionState{
-		logged:    logged,
-		nextVer:   len(rec.Ops),
-		logSize:   int64(good),
-		pendBatch: append([]int(nil), rec.PendingBatch...),
-		pendDone:  append([]int(nil), rec.PendingTasks...),
-		obsCount:  len(rec.Observations),
-	})
-	return rec, nil
+	st.nextVer = rec.version()
+	st.logSize = int64(good)
+	s.setState(id, st)
+	return rec, st, nil
 }
 
 // Delete removes the session's snapshot and log.

@@ -48,18 +48,21 @@ func TestFileSurvivesReopen(t *testing.T) {
 }
 
 // TestFileCorruptTailRecovers is the acceptance edge case: a log whose tail
-// is garbage (torn write, disk scribble) must recover to the last good
-// record, and the bad tail must be truncated so later appends extend valid
-// state.
+// is garbage (torn write, disk scribble, a line out of sequence) must
+// recover to the last good record, and the bad tail must be truncated so
+// later appends extend valid state. The two good lines are numbered 1, 2.
 func TestFileCorruptTailRecovers(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		tail string
 	}{
 		{"garbage line", "{{{ not json\n"},
-		{"torn line", `{"op":"merge","version":2,"tasks":[1],"an`}, // no newline
-		{"version gap", `{"op":"merge","version":7,"tasks":[1],"answers":[true]}` + "\n"},
-		{"unknown kind", `{"op":"select","version":2}` + "\n"},
+		{"torn line", `{"line":3,"op":"merge","version":2,"tasks":[1],"an`}, // no newline
+		{"version gap", `{"line":3,"op":"merge","version":7,"tasks":[1],"answers":[true]}` + "\n"},
+		{"unknown kind", `{"line":3,"op":"select","version":2}` + "\n"},
+		{"no line number", `{"op":"merge","version":2,"tasks":[1],"answers":[true]}` + "\n"},
+		{"line number gap", `{"line":4,"op":"merge","version":2,"tasks":[1],"answers":[true]}` + "\n"},
+		{"line number repeated", `{"line":2,"op":"merge","version":2,"tasks":[1],"answers":[true]}` + "\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -78,15 +81,7 @@ func TestFileCorruptTailRecovers(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			logPath := filepath.Join(dir, rec.ID+".log")
-			f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.WriteString(tc.tail); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
+			appendRaw(t, filepath.Join(dir, rec.ID+".log"), tc.tail)
 
 			fs2 := reopen(t, dir, 0)
 			got, err := fs2.Get(rec.ID)
@@ -161,44 +156,97 @@ func TestFileCompactionFoldsLog(t *testing.T) {
 }
 
 // TestFileCrashedCompactionHeals covers the crash window between writing
-// the compacted snapshot and truncating the log: the stale log ops carry
-// versions the snapshot already holds and must fold as no-ops.
+// the compacted snapshot and removing the log: the snapshot records the
+// last line it absorbed, so the stale lines are skipped — whatever their
+// kind — and appends after them still fold.
 func TestFileCrashedCompactionHeals(t *testing.T) {
 	dir := t.TempDir()
 	fs := reopen(t, dir, 0)
 	rec := testRecord("sess-crashed")
-	if err := fs.Put(rec); err != nil { // snapshot with ops 0 and 1 folded
+	if err := fs.Put(rec); err != nil {
 		t.Fatal(err)
 	}
-	// Hand-write the log a crashed compaction would leave behind: ops 0-2,
-	// of which 0 and 1 are already in the snapshot.
-	var log []byte
 	for _, op := range []Op{
-		{Kind: OpMerge, Version: 0, Tasks: []int{0, 1}, Answers: []bool{true, false}},
-		{Kind: OpMerge, Version: 1, Tasks: []int{2}, Answers: []bool{true}},
-		{Kind: OpMerge, Version: 2, Tasks: []int{1}, Answers: []bool{true}},
+		obsOp(2, []int{0}, []bool{true}, []string{"w1"}, nil),
+		{Kind: OpPartial, Version: 2, Tasks: []int{0}, Answers: []bool{true}, Batch: []int{0, 1}},
+		{Kind: OpDone, Version: 2},
 	} {
-		line, err := json.Marshal(op)
-		if err != nil {
+		if err := fs.Append(rec.ID, op); err != nil {
 			t.Fatal(err)
 		}
-		log = append(log, line...)
-		log = append(log, '\n')
 	}
-	if err := os.WriteFile(filepath.Join(dir, rec.ID+".log"), log, 0o644); err != nil {
+	logPath := filepath.Join(dir, rec.ID+".log")
+	stale, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Compact, then put back the log a crash before its removal leaves.
+	folded, err := fs.Get(rec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Put(folded); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(logPath, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The store notices the log it did not write and numbers on past it.
+	next := Op{Kind: OpMerge, Version: 2, Tasks: []int{0, 1}, Answers: []bool{true, false}}
+	if err := fs.Append(rec.ID, next); err != nil {
 		t.Fatal(err)
 	}
 	got, err := reopen(t, dir, 0).Get(rec.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Ops) != 3 {
-		t.Fatalf("healed record has %d ops, want 3", len(got.Ops))
+	want := [][2]any{{OpMerge, 0}, {OpMerge, 1}, {OpObserve, 2}, {OpMerge, 2}}
+	if !reflect.DeepEqual(kinds(got.Ops), want) {
+		t.Fatalf("healed journal %v, want %v", kinds(got.Ops), want)
 	}
-	for v, op := range got.Ops {
-		if op.Version != v {
-			t.Fatalf("op %d has version %d after healing", v, op.Version)
-		}
+}
+
+// TestFilePutStampsLastLogLine: a Put from a process that never read the
+// session (no cached line number) reads the log it replaces, so a crash
+// before the log's removal still leaves only lines a load skips.
+func TestFilePutStampsLastLogLine(t *testing.T) {
+	dir := t.TempDir()
+	fs := reopen(t, dir, 0)
+	rec := testRecord("sess-stamp")
+	if err := fs.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+	op := Op{Kind: OpMerge, Version: 2, Tasks: []int{1}, Answers: []bool{true}}
+	if err := fs.Append(rec.ID, op); err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(dir, rec.ID+".log")
+	stale, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded := rec.Clone()
+	folded.Ops = append(folded.Ops, op)
+	if err := reopen(t, dir, 0).Put(folded); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(logPath, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs2 := reopen(t, dir, 0)
+	got, err := fs2.Get(rec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, folded) {
+		t.Fatalf("stale line folded twice:\n got %v\nwant %v", kinds(got.Ops), kinds(folded.Ops))
+	}
+	// Numbering continues past the absorbed line.
+	if err := fs2.Append(rec.ID, Op{Kind: OpDone, Version: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = reopen(t, dir, 0).Get(rec.ID); err != nil || len(got.Ops) != 4 {
+		t.Fatalf("append after stamped put: %v, %v", got, err)
 	}
 }
 

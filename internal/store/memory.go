@@ -51,9 +51,9 @@ func (s *Memory) Put(rec *Record) error {
 
 // Append folds one op into the stored record. Ops are folded eagerly —
 // there is no separate log to compact in memory. Like the file store,
-// appends must extend the record in strict version order: a stale version
-// means a divergent second writer, not a retry (retries are deduplicated
-// in memory before they reach the store).
+// appends must follow the journal's ordering rule: a stale version means a
+// divergent second writer, not a retry (retries are deduplicated in memory
+// before they reach the store).
 func (s *Memory) Append(id string, op Op) error {
 	if err := checkID(id); err != nil {
 		return err
@@ -67,18 +67,7 @@ func (s *Memory) Append(id string, op Op) error {
 	if err := checkFence(id, op.Epoch, s.leases[id]); err != nil {
 		return err
 	}
-	if op.Kind == OpObserve && op.Seq != len(rec.Observations) {
-		// The fold-time skip for already-folded observations exists for log
-		// replay over a compacted snapshot; a live append at a stale Seq is
-		// a divergent writer and must not be silently acknowledged.
-		return fmt.Errorf("%w: observe op seq %d does not extend %d observations",
-			ErrCorrupt, op.Seq, len(rec.Observations))
-	}
-	if op.Version != len(rec.Ops) || !rec.fold(op) {
-		return fmt.Errorf("%w: op %q version %d does not extend %d applied ops",
-			ErrCorrupt, op.Kind, op.Version, len(rec.Ops))
-	}
-	return nil
+	return rec.fold(op)
 }
 
 // Get returns a deep copy of the record.

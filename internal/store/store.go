@@ -7,16 +7,23 @@
 //
 //   - Memory: the in-process store — fast, conformant, gone on restart;
 //   - File: a pure-stdlib durable store — one snapshot file plus one
-//     append-only op log per session, fsynced before a merge is
+//     append-only op log per session, fsynced before an op is
 //     acknowledged, with automatic log compaction back into the snapshot.
 //
 // A session is persisted as its Record: the creation parameters (the prior
-// in its raw wire shape, selector, pc, k, budget, seed) plus the ordered
-// log of applied merge Ops. The service layer reconstructs the live session
-// by replaying the ops through the same deterministic conditioning path
-// that produced the original posterior, which is what makes recovery
-// bit-identical: the posterior after a restart is not deserialized, it is
-// recomputed by exactly the arithmetic that built it the first time.
+// in its raw wire shape, selector, pc, k, budget, seed) plus its journal,
+// the ops the session applied in the order it applied them. The service
+// layer reconstructs the live session by replaying the journal through the
+// same transition function that produced the original state, which is
+// what makes recovery bit-identical: the posterior after a restart is not
+// deserialized, it is recomputed by exactly the arithmetic that built it
+// the first time.
+//
+// The store does not know what makes an op valid for a session — which
+// tasks a partial may judge, who may observe — only what keeps the
+// journal itself well-formed: framing, the fencing epoch of the writer,
+// and one ordering rule (an op's Version is the number of merges before
+// it).
 package store
 
 import (
@@ -40,37 +47,32 @@ var (
 	ErrCorrupt = errors.New("store: corrupt session record")
 )
 
-// Op kinds. The op log records state transitions, not reads: merges (the
-// only transition that changes the posterior) and the done latch (a select
-// that proved no remaining task nets positive utility).
+// Op kinds. The journal records state transitions, not reads.
 const (
 	// OpMerge is one applied answer set: the session's posterior at
-	// Version was conditioned on (Tasks, Answers).
+	// Version was conditioned on (Tasks, Answers). It is the only kind that
+	// advances the version.
 	OpMerge = "merge"
-	// OpDone latches session completion at Version. It carries no tasks.
+	// OpDone latches session completion at Version: a select proved no
+	// remaining task nets positive utility. It carries no tasks.
 	OpDone = "done"
 	// OpPartial journals single crowd judgments for the batch selected at
-	// Version, before the batch is complete. Partial ops accumulate into
-	// the record's pending ledger and do not advance the version; the
-	// OpMerge that eventually commits the batch supersedes them. Batch
-	// carries the full selected batch so recovery can re-pin the exact
-	// selection the judgments answer.
+	// Version, before the batch is complete. Batch carries the full
+	// selected batch so recovery re-pins the exact selection the judgments
+	// answer; the OpMerge that eventually commits the batch supersedes
+	// them.
 	OpPartial = "partial"
 	// OpObserve journals worker-attributed judgments — the observations an
 	// online worker model (EM / Dawid–Skene) is estimated from. Tasks,
 	// Answers and Workers are parallel (Sources optional); Version is the
-	// session version the observations arrived at (observe ops do not
-	// advance the version — the paired OpMerge/OpPartial does); Seq is the
-	// index of the first observation appended, so a compaction that crashed
-	// between snapshot and truncate heals by skipping already-folded
-	// observations exactly as merge versions do.
+	// session version the observations arrived at.
 	OpObserve = "observe"
 )
 
-// Op is one logged state transition. Merge ops are ordered by Version: the
-// op with Version v is the v'th merge applied to the session, so a
-// replayed record's ops always read 0, 1, 2, … — which is also what lets a
-// crashed compaction be healed by skipping already-folded versions.
+// Op is one journaled state transition. Every kind obeys one ordering
+// rule: an op's Version is the number of merges journaled before it, so a
+// journal's versions read 0, 0, 1, 1, 1, 2, … with each merge closing its
+// version.
 type Op struct {
 	Kind    string `json:"op"`
 	Version int    `json:"version"`
@@ -82,11 +84,8 @@ type Op struct {
 	// Workers attributes each judgment of an OpObserve to its worker,
 	// parallel to Tasks/Answers. Sources optionally names each judgment's
 	// originating platform (parallel when present, or absent entirely).
-	// Seq is the record's observation count before this op — the index the
-	// op's first observation lands at.
 	Workers []string `json:"workers,omitempty"`
 	Sources []string `json:"sources,omitempty"`
-	Seq     int      `json:"seq,omitempty"`
 	// Epoch is the fencing epoch of the lease this op was written under,
 	// 0 when the session is not leased. Append refuses ops whose epoch is
 	// not the lease's current epoch with ErrFenced (see lease.go).
@@ -94,21 +93,6 @@ type Op struct {
 	// Time advances the record's LastAccess on load; it never affects
 	// replay arithmetic.
 	Time time.Time `json:"time,omitzero"`
-}
-
-// Observation is one worker-attributed crowd judgment folded into a
-// record — the durable unit the online worker models are estimated from.
-// Version is the session version current when the judgment arrived, which
-// is what lets recovery reconstruct the exact estimate sequence: the
-// worker estimates feeding the merge of the batch selected at version v
-// were refit from observations with Version < v only.
-type Observation struct {
-	Task    int       `json:"task"`
-	Answer  bool      `json:"answer"`
-	Worker  string    `json:"worker"`
-	Source  string    `json:"source,omitempty"`
-	Version int       `json:"version"`
-	Time    time.Time `json:"time,omitzero"`
 }
 
 // Prior is the session's initial distribution exactly as the client sent
@@ -123,9 +107,8 @@ type Prior struct {
 	Probs     []float64 `json:"probs,omitempty"`
 }
 
-// Record is the durable form of one session: creation parameters plus the
-// compacted op history. Ops holds merge ops only, in version order; the
-// done latch is folded into the Done flag.
+// Record is the durable form of one session: creation parameters plus its
+// journal.
 type Record struct {
 	ID       string  `json:"id"`
 	Selector string  `json:"selector"`
@@ -142,8 +125,10 @@ type Record struct {
 	// from this value.
 	LastAccess time.Time `json:"last_access"`
 
-	Done bool `json:"done,omitempty"`
-	Ops  []Op `json:"ops,omitempty"`
+	// Ops is the session's journal: every op it applied, in the order it
+	// applied them, less the partial and done ops a merge at the same
+	// version superseded (see Extend).
+	Ops []Op `json:"ops,omitempty"`
 
 	// LeaseEpoch is the fencing epoch of the lease this snapshot was
 	// written under, 0 when the session is not leased. Put refuses
@@ -151,26 +136,10 @@ type Record struct {
 	// ErrFenced, exactly as Append does for ops.
 	LeaseEpoch uint64 `json:"lease_epoch,omitempty"`
 
-	// Pending ledger: crowd judgments journaled for the batch selected at
-	// version len(Ops) but not yet committed by a merge. PendingBatch is
-	// the full selected batch in selection order; PendingTasks/
-	// PendingAnswers are the judgments received so far, in arrival order.
-	// The ledger is always a strict subset of the batch — the judgment
-	// that completes a batch is journaled as its OpMerge, never as a
-	// partial — so recovery re-enters the incremental path rather than
-	// committing.
-	PendingBatch   []int  `json:"pending_batch,omitempty"`
-	PendingTasks   []int  `json:"pending_tasks,omitempty"`
-	PendingAnswers []bool `json:"pending_answers,omitempty"`
-
 	// WorkerModel names the session's worker-accuracy model ("fixed" when
 	// empty): a creation parameter like Selector, stored so recovery refits
 	// the same estimator.
 	WorkerModel string `json:"worker_model,omitempty"`
-	// Observations is the session's worker-attributed judgment history in
-	// arrival order, folded from OpObserve ops — the input the online
-	// worker models are refit from on recovery.
-	Observations []Observation `json:"observations,omitempty"`
 }
 
 // SessionStore persists session records. Implementations must be safe for
@@ -249,10 +218,6 @@ func (r *Record) Clone() *Record {
 	for i, op := range r.Ops {
 		c.Ops[i] = op.clone()
 	}
-	c.PendingBatch = append([]int(nil), r.PendingBatch...)
-	c.PendingTasks = append([]int(nil), r.PendingTasks...)
-	c.PendingAnswers = append([]bool(nil), r.PendingAnswers...)
-	c.Observations = append([]Observation(nil), r.Observations...)
 	return &c
 }
 
@@ -267,212 +232,87 @@ func (o Op) clone() Op {
 	return c
 }
 
-// validate checks the structural invariants a snapshot must satisfy before
-// ops can be folded onto it: merge-only ops numbered 0..len-1.
+// follows checks the ordering rule for an op journaled at version v (the
+// number of merges before it): a known kind whose Version is v. It
+// returns the version after the op.
+func follows(v int, op Op) (int, error) {
+	switch op.Kind {
+	case OpMerge, OpDone, OpPartial, OpObserve:
+	default:
+		return v, fmt.Errorf("%w: op kind %q", ErrCorrupt, op.Kind)
+	}
+	if op.Version != v {
+		return v, fmt.Errorf("%w: %s op at version %d does not extend version %d",
+			ErrCorrupt, op.Kind, op.Version, v)
+	}
+	if op.Kind == OpMerge {
+		v++
+	}
+	return v, nil
+}
+
+// version returns the number of merges in a well-ordered journal: the
+// version the next op must carry.
+func (r *Record) version() int {
+	if len(r.Ops) == 0 {
+		return 0
+	}
+	last := r.Ops[len(r.Ops)-1]
+	if last.Kind == OpMerge {
+		return last.Version + 1
+	}
+	return last.Version
+}
+
+// validate checks what a snapshot must satisfy before ops can be folded
+// onto it: an ID and a well-ordered journal.
 func (r *Record) validate() error {
 	if r.ID == "" {
 		return fmt.Errorf("%w: empty id", ErrCorrupt)
 	}
+	v := 0
 	for i, op := range r.Ops {
-		if op.Kind != OpMerge {
-			return fmt.Errorf("%w: snapshot op %d has kind %q", ErrCorrupt, i, op.Kind)
-		}
-		if op.Version != i {
-			return fmt.Errorf("%w: snapshot op %d has version %d", ErrCorrupt, i, op.Version)
-		}
-		if len(op.Tasks) == 0 || len(op.Tasks) != len(op.Answers) {
-			return fmt.Errorf("%w: snapshot op %d has %d tasks, %d answers",
-				ErrCorrupt, i, len(op.Tasks), len(op.Answers))
+		var err error
+		if v, err = follows(v, op); err != nil {
+			return fmt.Errorf("snapshot op %d: %w", i, err)
 		}
 	}
-	if err := r.validatePending(); err != nil {
+	return nil
+}
+
+// fold appends one op to the journal, refusing an op that does not follow
+// it with ErrCorrupt.
+func (r *Record) fold(op Op) error {
+	if _, err := follows(r.version(), op); err != nil {
 		return err
 	}
-	if err := r.validateObservations(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// validateObservations checks the observation-history invariants: every
-// observation attributed to a named worker, versions within the folded op
-// range and non-decreasing (arrival order).
-func (r *Record) validateObservations() error {
-	prev := 0
-	for i, obs := range r.Observations {
-		if obs.Worker == "" {
-			return fmt.Errorf("%w: observation %d has no worker", ErrCorrupt, i)
-		}
-		if obs.Task < 0 {
-			return fmt.Errorf("%w: observation %d has task %d", ErrCorrupt, i, obs.Task)
-		}
-		if obs.Version < prev || obs.Version > len(r.Ops) {
-			return fmt.Errorf("%w: observation %d has version %d (ops %d, prev %d)",
-				ErrCorrupt, i, obs.Version, len(r.Ops), prev)
-		}
-		prev = obs.Version
-	}
-	return nil
-}
-
-// validatePending checks the pending-ledger invariants: paired judgment
-// slices, every answered task a member of the batch, no duplicate
-// judgments, and a ledger strictly smaller than its batch.
-func (r *Record) validatePending() error {
-	if len(r.PendingTasks) != len(r.PendingAnswers) {
-		return fmt.Errorf("%w: pending ledger has %d tasks, %d answers",
-			ErrCorrupt, len(r.PendingTasks), len(r.PendingAnswers))
-	}
-	if len(r.PendingBatch) == 0 {
-		if len(r.PendingTasks) != 0 {
-			return fmt.Errorf("%w: pending judgments without a pending batch", ErrCorrupt)
-		}
-		return nil
-	}
-	if len(r.PendingTasks) >= len(r.PendingBatch) {
-		return fmt.Errorf("%w: pending ledger (%d) not a strict subset of its batch (%d)",
-			ErrCorrupt, len(r.PendingTasks), len(r.PendingBatch))
-	}
-	inBatch := make(map[int]bool, len(r.PendingBatch))
-	for _, t := range r.PendingBatch {
-		inBatch[t] = true
-	}
-	seen := make(map[int]bool, len(r.PendingTasks))
-	for _, t := range r.PendingTasks {
-		if !inBatch[t] {
-			return fmt.Errorf("%w: pending judgment for task %d outside batch", ErrCorrupt, t)
-		}
-		if seen[t] {
-			return fmt.Errorf("%w: duplicate pending judgment for task %d", ErrCorrupt, t)
-		}
-		seen[t] = true
-	}
-	return nil
-}
-
-// fold applies one logged op to the record. It returns ok=false when the
-// op cannot extend the record — a version gap, an unknown kind, or a
-// malformed merge — which readers treat as the start of a corrupt tail.
-// Ops whose version is already folded (a compaction that crashed between
-// writing the snapshot and truncating the log) are skipped silently.
-func (r *Record) fold(op Op) (ok bool) {
-	switch op.Kind {
-	case OpMerge:
-		switch {
-		case op.Version < len(r.Ops):
-			// Already folded into the snapshot by a compaction.
-		case op.Version == len(r.Ops):
-			if len(op.Tasks) == 0 || len(op.Tasks) != len(op.Answers) {
-				return false
-			}
-			r.Ops = append(r.Ops, op.clone())
-			// A merge produces a fresh posterior whose uncertainty is
-			// unknown until the next select. It also commits (and thereby
-			// clears) any pending ledger for this version.
-			r.Done = false
-			r.PendingBatch, r.PendingTasks, r.PendingAnswers = nil, nil, nil
-		default:
-			return false
-		}
-	case OpDone:
-		switch {
-		case op.Version < len(r.Ops):
-			// Stale latch: a later merge already superseded it.
-		case op.Version == len(r.Ops):
-			r.Done = true
-		default:
-			return false
-		}
-	case OpPartial:
-		switch {
-		case op.Version < len(r.Ops):
-			// The batch these judgments belong to was already committed by
-			// its merge (compaction crashed between snapshot and truncate).
-		case op.Version == len(r.Ops):
-			if len(op.Tasks) == 0 || len(op.Tasks) != len(op.Answers) || len(op.Batch) == 0 {
-				return false
-			}
-			batch := r.PendingBatch
-			if len(batch) == 0 {
-				batch = op.Batch
-			}
-			inBatch := make(map[int]bool, len(batch))
-			for _, t := range batch {
-				inBatch[t] = true
-			}
-			// Duplicates are rejected, not skipped: the session layer
-			// deduplicates retries before persisting, so a judgment already
-			// in the ledger means a divergent writer (or a log replayed onto
-			// a snapshot that folded it during a crashed compaction — where
-			// truncating it loses nothing).
-			answered := make(map[int]bool, len(r.PendingTasks))
-			for _, t := range r.PendingTasks {
-				answered[t] = true
-			}
-			for _, t := range op.Tasks {
-				if !inBatch[t] || answered[t] {
-					return false
-				}
-				answered[t] = true
-			}
-			// The completing judgment is journaled as the batch's OpMerge,
-			// never as a partial: a ledger covering its whole batch marks a
-			// corrupt tail, not a committable state.
-			if len(r.PendingTasks)+len(op.Tasks) >= len(batch) {
-				return false
-			}
-			if len(r.PendingBatch) == 0 {
-				r.PendingBatch = append([]int(nil), op.Batch...)
-			}
-			r.PendingTasks = append(r.PendingTasks, op.Tasks...)
-			r.PendingAnswers = append(r.PendingAnswers, op.Answers...)
-		default:
-			return false
-		}
-	case OpObserve:
-		switch {
-		case len(op.Tasks) == 0:
-			// An empty observe op is meaningless — and without this guard it
-			// would satisfy the already-folded skip below vacuously.
-			return false
-		case op.Seq+len(op.Tasks) <= len(r.Observations):
-			// Already folded into the snapshot by a compaction.
-		case op.Seq == len(r.Observations) && op.Version == len(r.Ops):
-			if len(op.Tasks) == 0 || len(op.Tasks) != len(op.Answers) ||
-				len(op.Tasks) != len(op.Workers) {
-				return false
-			}
-			if len(op.Sources) != 0 && len(op.Sources) != len(op.Tasks) {
-				return false
-			}
-			for _, w := range op.Workers {
-				if w == "" {
-					return false
-				}
-			}
-			for i, t := range op.Tasks {
-				obs := Observation{
-					Task:    t,
-					Answer:  op.Answers[i],
-					Worker:  op.Workers[i],
-					Version: op.Version,
-					Time:    op.Time,
-				}
-				if len(op.Sources) != 0 {
-					obs.Source = op.Sources[i]
-				}
-				r.Observations = append(r.Observations, obs)
-			}
-		default:
-			return false
-		}
-	default:
-		return false
-	}
+	r.Ops = Extend(r.Ops, op.clone())
 	if op.Time.After(r.LastAccess) {
 		r.LastAccess = op.Time
 	}
-	return true
+	return nil
+}
+
+// Extend appends op to the journal ops and returns it. A merge supersedes
+// the partial and done ops at its own version — it carries the whole batch
+// the partials answered, and a new posterior is not done — so they are
+// dropped first, and a journal holds its merges, their observations and
+// the open round only. Extend reuses ops' backing array.
+func Extend(ops []Op, op Op) []Op {
+	if op.Kind == OpMerge {
+		i := len(ops)
+		for i > 0 && ops[i-1].Version == op.Version {
+			i--
+		}
+		kept := ops[:i]
+		for _, o := range ops[i:] {
+			if o.Kind != OpPartial && o.Kind != OpDone {
+				kept = append(kept, o)
+			}
+		}
+		ops = kept
+	}
+	return append(ops, op)
 }
 
 // checkID vets an ID for use as (part of) a file name: non-empty, bounded,

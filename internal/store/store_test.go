@@ -36,8 +36,8 @@ func eachStore(t *testing.T, run func(t *testing.T, s SessionStore)) {
 	}
 }
 
-// testRecord builds a representative record: an explicit joint prior, two
-// compacted ops, a done latch not yet set.
+// testRecord builds a representative record: an explicit joint prior and
+// a journal of two merges.
 func testRecord(id string) *Record {
 	return &Record{
 		ID:       id,
@@ -121,23 +121,21 @@ func TestConformanceAppendFoldsIntoGet(t *testing.T) {
 		if err := s.Append(rec.ID, op); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Append(rec.ID, Op{Kind: OpDone, Version: 3}); err != nil {
+		done := Op{Kind: OpDone, Version: 3}
+		if err := s.Append(rec.ID, done); err != nil {
 			t.Fatal(err)
 		}
 		got, err := s.Get(rec.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Ops) != 3 || !reflect.DeepEqual(got.Ops[2], op) {
-			t.Fatalf("appended op not folded: %+v", got.Ops)
-		}
-		if !got.Done {
-			t.Fatal("done latch not folded")
+		if len(got.Ops) != 4 || !reflect.DeepEqual(got.Ops[2], op) || !reflect.DeepEqual(got.Ops[3], done) {
+			t.Fatalf("appended ops not folded: %+v", got.Ops)
 		}
 		if !got.LastAccess.Equal(time.Unix(3000, 0).UTC()) {
 			t.Fatalf("op time did not advance last access: %v", got.LastAccess)
 		}
-		// A merge after the latch clears it again.
+		// A merge at the latch's version supersedes it.
 		if err := s.Append(rec.ID, Op{Kind: OpMerge, Version: 3, Tasks: []int{0}, Answers: []bool{true}}); err != nil {
 			t.Fatal(err)
 		}
@@ -145,8 +143,8 @@ func TestConformanceAppendFoldsIntoGet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Done || len(got.Ops) != 4 {
-			t.Fatalf("merge after done latch: done=%v ops=%d", got.Done, len(got.Ops))
+		if len(got.Ops) != 4 || got.Ops[3].Kind != OpMerge {
+			t.Fatalf("merge after done latch: %+v", got.Ops)
 		}
 	})
 }
@@ -159,22 +157,28 @@ func TestConformanceAppendEnforcesVersionOrder(t *testing.T) {
 		}
 		// An op already in the snapshot is rejected: the service
 		// deduplicates retries in memory, so a stale append signals a
-		// divergent second writer and must not be silently dropped.
-		err := s.Append(rec.ID, rec.Ops[0])
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("stale append = %v, want ErrCorrupt", err)
+		// divergent second writer and must not be silently dropped. A
+		// version gap is rejected too: it could never replay. The rule is
+		// the same for every kind, and an unknown kind never lands.
+		for _, op := range []Op{
+			rec.Ops[0],
+			{Kind: OpMerge, Version: 5, Tasks: []int{0}, Answers: []bool{true}},
+			{Kind: OpObserve, Version: 1, Tasks: []int{0}, Answers: []bool{true}, Workers: []string{"w1"}},
+			{Kind: OpObserve, Version: 3, Tasks: []int{0}, Answers: []bool{true}, Workers: []string{"w1"}},
+			{Kind: OpPartial, Version: 1, Tasks: []int{0}, Answers: []bool{true}, Batch: []int{0, 1}},
+			{Kind: OpDone, Version: 3},
+			{Kind: "select", Version: 2},
+		} {
+			if err := s.Append(rec.ID, op); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("append %+v = %v, want ErrCorrupt", op, err)
+			}
 		}
 		got, err := s.Get(rec.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got.Ops) != 2 {
-			t.Fatalf("stale append changed the record: %d ops", len(got.Ops))
-		}
-		// A version gap is rejected: it could never replay.
-		err = s.Append(rec.ID, Op{Kind: OpMerge, Version: 5, Tasks: []int{0}, Answers: []bool{true}})
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("gap append = %v, want ErrCorrupt", err)
+			t.Fatalf("refused appends changed the record: %+v", got.Ops)
 		}
 		// The in-order op still lands.
 		if err := s.Append(rec.ID, Op{Kind: OpMerge, Version: 2, Tasks: []int{0}, Answers: []bool{true}}); err != nil {
