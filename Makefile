@@ -56,10 +56,17 @@ test-cover:
 # whose record restores to the same state. FuzzFileLoad: any snapshot and
 # log pair must load to an error or a record, leave a line-boundary prefix
 # of the log, and load again to the same record without touching the
-# files. Seed corpora live under testdata/fuzz/ in each package.
+# files. FuzzAnswersRequest: any answers body the handler accepts, submitted
+# twice to a session with a committed round and a selection outstanding,
+# must spend exactly its committed batches and leave a session whose record
+# restores to the same state. FuzzParseTraceparent: an accepted header is a
+# valid context that re-renders as the version-00 form of its ids. Seed
+# corpora live under testdata/fuzz/ in each package.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRestoreRecord -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzFileLoad -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzAnswersRequest -fuzztime 10s ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/trace/
 
 # The end-to-end load generator is its own module (cmd/loadgen/go.mod), so
 # the root `go test ./...` never reaches its tests: it scrapes /metrics

@@ -52,7 +52,7 @@ func cloneAnswers(r *AnswersRequest) *AnswersRequest {
 // request. Budget spent must always equal the committed batch sizes.
 func TestLiveMatchesReplay(t *testing.T) {
 	for _, model := range []string{WorkerModelFixed, WorkerModelEM, WorkerModelDawidSkene} {
-		for _, seed := range []int64{1, 2, 5, 6} {
+		for _, seed := range []int64{1, 2, 5, 6, 16} {
 			t.Run(fmt.Sprintf("%s/seed%d", model, seed), func(t *testing.T) {
 				runLiveReplayModel(t, model, seed)
 			})
@@ -95,6 +95,7 @@ func runLiveReplayModel(t *testing.T, model string, seed int64) {
 	}
 
 	rng := rand.New(rand.NewSource(seed))
+	retryRng := rand.New(rand.NewSource(-seed))
 	crew := []string{"w1", "w2", "w3", ""}
 	// The live session's outstanding selection: its tasks, the k override
 	// that chose them and the version they were chosen at. The selection
@@ -225,6 +226,20 @@ func runLiveReplayModel(t *testing.T, model string, seed int64) {
 					t.Fatalf("step %d: answers %+v diverged:\n live %+v, %v\n twin %+v, %v",
 						step, req, got, gotErr, want, wantErr)
 				}
+			}
+		}
+
+		// The retry oracle, on its own random stream so the interleavings
+		// above stay what they were: a versionless resubmission of any
+		// committed answer set — also while the next round's ledger is open
+		// — is a retry, and a retry never commits.
+		if state := live.Info(now, true); len(state.Rounds) > 0 && retryRng.Intn(3) == 0 {
+			r := state.Rounds[retryRng.Intn(len(state.Rounds))]
+			retry := &AnswersRequest{Tasks: r.Tasks, Answers: r.Answers}
+			got, err := live.Merge(ctx, now, retry)
+			if err != nil || got.Merged {
+				t.Fatalf("step %d: versionless retry of round %d %v/%v (ledger open: %v): merged=%v, err %v",
+					step, r.Round, r.Tasks, r.Answers, state.Pending != nil, got != nil && got.Merged, err)
 			}
 		}
 

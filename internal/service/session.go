@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"iter"
 	"slices"
 	"sort"
@@ -92,9 +91,9 @@ type Session struct {
 	selVersion int
 	selK       int
 
-	// merges logs applied answer sets by content hash for idempotent
-	// replay of retried merges.
-	merges map[uint64]*AnswersResponse
+	// merges holds the response each commit recorded, indexed by the
+	// version it committed from, for idempotent replay of retried merges.
+	merges []*AnswersResponse
 
 	// journal is every op the session applied, in order, less the
 	// partial and done ops a later merge superseded (store.Extend): the
@@ -138,9 +137,11 @@ type Session struct {
 	// version is being answered one judgment at a time: pendAns holds the
 	// judgments received so far, pendTaskH the batch's H(T), and pendPost
 	// the PROVISIONAL posterior — the round-start posterior conditioned on
-	// the answered prefix in one batch-order pass (see
-	// mergePartialLocked). s.posterior never moves until commit, so budget
-	// and version advance exactly once.
+	// the answered prefix in one batch-order pass (stepLocked), never step
+	// by step. s.posterior never moves until the ledger commits as the
+	// merge op of the whole batch in batch order — the op, on the inputs, a
+	// batched submission journals — so the commit is bit-identical to it,
+	// and budget and version advance exactly once.
 	pendBatch []int
 	pendAns   map[int]bool
 	pendTaskH float64
@@ -203,7 +204,6 @@ func newSession(id string, prior *dist.Joint, selector core.Selector, selName st
 		k:           k,
 		budget:      budget,
 		posterior:   prior,
-		merges:      make(map[uint64]*AnswersResponse),
 		workerModel: WorkerModelFixed,
 		anonWorker:  DefaultAnonWorker,
 		lastAccess:  now,
@@ -525,61 +525,49 @@ func persistError(id string, err error) error {
 	return fmt.Errorf("%w: %v", ErrStore, err)
 }
 
-// answerSetHash fingerprints an answer set (tasks, answers, version) for
-// the idempotency log. FNV-1a over the canonical byte rendering; collisions
-// would only conflate two retries into one replay, never corrupt state.
-func answerSetHash(version int, tasks []int, answers []bool) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	put(uint64(version))
-	for i, t := range tasks {
-		put(uint64(t))
-		if answers[i] {
-			put(1)
-		} else {
-			put(0)
-		}
-	}
-	return h.Sum64()
-}
-
-// Merge applies a crowd answer set to the posterior (Equation 3) and
-// advances the version. It is idempotent by answer-set hash: an answer set
-// that was already applied — same tasks, same answers, same referenced
-// version — returns the recorded response with Merged=false instead of
-// double-counting budget or conditioning twice, which makes network
-// retries of POST …/answers safe.
+// Merge applies a crowd answer set to the posterior (Equation 3): a round
+// spends one budget unit per task and conditions the posterior once, on the
+// whole set. The request becomes one judgment list at the top — the
+// Judgments form, or the legacy Tasks/Answers form as worker-less
+// judgments — and takes three steps under the session mutex:
 //
-// Version semantics: when the request carries a version it must either be
-// the current one (the merge applies) or match an already-applied set (the
-// recorded response replays); anything else is ErrVersionConflict. When
-// the version is omitted, a duplicate of any applied answer set is treated
-// as a retry; clients that intend to submit an identical answer set twice
-// (possible when the selector re-picks the same tasks and the crowd answers
-// identically) must thread the version through to disambiguate.
+//  1. Replay (replayLocked). The retry rules, in this order, decide the
+//     request before any ledger or batch logic runs:
+//     - a request with a version replays when its judgments are the answer
+//     set committed from that version, task for task;
+//     - a non-partial request without a version replays when its judgments
+//     are any committed answer set — also while a ledger is open;
+//     - a partial, or any request while a ledger is open, at a committed
+//     version replays when every judgment matches the round committed
+//     from that version;
+//     - any version other than the current one is ErrVersionConflict.
+//     A replay reports Merged=false and spends nothing. An attributed
+//     replay of a committed set must keep the attribution the commit
+//     derived (ErrAttributionConflict).
+//  2. Resolve the batch: the open ledger's; else a partial pins the
+//     outstanding selection (ErrNoPendingBatch when there is none), and a
+//     full set is its own batch.
+//  3. Fold the judgments into the ledger. Judgments it already holds are
+//     dropped; ones outside the batch (ErrNotInBatch) or contradicting it
+//     (ErrAnswerConflict) refuse the request. The observe op is journaled,
+//     then a merge op when the ledger covers the batch — spending budget
+//     and advancing the version exactly once — or a partial op when it
+//     does not. A full answer set is a ledger that completes its batch in
+//     one request.
 //
-// Partial requests (and any request arriving while a partial sequence is
-// in flight) take the incremental path: judgments accumulate against the
-// pending selected batch, each journaled through the store before it is
-// acknowledged, and the batch commits — spending budget and advancing the
-// version exactly once — when the ledger covers the batch. Retried
-// prefixes replay idempotently, before and after the commit.
+// Clients that mean to submit an identical answer set twice (the selector
+// can re-pick the same tasks and the crowd answer identically) must thread
+// the version through: without it, the second submission is a retry.
 func (s *Session) Merge(ctx context.Context, now time.Time, req *AnswersRequest) (resp *AnswersResponse, err error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	tasks, answers, workers, sources, attributed := req.flatten(s.anonWorker)
+	js, attributed := req.judgments()
 	if s.tracer != nil {
 		var sp *trace.Span
 		ctx, sp = s.tracer.Start(ctx, "session.merge")
 		sp.SetAttr("session", s.id)
-		sp.SetAttr("tasks", len(tasks))
+		sp.SetAttr("tasks", len(js))
 		sp.SetAttr("partial", req.Partial)
 		sp.SetAttr("attributed", attributed)
 		defer func() {
@@ -597,100 +585,218 @@ func (s *Session) Merge(ctx context.Context, now time.Time, req *AnswersRequest)
 		return nil, errSessionRetired
 	}
 	s.touch(now)
-	// Under em/dawid-skene every judgment is an observation, so legacy
-	// parallel-array submissions are attributed to the anonymous worker;
-	// under fixed, unattributed submissions stay worker-less (and journal
-	// no observation — their durable log is byte-identical to before
-	// worker models existed).
-	if workers == nil && s.workerModel != WorkerModelFixed {
-		workers = make([]string, len(tasks))
-		for i := range workers {
-			workers[i] = s.anonWorker
-		}
-	}
-
-	if req.Version != nil {
-		if resp, ok, err := s.replayLoggedLocked(*req.Version, req, tasks, answers, workers, attributed); ok {
-			return resp, err
-		}
-	}
-	if req.Partial || s.pendBatch != nil {
-		return s.mergePartialLocked(ctx, now, req, tasks, answers, workers, sources, attributed)
-	}
-	if req.Version != nil {
-		if *req.Version != s.version {
-			return nil, ErrVersionConflict
-		}
-	} else {
-		// No version: scan for a content match against any applied set.
-		for v := 0; v < s.version; v++ {
-			if resp, ok, err := s.replayLoggedLocked(v, req, tasks, answers, workers, attributed); ok {
-				return resp, err
+	// A judgment without a worker is the anonymous worker's, except a
+	// legacy-form one on a fixed session: that one journals no observation,
+	// so the session's log is byte-identical to one written before worker
+	// models existed.
+	if attributed || s.workerModel != WorkerModelFixed {
+		for i := range js {
+			if js[i].Worker == "" {
+				js[i].Worker = s.anonWorker
 			}
 		}
 	}
-	return s.commitLocked(ctx, now, s.observeOpsLocked(now, tasks, answers, workers, sources), tasks, answers)
+
+	if resp, ok, err := s.replayLocked(req, js, attributed); ok {
+		return resp, err
+	}
+
+	joins := req.Partial || s.pendBatch != nil // the request joins a ledger
+	batch := s.pendBatch
+	if batch == nil && req.Partial {
+		if s.sel == nil || s.selVersion != s.version || len(s.sel.Tasks) == 0 {
+			return nil, ErrNoPendingBatch
+		}
+		batch = s.sel.Tasks
+	}
+
+	// A full set with no ledger open folds into an empty ledger of its own
+	// batch and keeps every judgment; the conditioning kernel refuses a
+	// task it names twice.
+	fresh := js
+	if joins {
+		if fresh, err = s.foldLocked(batch, js, attributed); err != nil {
+			return nil, err
+		}
+		if len(fresh) == 0 {
+			return &AnswersResponse{SessionInfo: s.infoLocked(false), Partial: true}, nil
+		}
+	}
+	op := store.Op{
+		Kind:    store.OpPartial,
+		Version: s.version,
+		Tasks:   make([]int, len(fresh)),
+		Answers: make([]bool, len(fresh)),
+		Epoch:   s.leaseEpoch,
+		Time:    now,
+	}
+	for i, j := range fresh {
+		op.Tasks[i], op.Answers[i] = j.Task, j.Answer
+	}
+	if batch == nil {
+		batch = op.Tasks
+	}
+	// The judgments completing a batch are journaled as its merge op, over
+	// the ledger in batch order — the op a batched submission journals —
+	// never as a partial op: the durable ledger stays a strict subset of
+	// its batch, so crash recovery re-enters the ledger, never commits.
+	if tasks, answers := s.ledgerPrefixLocked(batch, op.Tasks, op.Answers); len(tasks) == len(batch) {
+		op.Kind, op.Tasks, op.Answers = store.OpMerge, tasks, answers
+	} else {
+		op.Batch = slices.Clone(batch)
+	}
+	if err := s.journalLocked(ctx, append(s.observeOpsLocked(now, fresh), op)...); err != nil {
+		return nil, err
+	}
+	if op.Kind == store.OpPartial {
+		return &AnswersResponse{SessionInfo: s.infoLocked(false), Partial: true}, nil
+	}
+	committed := *s.merges[op.Version]
+	committed.Partial = joins
+	return &committed, nil
 }
 
-// replayLoggedLocked serves a retry of the answer set committed from
-// version v out of the idempotency log; ok=false when no such set was
-// committed. The replay reports Partial as the retrying request set it: the
-// flag says whether this request joined an incremental sequence, which the
-// log cannot know.
-func (s *Session) replayLoggedLocked(v int, req *AnswersRequest, tasks []int, answers []bool, workers []string, attributed bool) (resp *AnswersResponse, ok bool, err error) {
-	prev, ok := s.merges[answerSetHash(v, tasks, answers)]
-	if !ok {
+// replayLocked applies the retry rules, in the order Merge lists them,
+// before any ledger or batch logic runs. ok reports that a rule decided the
+// request, as a replay or a refusal; otherwise it is new work at the
+// current version.
+func (s *Session) replayLocked(req *AnswersRequest, js []Judgment, attributed bool) (resp *AnswersResponse, ok bool, err error) {
+	if req.Version != nil {
+		if resp, ok, err := s.replayRoundLocked(*req.Version, req.Partial, js, attributed); ok {
+			return resp, ok, err
+		}
+	} else if !req.Partial {
+		for v := range s.version {
+			if resp, ok, err := s.replayRoundLocked(v, req.Partial, js, attributed); ok {
+				return resp, ok, err
+			}
+		}
+	}
+	if req.Version == nil || *req.Version == s.version {
 		return nil, false, nil
 	}
-	// A retry carrying explicit judgments must keep the attribution the
-	// commit derived; the log at v is frozen once v commits, so deriving it
-	// again gives the committed one. Legacy-form retries carry no
-	// attribution to contradict.
+	if v := *req.Version; v >= 0 && v < s.version && (req.Partial || s.pendBatch != nil) {
+		// A retried prefix of a ledger that has since committed. The
+		// response carries the current state: the prefix's provisional
+		// posterior is gone once its batch commits.
+		r := s.rounds[v]
+		if !slices.ContainsFunc(js, func(j Judgment) bool {
+			i := slices.Index(r.Tasks, j.Task)
+			return i < 0 || r.Answers[i] != j.Answer
+		}) {
+			return &AnswersResponse{SessionInfo: s.infoLocked(false), Partial: true}, true, nil
+		}
+	}
+	return nil, true, ErrVersionConflict
+}
+
+// replayRoundLocked serves a retry of the answer set committed from
+// version v; ok=false unless js is that set, task for task. The replay is
+// the response the commit recorded, with Merged=false and Partial as the
+// retrying request set it: the flag says whether this request joined an
+// incremental sequence, which the commit cannot know. A retry carrying
+// explicit judgments must keep the attribution the commit derived; the log
+// at v is frozen once v commits, so deriving it again gives the committed
+// one. Legacy-form retries carry no attribution to contradict.
+func (s *Session) replayRoundLocked(v int, partial bool, js []Judgment, attributed bool) (*AnswersResponse, bool, error) {
+	if v < 0 || v >= len(s.rounds) {
+		return nil, false, nil
+	}
+	r := s.rounds[v]
+	if len(r.Tasks) != len(js) {
+		return nil, false, nil
+	}
+	for i, j := range js {
+		if r.Tasks[i] != j.Task || r.Answers[i] != j.Answer {
+			return nil, false, nil
+		}
+	}
 	if attributed {
-		if rec := s.attributionLocked(v, tasks, answers, nil); rec != nil && !slices.Equal(rec, workers) {
+		rec := s.attributionLocked(v, r.Tasks, r.Answers, nil)
+		if rec != nil && !slices.EqualFunc(rec, js, func(w string, j Judgment) bool { return w == j.Worker }) {
 			return nil, true, fmt.Errorf("%w: committed attribution %q", ErrAttributionConflict, strings.Join(rec, ","))
 		}
 	}
-	replay := *prev
-	replay.Merged = false
-	replay.Partial = req.Partial
+	replay := *s.merges[v]
+	replay.Merged, replay.Partial = false, partial
 	return &replay, true, nil
 }
 
+// foldLocked returns the judgments a request adds to the ledger of batch,
+// in request order. Every judgment must name a batch task (ErrNotInBatch)
+// and agree with the ledger and with the request's earlier judgments
+// (ErrAnswerConflict). A judgment the ledger already holds is dropped, and
+// an attributed one must name the worker it was journaled for
+// (ErrAttributionConflict); a judgment the request repeats is dropped too.
+// js is filtered in place.
+func (s *Session) foldLocked(batch []int, js []Judgment, attributed bool) ([]Judgment, error) {
+	fresh := js[:0]
+	for _, j := range js {
+		if !slices.Contains(batch, j.Task) {
+			return nil, fmt.Errorf("%w: task %d", ErrNotInBatch, j.Task)
+		}
+		if a, ok := s.pendAns[j.Task]; ok {
+			if a != j.Answer {
+				return nil, fmt.Errorf("%w: task %d", ErrAnswerConflict, j.Task)
+			}
+			if attributed {
+				if o, ok := s.observedLocked(s.version, j.Task, nil); ok && o.Worker != j.Worker {
+					return nil, fmt.Errorf("%w: task %d journaled for worker %q", ErrAttributionConflict, j.Task, o.Worker)
+				}
+			}
+			continue
+		}
+		if i := slices.IndexFunc(fresh, func(f Judgment) bool { return f.Task == j.Task }); i >= 0 {
+			if fresh[i].Answer != j.Answer {
+				return nil, fmt.Errorf("%w: task %d (twice in one request)", ErrAnswerConflict, j.Task)
+			}
+			continue
+		}
+		fresh = append(fresh, j)
+	}
+	return fresh, nil
+}
+
 // observeOpsLocked returns the observe op journaling a judgment set ahead
-// of the merge or partial op consuming it. It returns none for
-// unattributed judgments on a fixed session, and none for a retry whose
-// judgments already end the log at this version (its observe op landed,
-// its merge op did not), so a retry cannot double-record.
-func (s *Session) observeOpsLocked(now time.Time, tasks []int, answers []bool, workers, sources []string) []store.Op {
-	if workers == nil || s.observationsTailMatchLocked(tasks, answers, workers) {
+// of the merge or partial op consuming it. It returns none for worker-less
+// judgments, and none for a retry whose judgments already end the log at
+// this version (its observe op landed, its merge op did not), so a retry
+// cannot double-record.
+func (s *Session) observeOpsLocked(now time.Time, js []Judgment) []store.Op {
+	if js[0].Worker == "" || s.observationsTailMatchLocked(js) {
 		return nil
 	}
 	op := store.Op{
 		Kind:    store.OpObserve,
 		Version: s.version,
-		Tasks:   append([]int(nil), tasks...),
-		Answers: append([]bool(nil), answers...),
-		Workers: append([]string(nil), workers...),
+		Tasks:   make([]int, len(js)),
+		Answers: make([]bool, len(js)),
+		Workers: make([]string, len(js)),
 		Epoch:   s.leaseEpoch,
 		Time:    now,
 	}
-	if sources != nil {
-		op.Sources = append([]string(nil), sources...)
+	for i, j := range js {
+		op.Tasks[i], op.Answers[i], op.Workers[i] = j.Task, j.Answer, j.Worker
+		if j.Source != "" {
+			if op.Sources == nil {
+				op.Sources = make([]string, len(js))
+			}
+			op.Sources[i] = j.Source
+		}
 	}
 	return []store.Op{op}
 }
 
 // observationsTailMatchLocked reports whether the observation log already
 // ends with exactly this judgment set at the current version.
-func (s *Session) observationsTailMatchLocked(tasks []int, answers []bool, workers []string) bool {
-	n := len(tasks)
+func (s *Session) observationsTailMatchLocked(js []Judgment) bool {
+	n := len(js)
 	for _, o := range observationsSince(s.journal, s.version) {
 		if n == 0 {
 			break
 		}
 		n--
-		if o.Task != tasks[n] || o.Answer != answers[n] || o.Worker != workers[n] {
+		if o.Task != js[n].Task || o.Answer != js[n].Answer || o.Worker != js[n].Worker {
 			return false
 		}
 	}
@@ -971,7 +1077,7 @@ func (s *Session) applyLocked(ctx context.Context, t transition) {
 			Entropy: t.post.Entropy(),
 			TaskH:   t.taskH,
 		})
-		s.merges[answerSetHash(op.Version, op.Tasks, op.Answers)] = &AnswersResponse{SessionInfo: s.infoLocked(false), Merged: true}
+		s.merges = append(s.merges, &AnswersResponse{SessionInfo: s.infoLocked(false), Merged: true})
 		s.emitLocked(ctx, EventMerge, nil)
 		s.refitLocked(ctx)
 	case store.OpDone:
@@ -1041,146 +1147,6 @@ func (s *Session) ledgerPrefixLocked(batch, tasks []int, answers []bool) ([]int,
 		prefA = append(prefA, a)
 	}
 	return prefT, prefA
-}
-
-// commitLocked journals and applies one complete answer set at the current
-// version, behind the observe ops in obs.
-func (s *Session) commitLocked(ctx context.Context, now time.Time, obs []store.Op, tasks []int, answers []bool) (*AnswersResponse, error) {
-	op := store.Op{
-		Kind:    store.OpMerge,
-		Version: s.version,
-		Tasks:   append([]int(nil), tasks...),
-		Answers: append([]bool(nil), answers...),
-		Epoch:   s.leaseEpoch,
-		Time:    now,
-	}
-	if err := s.journalLocked(ctx, append(obs, op)...); err != nil {
-		return nil, err
-	}
-	resp := *s.merges[answerSetHash(op.Version, op.Tasks, op.Answers)]
-	return &resp, nil
-}
-
-// mergePartialLocked is the incremental answer path; callers hold mu.
-//
-// The bit-identity contract: the ledger never conditions the committed
-// posterior step by step. Every partial recomputes the provisional
-// posterior as ONE batch conditioning of the answered prefix (in batch
-// order) against the round-start posterior, so when the final judgment
-// arrives the ledger commits as the merge op of the whole batch in batch
-// order — the same op, on the same inputs, the batched path journals.
-// Budget is spent only inside that commit, so no retry of any prefix can
-// double-spend.
-func (s *Session) mergePartialLocked(ctx context.Context, now time.Time, req *AnswersRequest, tasks []int, answers []bool, workers, sources []string, attributed bool) (*AnswersResponse, error) {
-	if req.Version != nil {
-		if *req.Version > s.version {
-			return nil, ErrVersionConflict
-		}
-		if *req.Version < s.version {
-			// The batch these judgments belong to already committed. A
-			// retried prefix replays idempotently iff every judgment
-			// matches the committed round; anything else is a conflict.
-			return s.replayCommittedPartialLocked(*req.Version, tasks, answers)
-		}
-	}
-
-	batch := s.pendBatch
-	if batch == nil {
-		// First partial of a sequence: pin the outstanding selection.
-		if s.sel == nil || s.selVersion != s.version || len(s.sel.Tasks) == 0 {
-			return nil, ErrNoPendingBatch
-		}
-		batch = s.sel.Tasks
-	}
-
-	// Validate the judgments against the batch and the ledger, and drop
-	// the ones already journaled, before touching any state.
-	var newTasks []int
-	var newAns []bool
-	var newWorkers, newSources []string
-	for i, t := range tasks {
-		if !slices.Contains(batch, t) {
-			return nil, fmt.Errorf("%w: task %d", ErrNotInBatch, t)
-		}
-		if a, ok := s.pendAns[t]; ok {
-			if a != answers[i] {
-				return nil, fmt.Errorf("%w: task %d", ErrAnswerConflict, t)
-			}
-			// An attributed retry of a journaled judgment must carry the
-			// attribution it was journaled under.
-			if attributed {
-				if o, ok := s.observedLocked(s.version, t, nil); ok && o.Worker != workers[i] {
-					return nil, fmt.Errorf("%w: task %d journaled for worker %q", ErrAttributionConflict, t, o.Worker)
-				}
-			}
-			continue // idempotent duplicate of a journaled judgment
-		}
-		if j := slices.Index(newTasks, t); j >= 0 {
-			if newAns[j] != answers[i] {
-				return nil, fmt.Errorf("%w: task %d (twice in one request)", ErrAnswerConflict, t)
-			}
-			continue
-		}
-		newTasks = append(newTasks, t)
-		newAns = append(newAns, answers[i])
-		if workers != nil {
-			newWorkers = append(newWorkers, workers[i])
-			if sources != nil {
-				newSources = append(newSources, sources[i])
-			}
-		}
-	}
-	if len(newTasks) == 0 {
-		// Pure replay of already-journaled judgments.
-		return &AnswersResponse{SessionInfo: s.infoLocked(false), Merged: false, Partial: true}, nil
-	}
-
-	obs := s.observeOpsLocked(now, newTasks, newAns, newWorkers, newSources)
-	if prefT, prefA := s.ledgerPrefixLocked(batch, newTasks, newAns); len(prefT) == len(batch) {
-		// The ledger now covers the batch: commit. The completing
-		// judgments are journaled as the batch's OpMerge, never as a
-		// partial op — the durable ledger stays a strict subset of its
-		// batch, so crash recovery always re-enters the incremental path
-		// instead of committing mid-replay.
-		resp, err := s.commitLocked(ctx, now, obs, prefT, prefA)
-		if err != nil {
-			return nil, err
-		}
-		resp.Partial = true
-		return resp, nil
-	}
-	op := store.Op{
-		Kind:    store.OpPartial,
-		Version: s.version,
-		Tasks:   newTasks,
-		Answers: newAns,
-		Batch:   append([]int(nil), batch...),
-		Epoch:   s.leaseEpoch,
-		Time:    now,
-	}
-	if err := s.journalLocked(ctx, append(obs, op)...); err != nil {
-		return nil, err
-	}
-	return &AnswersResponse{SessionInfo: s.infoLocked(false), Merged: false, Partial: true}, nil
-}
-
-// replayCommittedPartialLocked serves a retried partial prefix whose batch
-// has already committed: idempotent (Merged=false, no spend) when every
-// judgment matches the committed round at that version, ErrVersionConflict
-// otherwise. The response carries the CURRENT state — the prefix's
-// provisional posteriors are gone once the batch commits.
-func (s *Session) replayCommittedPartialLocked(version int, tasks []int, answers []bool) (*AnswersResponse, error) {
-	if version < 0 || version >= len(s.rounds) {
-		return nil, ErrVersionConflict
-	}
-	r := s.rounds[version] // the round committed FROM that version
-	for i, t := range tasks {
-		j := slices.Index(r.Tasks, t)
-		if j < 0 || r.Answers[j] != answers[i] {
-			return nil, ErrVersionConflict
-		}
-	}
-	return &AnswersResponse{SessionInfo: s.infoLocked(false), Merged: false, Partial: true}, nil
 }
 
 // Posterior returns the current posterior distribution (immutable; safe to

@@ -112,7 +112,7 @@ func TestSessionMergeIdempotency(t *testing.T) {
 		t.Fatalf("replay entropy %v != first %v", replay.Entropy, first.Entropy)
 	}
 
-	// Retry without a version: matched by content hash.
+	// Retry without a version: matched by content.
 	replay2, err := s.Merge(context.Background(), now, &AnswersRequest{Tasks: sel.Tasks, Answers: []bool{true, false}})
 	if err != nil {
 		t.Fatal(err)
@@ -125,6 +125,62 @@ func TestSessionMergeIdempotency(t *testing.T) {
 	stale := &AnswersRequest{Tasks: sel.Tasks, Answers: []bool{false, true}, Version: &v}
 	if _, err := s.Merge(context.Background(), now, stale); !errors.Is(err, ErrVersionConflict) {
 		t.Fatalf("stale-version merge error = %v, want ErrVersionConflict", err)
+	}
+}
+
+// TestVersionlessRetryWhileLedgerOpen: a versionless resubmission of a
+// committed answer set replays even while the next round's ledger is open —
+// whether the next batch is different (the retry names tasks outside it) or
+// the selector re-picked the very same tasks (k = n, where the retry would
+// otherwise complete the ledger and commit a second round). Either way:
+// Merged=false, no spend, no version bump, and the ledger untouched.
+func TestVersionlessRetryWhileLedgerOpen(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		k      int
+		repick bool
+	}{
+		{"different batch", 2, false},
+		{"re-picked batch", 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			now := time.Unix(1, 0)
+			s := testSession(t, tc.k, 12)
+			first, _, err := s.Select(ctx, now, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			committed := &AnswersRequest{Tasks: first.Tasks, Answers: answersFor(first.Tasks)}
+			if resp, err := s.Merge(ctx, now, committed); err != nil || !resp.Merged {
+				t.Fatalf("first commit: %+v, %v", resp, err)
+			}
+			next, _, err := s.Select(ctx, now, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := reflect.DeepEqual(next.Tasks, first.Tasks); got != tc.repick {
+				t.Fatalf("fixture: batches %v then %v, want re-picked=%v", first.Tasks, next.Tasks, tc.repick)
+			}
+			submitOne(t, s, now, next.Tasks[0], true, next.Version)
+			before := s.Info(now, true)
+
+			resp, err := s.Merge(ctx, now, cloneAnswers(committed))
+			if err != nil {
+				t.Fatalf("versionless retry: %v", err)
+			}
+			if resp.Merged || resp.Partial {
+				t.Fatalf("versionless retry was applied: merged=%v partial=%v", resp.Merged, resp.Partial)
+			}
+			after := s.Info(now, true)
+			if after.Spent != before.Spent || after.Version != before.Version {
+				t.Fatalf("retry moved spent %d→%d, version %d→%d",
+					before.Spent, after.Spent, before.Version, after.Version)
+			}
+			if !reflect.DeepEqual(after.Pending, before.Pending) {
+				t.Fatalf("retry changed the ledger:\n before %+v\n after  %+v", before.Pending, after.Pending)
+			}
+		})
 	}
 }
 

@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"crowdfusion/internal/core"
@@ -295,8 +296,9 @@ type Judgment struct {
 	// Source optionally names the platform the judgment came from
 	// ("mturk", "gmission", …). Recorded, never interpreted.
 	Source string `json:"source,omitempty"`
-	// ObservedAt optionally timestamps the judgment at its source.
-	// Recorded for audit; server-side ordering uses arrival order.
+	// ObservedAt optionally timestamps the judgment at its source. It is
+	// accepted and not recorded: no journaled op stores it, and
+	// server-side ordering uses arrival order.
 	ObservedAt time.Time `json:"observed_at,omitzero"`
 }
 
@@ -357,37 +359,20 @@ func (r *AnswersRequest) Validate() error {
 	return nil
 }
 
-// flatten returns the request's judgment set in parallel-array form:
-// tasks/answers always, workers (empty slots replaced by anon) and
-// sources only for the attributed Judgments form. attributed reports
-// which form the request used — attribution conflicts on retry are
-// checked only for explicitly attributed submissions.
-func (r *AnswersRequest) flatten(anon string) (tasks []int, answers []bool, workers, sources []string, attributed bool) {
-	if len(r.Judgments) == 0 {
-		return r.Tasks, r.Answers, nil, nil, false
+// judgments translates the request into the answer path's one input
+// shape: its judgments in submission order, as a fresh slice the caller
+// may change. attributed reports that the request used the Judgments form;
+// the legacy arrays become judgments without a worker. Attribution
+// conflicts on retry are checked only for attributed requests.
+func (r *AnswersRequest) judgments() (js []Judgment, attributed bool) {
+	if len(r.Judgments) > 0 {
+		return slices.Clone(r.Judgments), true
 	}
-	tasks = make([]int, len(r.Judgments))
-	answers = make([]bool, len(r.Judgments))
-	workers = make([]string, len(r.Judgments))
-	hasSource := false
-	for i, j := range r.Judgments {
-		tasks[i] = j.Task
-		answers[i] = j.Answer
-		workers[i] = j.Worker
-		if workers[i] == "" {
-			workers[i] = anon
-		}
-		if j.Source != "" {
-			hasSource = true
-		}
+	js = make([]Judgment, len(r.Tasks))
+	for i, t := range r.Tasks {
+		js[i] = Judgment{Task: t, Answer: r.Answers[i]}
 	}
-	if hasSource {
-		sources = make([]string, len(r.Judgments))
-		for i, j := range r.Judgments {
-			sources[i] = j.Source
-		}
-	}
-	return tasks, answers, workers, sources, true
+	return js, false
 }
 
 // AnswersResponse reports the refined state after a merge. Merged is false

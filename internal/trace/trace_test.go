@@ -59,6 +59,24 @@ func TestParseTraceparentRejects(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceparent: no header value panics the parser, and every value
+// it accepts is a valid context that re-renders as the version-00 form of
+// the same ids and flags — whatever version or trailing fields it carried.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, ok := ParseTraceparent(s)
+		if !ok {
+			return
+		}
+		if !sc.IsValid() {
+			t.Fatalf("accepted %q as an invalid context %+v", s, sc)
+		}
+		if got, want := sc.Traceparent(), "00"+s[2:55]; got != want {
+			t.Fatalf("accepted %q re-renders as %q, want %q", s, got, want)
+		}
+	})
+}
+
 func TestNilTracerAndSpanAreSafe(t *testing.T) {
 	var tr *Tracer
 	ctx, sp := tr.Start(context.Background(), "noop")
