@@ -59,13 +59,20 @@ test-cover:
 # files. FuzzAnswersRequest: any answers body the handler accepts, submitted
 # twice to a session with a committed round and a selection outstanding,
 # must spend exactly its committed batches and leave a session whose record
-# restores to the same state. FuzzParseTraceparent: an accepted header is a
-# valid context that re-renders as the version-00 form of its ids. Seed
-# corpora live under testdata/fuzz/ in each package.
+# restores to the same state. FuzzSelectRequest: any select body the
+# handler accepts, asked of a fresh, a ledger-open and a done session,
+# stays within k, budget and fact count, answers an open ledger's pinned
+# batch, repeats from cache, and leaves a record that restores to the same
+# state. FuzzCreateRequest: any create body the manager accepts stores a
+# record that restores to the created session. FuzzParseTraceparent: an
+# accepted header is a valid context that re-renders as the version-00
+# form of its ids. Seed corpora live under testdata/fuzz/ in each package.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRestoreRecord -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzFileLoad -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzAnswersRequest -fuzztime 10s ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzSelectRequest -fuzztime 10s ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzCreateRequest -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/trace/
 
 # The end-to-end load generator is its own module (cmd/loadgen/go.mod), so

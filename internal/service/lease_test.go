@@ -237,6 +237,48 @@ func TestServerFencedEnvelope(t *testing.T) {
 	}
 }
 
+// TestServerFencedDoneLatch is the select-side row of the fenced envelope:
+// a deposed owner whose sweep finds nothing uncertain must not latch done
+// from memory. The done op's fenced persist answers 421 "fenced" naming
+// the new owner, and the stale instance is retired like a fenced merge's.
+func TestServerFencedDoneLatch(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := store.NewFile(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, ts := newTestServer(t, Config{
+		Store: fs, LeaseTTL: time.Minute, LeaseRenew: time.Hour, TTL: -1,
+	})
+
+	req := testCreateReq()
+	req.Marginals = []float64{1, 0, 1} // nothing uncertain: the first sweep latches done
+	var info SessionInfo
+	if code := doJSON(t, "POST", ts.URL+"/v1/sessions", req, &info); code != http.StatusCreated {
+		t.Fatalf("create: HTTP %d", code)
+	}
+	fs2, err := store.NewFile(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs2.Close()
+	if _, err := fs2.StealLease(info.ID, "http://other:9", time.Minute, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+
+	var errResp ErrorResponse
+	code := doJSON(t, "POST", ts.URL+"/v1/sessions/"+info.ID+"/select", nil, &errResp)
+	if code != http.StatusMisdirectedRequest {
+		t.Fatalf("fenced done latch: HTTP %d (%+v)", code, errResp)
+	}
+	if errResp.Code != CodeFenced || errResp.Owner != "http://other:9" {
+		t.Fatalf("fenced envelope: %+v", errResp)
+	}
+	if svc.Manager().Len() != 0 {
+		t.Fatalf("fenced session still resident: %d", svc.Manager().Len())
+	}
+}
+
 // TestLeaseRenewalRacesEvictionAndPartials exercises the lease bookkeeping
 // under -race: heartbeat renewals, TTL sweeps (unload + lazy reload), and
 // concurrent partial answers all hammer one session. The assertions are

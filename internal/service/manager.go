@@ -486,6 +486,22 @@ func (m *Manager) Get(ctx context.Context, id string) (*Session, error) {
 	return m.load(ctx, id, sh)
 }
 
+// onSession calls f on sess, the instance id resolved to. When that
+// instance retired in between — the janitor unloaded or evicted it, or a
+// delete or fence dropped it — onSession resolves id once more (reloading
+// it from a durable store) and calls f on the successor. A second
+// retirement in a row surfaces as errSessionRetired.
+func onSession[T any](ctx context.Context, m *Manager, id string, sess *Session, f func(*Session) (T, error)) (T, error) {
+	v, err := f(sess)
+	if !errors.Is(err, errSessionRetired) {
+		return v, err
+	}
+	if sess, err = m.Get(ctx, id); err != nil {
+		return v, err
+	}
+	return f(sess)
+}
+
 // Delete removes a session from memory and the store, reporting whether it
 // existed in either. The store delete runs under the shard lock so it
 // serializes with lazy loads: any load that could still observe the record
@@ -550,16 +566,16 @@ func (m *Manager) Subscribe(ctx context.Context, id string, lastID uint64, hasLa
 	if err != nil {
 		return nil, err
 	}
-	var sub *subscription
-	var serr error
-	now := m.cfg.now()
 	traceID := trace.TraceIDFromContext(ctx)
-	if err := s.withSnapshot(now, func(info SessionInfo) {
-		sub, serr = m.events.subscribe(id, lastID, hasLast, info, traceID, now)
-	}); err != nil {
-		return nil, err // instance retired under us; caller re-resolves
-	}
-	return sub, serr
+	return onSession(ctx, m, id, s, func(s *Session) (sub *subscription, err error) {
+		now := m.cfg.now()
+		if werr := s.withSnapshot(now, func(info SessionInfo) {
+			sub, err = m.events.subscribe(id, lastID, hasLast, info, traceID, now)
+		}); werr != nil {
+			return nil, werr
+		}
+		return sub, err
+	})
 }
 
 // ListSessions pages through the sessions this node serves, in ID order,
@@ -697,27 +713,6 @@ func (m *Manager) Workers() *WorkersResponse {
 	}
 	sort.Slice(resp.Workers, func(i, j int) bool { return resp.Workers[i].Worker < resp.Workers[j].Worker })
 	return resp
-}
-
-// WorkersTracked returns the number of distinct workers observed across
-// resident sessions — the workers_tracked gauge.
-func (m *Manager) WorkersTracked() int {
-	seen := make(map[string]struct{})
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		resident := make([]*Session, 0, len(sh.sessions))
-		for _, s := range sh.sessions {
-			resident = append(resident, s)
-		}
-		sh.mu.RUnlock()
-		for _, s := range resident {
-			for _, wi := range s.WorkerStats() {
-				seen[wi.Worker] = struct{}{}
-			}
-		}
-	}
-	return len(seen)
 }
 
 // leaseSelf is the owner identity recorded in lease records.

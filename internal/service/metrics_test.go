@@ -148,7 +148,7 @@ func TestMetricsExpositionRoundtrip(t *testing.T) {
 	_ = sel
 
 	var buf bytes.Buffer
-	if err := m.WritePrometheus(&buf, svc.Manager().Len(), svc.Manager().LeasesHeld(), svc.Manager().WorkersTracked()); err != nil {
+	if err := m.WritePrometheus(&buf, svc.Manager().Len(), svc.Manager().LeasesHeld(), len(svc.Manager().Workers().Workers)); err != nil {
 		t.Fatal(err)
 	}
 	families := parsePrometheus(t, buf.String())

@@ -325,6 +325,45 @@ func TestManagerUnloadRetiresStalePointers(t *testing.T) {
 	}
 }
 
+// TestOnSessionReresolvesEvictedPointer hands onSession a pointer the
+// janitor already unloaded: it must re-resolve the ID exactly once and run
+// the call on the reloaded successor.
+func TestOnSessionReresolvesEvictedPointer(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	m := newFileManager(t, t.TempDir(), ManagerConfig{TTL: time.Minute, now: clk.now})
+	defer m.Close()
+
+	ctx := context.Background()
+	s1, err := m.Create(ctx, testCreateReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runRounds(t, s1, clk.now(), 1)
+	clk.advance(2 * time.Minute)
+	if n := m.Sweep(clk.now()); n != 1 {
+		t.Fatalf("Sweep evicted %d", n)
+	}
+
+	var calls []*Session
+	resp, err := onSession(ctx, m, s1.ID(), s1, func(s *Session) (*SelectResponse, error) {
+		calls = append(calls, s)
+		resp, _, err := s.Select(ctx, clk.now(), 0)
+		return resp, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 2 || calls[0] != s1 || calls[1] == s1 {
+		t.Fatalf("onSession called f on %v; want the evicted pointer, then one successor", calls)
+	}
+	if resp.Version != 1 || len(resp.Tasks) == 0 {
+		t.Fatalf("select on the successor = %+v; want a batch at v1", resp)
+	}
+	if m.Len() != 1 {
+		t.Fatalf("resident sessions = %d; want the reloaded successor", m.Len())
+	}
+}
+
 // TestManagerConcurrentMergesFileStore races merges over many sessions
 // against one file store under -race: per-session serialization plus
 // per-stripe store locking must keep every log consistent, and a restart

@@ -494,8 +494,8 @@ func writeError(w http.ResponseWriter, r *http.Request, err error) {
 	case errors.Is(err, ErrStore):
 		status, code = http.StatusInternalServerError, CodeStoreFailure
 	case errors.Is(err, errSessionRetired):
-		// Only reachable when the session retires twice in a row (the
-		// handler already re-resolved once): retryable.
+		// Only reachable when the session retires twice in a row (onSession
+		// already re-resolved once): retryable.
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, core.ErrTooManyTasks), errors.Is(err, core.ErrBadAccuracy),
 		errors.Is(err, core.ErrNoTasks):
@@ -547,22 +547,23 @@ func writeShuttingDown(w http.ResponseWriter, r *http.Request) {
 		Error: "service: shutting down", RequestID: requestIDFrom(r.Context())})
 }
 
-// noteRedirect does the bookkeeping for 421 outcomes: bump the misroute
-// counter for not_owner, and retire the local instance on fenced — a
-// session whose lease another node took must not serve another request
-// from memory. (The fenced metric is counted where the refusal happened:
-// the instrumented store for fenced writes, the acquire bounce hook for
-// fenced adoptions.)
-func (s *Server) noteRedirect(id string, err error) {
+// writeSessionError is writeError for a request on session {id}, after
+// the bookkeeping for 421 outcomes: bump the misroute counter for
+// not_owner, and retire the local instance on fenced — a session whose
+// lease another node took must not serve another request from memory.
+// (The fenced metric is counted where the refusal happened: the
+// instrumented store for fenced writes, the acquire bounce hook for fenced
+// adoptions.)
+func (s *Server) writeSessionError(w http.ResponseWriter, r *http.Request, err error) {
 	var notOwner *NotOwnerError
-	if errors.As(err, &notOwner) {
-		s.metrics.NotOwnerRejects.Add(1)
-		return
-	}
 	var fenced *FencedError
-	if errors.As(err, &fenced) {
-		s.mgr.RetireFenced(id)
+	switch {
+	case errors.As(err, &notOwner):
+		s.metrics.NotOwnerRejects.Add(1)
+	case errors.As(err, &fenced):
+		s.mgr.RetireFenced(r.PathValue("id"))
 	}
+	writeError(w, r, err)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -591,7 +592,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := s.metrics.WritePrometheus(w, s.mgr.Len(), s.mgr.LeasesHeld(), s.mgr.WorkersTracked()); err != nil {
+	if err := s.metrics.WritePrometheus(w, s.mgr.Len(), s.mgr.LeasesHeld(), len(s.mgr.Workers().Workers)); err != nil {
 		return
 	}
 	if ring := s.cfg.Cluster; ring != nil {
@@ -635,8 +636,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.mgr.Get(r.Context(), r.PathValue("id"))
 	if err != nil {
-		s.noteRedirect(r.PathValue("id"), err)
-		writeError(w, r, err)
+		s.writeSessionError(w, r, err)
 		return
 	}
 	withRounds := strings.EqualFold(r.URL.Query().Get("rounds"), "true") ||
@@ -647,8 +647,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	ok, err := s.mgr.Delete(r.Context(), r.PathValue("id"))
 	if err != nil {
-		s.noteRedirect(r.PathValue("id"), err)
-		writeError(w, r, err)
+		s.writeSessionError(w, r, err)
 		return
 	}
 	if !ok {
@@ -662,8 +661,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.mgr.Get(r.Context(), r.PathValue("id"))
 	if err != nil {
-		s.noteRedirect(r.PathValue("id"), err)
-		writeError(w, r, err)
+		s.writeSessionError(w, r, err)
 		return
 	}
 	var req SelectRequest
@@ -688,17 +686,13 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 
 	start := time.Now()
-	resp, cached, err := sess.Select(r.Context(), s.mgr.Now(), req.K)
-	if errors.Is(err, errSessionRetired) {
-		// The instance was unloaded/evicted between Get and Select;
-		// re-resolve once (reloading from the store if durable).
-		if sess, err = s.mgr.Get(r.Context(), r.PathValue("id")); err == nil {
-			resp, cached, err = sess.Select(r.Context(), s.mgr.Now(), req.K)
-		}
-	}
+	var cached bool
+	resp, err := onSession(r.Context(), s.mgr, r.PathValue("id"), sess, func(sess *Session) (resp *SelectResponse, err error) {
+		resp, cached, err = sess.Select(r.Context(), s.mgr.Now(), req.K)
+		return resp, err
+	})
 	if err != nil {
-		s.noteRedirect(r.PathValue("id"), err)
-		writeError(w, r, err)
+		s.writeSessionError(w, r, err)
 		return
 	}
 	s.metrics.SelectDuration.observe(time.Since(start))
@@ -714,8 +708,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.mgr.Get(r.Context(), r.PathValue("id"))
 	if err != nil {
-		s.noteRedirect(r.PathValue("id"), err)
-		writeError(w, r, err)
+		s.writeSessionError(w, r, err)
 		return
 	}
 	var req AnswersRequest
@@ -733,23 +726,14 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 
+	// A reloaded successor has the full durable history, so idempotency
+	// and version checks behave as if the eviction never happened.
 	start := time.Now()
-	resp, err := sess.Merge(r.Context(), s.mgr.Now(), &req)
-	if errors.Is(err, errSessionRetired) {
-		// The instance was unloaded/evicted between Get and Merge;
-		// re-resolve once. The reloaded instance has the full durable
-		// history, so idempotency and version checks behave as if the
-		// eviction never happened.
-		if sess, err = s.mgr.Get(r.Context(), r.PathValue("id")); err == nil {
-			resp, err = sess.Merge(r.Context(), s.mgr.Now(), &req)
-		}
-	}
+	resp, err := onSession(r.Context(), s.mgr, r.PathValue("id"), sess, func(sess *Session) (*AnswersResponse, error) {
+		return sess.Merge(r.Context(), s.mgr.Now(), &req)
+	})
 	if err != nil {
-		// A fenced merge means another node took the session mid-flight:
-		// retire the stale instance so the next request here redirects
-		// cleanly instead of replaying from trailing memory.
-		s.noteRedirect(r.PathValue("id"), err)
-		writeError(w, r, err)
+		s.writeSessionError(w, r, err)
 		return
 	}
 	s.metrics.MergeDuration.observe(time.Since(start))
@@ -775,8 +759,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCalibration(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.mgr.Get(r.Context(), r.PathValue("id"))
 	if err != nil {
-		s.noteRedirect(r.PathValue("id"), err)
-		writeError(w, r, err)
+		s.writeSessionError(w, r, err)
 		return
 	}
 	bins := 10
@@ -788,15 +771,11 @@ func (s *Server) handleCalibration(w http.ResponseWriter, r *http.Request) {
 		}
 		bins = n
 	}
-	resp, err := sess.Calibration(s.mgr.Now(), bins)
-	if errors.Is(err, errSessionRetired) {
-		if sess, err = s.mgr.Get(r.Context(), r.PathValue("id")); err == nil {
-			resp, err = sess.Calibration(s.mgr.Now(), bins)
-		}
-	}
+	resp, err := onSession(r.Context(), s.mgr, r.PathValue("id"), sess, func(sess *Session) (*CalibrationResponse, error) {
+		return sess.Calibration(s.mgr.Now(), bins)
+	})
 	if err != nil {
-		s.noteRedirect(r.PathValue("id"), err)
-		writeError(w, r, err)
+		s.writeSessionError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -877,13 +856,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.PathValue("id")
 	sub, err := s.mgr.Subscribe(r.Context(), id, lastID, hasLast)
-	if errors.Is(err, errSessionRetired) {
-		// Unloaded between resolve and snapshot; re-resolve once.
-		sub, err = s.mgr.Subscribe(r.Context(), id, lastID, hasLast)
-	}
 	if err != nil {
-		s.noteRedirect(id, err)
-		writeError(w, r, err)
+		s.writeSessionError(w, r, err)
 		return
 	}
 	defer sub.cancel()

@@ -83,13 +83,12 @@ type Session struct {
 	done      bool // latched when a selection finds nothing uncertain
 	rounds    []RoundInfo
 
-	// sel caches the last selection; valid while selVersion matches the
-	// current version and the requested k matches, so clients that retry
+	// sel caches the last selection; valid while its Version is the
+	// current version and selK is the requested k, so clients that retry
 	// a select (or poll it from several workers) get one batch per
-	// posterior instead of recomputing the greedy sweep.
-	sel        *SelectResponse
-	selVersion int
-	selK       int
+	// posterior instead of recomputing the greedy sweep. A merge clears it.
+	sel  *SelectResponse
+	selK int
 
 	// merges holds the response each commit recorded, indexed by the
 	// version it committed from, for idempotent replay of retried merges.
@@ -348,128 +347,6 @@ func (s *Session) Info(now time.Time, withRounds bool) SessionInfo {
 	return s.infoLocked(withRounds)
 }
 
-// selectIntent is the frozen input of one greedy sweep, captured under the
-// session mutex by selectPrepare and consumed outside it: the posterior is
-// immutable, so the sweep itself needs no lock and a merge never waits
-// behind one.
-type selectIntent struct {
-	joint    *dist.Joint
-	selector core.Selector
-	k        int
-	pc       float64
-	version  int
-}
-
-// selectPrepare is the under-lock front half of a select: fast paths
-// (pinned pending batch, done latch, cache hit) return a response
-// directly; otherwise it freezes the sweep inputs into a selectIntent for
-// the caller to compute against and hand back to selectComplete.
-func (s *Session) selectPrepare(now time.Time, kOverride int) (resp *SelectResponse, cached bool, intent selectIntent, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.retired {
-		return nil, false, intent, errSessionRetired
-	}
-	s.touch(now)
-
-	if s.pendBatch != nil {
-		// An incremental answer sequence is in flight: the pending batch
-		// IS the outstanding selection. It stays pinned (even across a k
-		// override) until the ledger commits — swapping batches mid-answer
-		// would orphan journaled judgments.
-		pinned := SelectResponse{
-			Tasks:       append([]int(nil), s.pendBatch...),
-			TaskEntropy: s.pendTaskH,
-			Version:     s.version,
-			Cached:      true,
-		}
-		return &pinned, true, intent, nil
-	}
-
-	k := s.k
-	if kOverride > 0 {
-		k = kOverride
-	}
-	if remaining := s.budget - s.spent; k > remaining {
-		k = remaining
-	}
-	if n := s.posterior.N(); k > n {
-		k = n
-	}
-	if k <= 0 || s.done {
-		return &SelectResponse{Tasks: []int{}, Version: s.version, Done: true}, false, intent, nil
-	}
-	if s.sel != nil && s.selVersion == s.version && s.selK == k {
-		hit := *s.sel
-		hit.Cached = true
-		return &hit, true, intent, nil
-	}
-	return nil, false, selectIntent{
-		joint:    s.posterior,
-		selector: s.selector,
-		k:        k,
-		pc:       s.pc,
-		version:  s.version,
-	}, nil
-}
-
-// selectComplete is the under-lock back half: it re-validates the intent
-// against the current state and commits the sweep's result. stale means
-// the posterior moved (or a partial sequence started) while the sweep ran
-// off-lock — the result is discarded and the caller re-prepares. When a
-// concurrent request already cached an identical selection for the same
-// (version, k), that cache is served instead (the sweep is deterministic,
-// so the results are interchangeable).
-func (s *Session) selectComplete(ctx context.Context, now time.Time, intent selectIntent, tasks []int, selErr error) (resp *SelectResponse, cached, stale bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.retired {
-		return nil, false, false, errSessionRetired
-	}
-	if selErr != nil {
-		return nil, false, false, fmt.Errorf("service: selection: %w", selErr)
-	}
-	if s.version != intent.version || s.pendBatch != nil || s.done {
-		return nil, false, true, nil
-	}
-	if s.sel != nil && s.selVersion == s.version && s.selK == intent.k {
-		hit := *s.sel
-		hit.Cached = true
-		return &hit, true, false, nil
-	}
-
-	resp = &SelectResponse{Tasks: tasks, Version: s.version}
-	if len(tasks) == 0 {
-		// Theorem 2: no remaining task nets positive utility. Latch so
-		// later selects and Info report completion without re-sweeping.
-		resp.Done = true
-		op := store.Op{Kind: store.OpDone, Version: s.version, Epoch: s.leaseEpoch, Time: now}
-		if s.persist != nil {
-			// Best-effort: the latch is derived state — a restarted
-			// daemon re-derives it with one re-sweep — so a store
-			// hiccup must not fail the read. The persist hook records
-			// the failure in the store metrics.
-			_ = s.persistOp(ctx, op)
-		}
-		s.applyLocked(ctx, transition{op: op})
-	} else {
-		h, err := core.TaskEntropy(s.posterior, tasks, s.pc)
-		if err != nil {
-			return nil, false, false, err
-		}
-		resp.TaskEntropy = h
-	}
-	s.sel = resp
-	s.selVersion = s.version
-	s.selK = intent.k
-	if len(tasks) > 0 {
-		s.emitLocked(ctx, EventSelect, func(ev *SessionEvent) {
-			ev.Tasks = append([]int(nil), tasks...)
-		})
-	}
-	return resp, false, false, nil
-}
-
 // Select returns the next task batch against the current posterior. kOverride
 // > 0 replaces the session's per-round k for this batch. The batch size is
 // clamped to the remaining budget; an empty batch (Done=true) means the
@@ -479,10 +356,10 @@ func (s *Session) selectComplete(ctx context.Context, now time.Time, intent sele
 // repeating the call without an intervening merge returns the identical
 // batch with Cached=true instead of re-running the greedy sweep.
 //
-// The greedy sweep itself runs outside the session mutex against the
-// immutable posterior the intent froze; a merge landing mid-sweep moves
-// the version and the result is discarded and recomputed, so a committed
-// selection always matches its response's Version.
+// The whole select, greedy sweep included, holds the session mutex: a
+// merge on the same session waits for the sweep, so the committed
+// selection always matches its response's Version, and concurrent selects
+// of one (version, k) run the sweep once.
 func (s *Session) Select(ctx context.Context, now time.Time, kOverride int) (resp *SelectResponse, cached bool, err error) {
 	if s.tracer != nil {
 		var sp *trace.Span
@@ -498,18 +375,78 @@ func (s *Session) Select(ctx context.Context, now time.Time, kOverride int) (res
 			sp.End()
 		}()
 	}
-	for {
-		resp, cached, intent, err := s.selectPrepare(now, kOverride)
-		if resp != nil || err != nil {
-			return resp, cached, err
-		}
-		tasks, selErr := intent.selector.Select(intent.joint, intent.k, intent.pc)
-		done, hit, stale, err := s.selectComplete(ctx, now, intent, tasks, selErr)
-		if stale {
-			continue
-		}
-		return done, hit, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.retired {
+		return nil, false, errSessionRetired
 	}
+	s.touch(now)
+
+	if s.pendBatch != nil {
+		// An incremental answer sequence is in flight: the pending batch
+		// IS the outstanding selection. It stays pinned (even across a k
+		// override) until the ledger commits — swapping batches mid-answer
+		// would orphan journaled judgments.
+		return &SelectResponse{
+			Tasks:       append([]int(nil), s.pendBatch...),
+			TaskEntropy: s.pendTaskH,
+			Version:     s.version,
+			Cached:      true,
+		}, true, nil
+	}
+
+	k := s.k
+	if kOverride > 0 {
+		k = kOverride
+	}
+	if remaining := s.budget - s.spent; k > remaining {
+		k = remaining
+	}
+	if n := s.posterior.N(); k > n {
+		k = n
+	}
+	if k <= 0 || s.done {
+		return &SelectResponse{Tasks: []int{}, Version: s.version, Done: true}, false, nil
+	}
+	if s.sel != nil && s.sel.Version == s.version && s.selK == k {
+		hit := *s.sel
+		hit.Cached = true
+		return &hit, true, nil
+	}
+
+	tasks, err := s.selector.Select(s.posterior, k, s.pc)
+	if err != nil {
+		return nil, false, fmt.Errorf("service: selection: %w", err)
+	}
+	resp = &SelectResponse{Tasks: tasks, Version: s.version}
+	if len(tasks) == 0 {
+		// Theorem 2: no remaining task nets positive utility. Latch so
+		// later selects and Info report completion without re-sweeping.
+		resp.Done = true
+		op := store.Op{Kind: store.OpDone, Version: s.version, Epoch: s.leaseEpoch, Time: now}
+		if s.persist != nil {
+			// Best-effort: the latch is derived state — a restarted
+			// daemon re-derives it with one re-sweep — so a store hiccup
+			// must not fail the read. The persist hook records the
+			// failure in the store metrics. A fenced write is different:
+			// another node owns the session, so this instance must not
+			// answer from memory at all.
+			var fe *store.FencedError
+			if err := s.persistOp(ctx, op); errors.As(err, &fe) {
+				return nil, false, persistError(s.id, err)
+			}
+		}
+		s.applyLocked(ctx, transition{op: op})
+	} else {
+		if resp.TaskEntropy, err = core.TaskEntropy(s.posterior, tasks, s.pc); err != nil {
+			return nil, false, err
+		}
+		s.emitLocked(ctx, EventSelect, func(ev *SessionEvent) {
+			ev.Tasks = append([]int(nil), tasks...)
+		})
+	}
+	s.sel, s.selK = resp, k
+	return resp, false, nil
 }
 
 // persistError maps a persist failure for the caller: a fenced write
@@ -604,7 +541,7 @@ func (s *Session) Merge(ctx context.Context, now time.Time, req *AnswersRequest)
 	joins := req.Partial || s.pendBatch != nil // the request joins a ledger
 	batch := s.pendBatch
 	if batch == nil && req.Partial {
-		if s.sel == nil || s.selVersion != s.version || len(s.sel.Tasks) == 0 {
+		if s.sel == nil || len(s.sel.Tasks) == 0 {
 			return nil, ErrNoPendingBatch
 		}
 		batch = s.sel.Tasks
@@ -1122,7 +1059,7 @@ func (s *Session) taskEntropyLocked(tasks []int) (float64, error) {
 	if s.pendBatch != nil && slices.Equal(s.pendBatch, tasks) {
 		return s.pendTaskH, nil
 	}
-	if s.sel != nil && s.selVersion == s.version && slices.Equal(s.sel.Tasks, tasks) {
+	if s.sel != nil && slices.Equal(s.sel.Tasks, tasks) {
 		return s.sel.TaskEntropy, nil
 	}
 	return core.TaskEntropy(s.posterior, tasks, s.pc)

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -396,8 +397,8 @@ func mixedSessions(t *testing.T, n int) []*Session {
 
 // TestConcurrentSelectBitIdentical: concurrent Session.Select calls on
 // different sessions each return exactly the batch the session's own
-// selector computes sequentially. Under -race this also checks that the
-// off-lock sweeps share no mutable state.
+// selector computes sequentially. Under -race this also checks that
+// concurrent sweeps on different sessions share no mutable state.
 func TestConcurrentSelectBitIdentical(t *testing.T) {
 	sessions := mixedSessions(t, 12)
 	want := make([][]int, len(sessions))
@@ -443,30 +444,47 @@ func TestConcurrentSelectBitIdentical(t *testing.T) {
 	}
 }
 
+// countingSelector counts the greedy sweeps a session runs.
+type countingSelector struct {
+	core.Selector
+	sweeps atomic.Int64
+}
+
+func (c *countingSelector) Select(j *dist.Joint, k int, pc float64) ([]int, error) {
+	c.sweeps.Add(1)
+	return c.Selector.Select(j, k, pc)
+}
+
 // TestConcurrentSelectSameSession checks concurrent selects against ONE
-// session: every caller gets the same batch at the same version, whether
-// it computed the sweep itself or was served the cache a concurrent
-// request committed.
+// session: the sweep holds the session mutex, so the first caller runs it
+// exactly once and every other caller is served its cached batch at the
+// same version.
 func TestConcurrentSelectSameSession(t *testing.T) {
 	s := mixedSessions(t, 1)[0]
 	want, err := s.selector.Select(s.Posterior(), s.k, s.pc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	counter := &countingSelector{Selector: s.selector}
+	s.selector = counter
 
 	const callers = 8
 	var wg sync.WaitGroup
 	resps := make([]*SelectResponse, callers)
+	var uncached atomic.Int64
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, _, err := s.Select(context.Background(), time.Unix(1, 0), 0)
+			resp, cached, err := s.Select(context.Background(), time.Unix(1, 0), 0)
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			resps[i] = resp
+			if !cached {
+				uncached.Add(1)
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -478,56 +496,10 @@ func TestConcurrentSelectSameSession(t *testing.T) {
 			t.Fatalf("caller %d: got %v at v%d, want %v at v0", i, resp.Tasks, resp.Version, want)
 		}
 	}
-}
-
-// TestSelectCompleteRevalidates drives the off-lock select split by hand:
-// state that changes between selectPrepare and selectComplete must be
-// caught when the sweep's result comes back, never committed.
-func TestSelectCompleteRevalidates(t *testing.T) {
-	ctx := context.Background()
-	now := time.Unix(1, 0)
-	sweep := func(t *testing.T, s *Session) selectIntent {
-		t.Helper()
-		resp, _, intent, err := s.selectPrepare(now, 0)
-		if err != nil || resp != nil {
-			t.Fatalf("selectPrepare = %+v, %v; want a sweep intent", resp, err)
-		}
-		return intent
+	if n := counter.sweeps.Load(); n != 1 {
+		t.Fatalf("%d callers ran %d sweeps; want exactly 1 per (version, k)", callers, n)
 	}
-
-	t.Run("retired", func(t *testing.T) {
-		s := testSession(t, 2, 6)
-		intent := sweep(t, s)
-		tasks, selErr := intent.selector.Select(intent.joint, intent.k, intent.pc)
-		s.retire()
-		resp, _, stale, err := s.selectComplete(ctx, now, intent, tasks, selErr)
-		if !errors.Is(err, errSessionRetired) || resp != nil || stale {
-			t.Fatalf("selectComplete after retire = %+v, stale=%v, %v; want errSessionRetired", resp, stale, err)
-		}
-	})
-
-	t.Run("stale", func(t *testing.T) {
-		s := testSession(t, 2, 6)
-		intent := sweep(t, s)
-		tasks, selErr := intent.selector.Select(intent.joint, intent.k, intent.pc)
-		if _, err := s.Merge(ctx, now, &AnswersRequest{Tasks: tasks, Answers: []bool{true, false}}); err != nil {
-			t.Fatal(err)
-		}
-		resp, _, stale, err := s.selectComplete(ctx, now, intent, tasks, selErr)
-		if err != nil || resp != nil || !stale {
-			t.Fatalf("selectComplete after merge = %+v, stale=%v, %v; want stale", resp, stale, err)
-		}
-
-		want, err := s.selector.Select(s.Posterior(), s.k, s.pc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, cached, err := s.Select(ctx, now, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cached || got.Version != 1 || !reflect.DeepEqual(got.Tasks, want) {
-			t.Fatalf("Select after stale sweep = %+v (cached=%v); want %v at v1", got, cached, want)
-		}
-	})
+	if n := uncached.Load(); n != 1 {
+		t.Fatalf("%d callers got an uncached batch; want exactly 1", n)
+	}
 }
