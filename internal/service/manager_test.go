@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"crowdfusion/internal/store"
 )
 
 // fakeClock is a settable test clock.
@@ -212,5 +214,193 @@ func TestManagerShardDistribution(t *testing.T) {
 	// overwhelming probability; require most to be in use.
 	if used < sessionShards/2 {
 		t.Fatalf("only %d of %d shards used — shard hash is degenerate", used, sessionShards)
+	}
+}
+
+// TestSessionExits pins every way a session leaves memory — TTL unload,
+// TTL expiry, delete (resident or unloaded), relinquishment to a new
+// owner, and retirement after a lost lease — by what each leaves behind:
+// the resident and lease counts, the record and lease in the store, the
+// terminal event a subscriber receives, the counter that moves, a stale
+// pointer that refuses work, and, for the exits that flush, a reload that
+// restores the same session.
+func TestSessionExits(t *testing.T) {
+	const other = "http://other:2"
+	type counts struct{ unloaded, evicted, relinquished int64 }
+	for _, tc := range []struct {
+		name     string
+		volatile bool
+		// prep runs before the exit, outside its counter window.
+		prep, exit func(t *testing.T, m *Manager, own *switchOwnership, clk *fakeClock, dir, id string)
+		record     bool   // record still in the store
+		lease      string // "released", "gone" or "superseded"
+		event      string // terminal event type; "" = stream stays open
+		owner      string // terminal event Owner
+		counter    counts
+		reload     bool // the exit flushed: a re-Get restores the session
+	}{
+		{
+			name: "unload",
+			exit: sweep, record: true, lease: "released",
+			counter: counts{unloaded: 1}, reload: true,
+		},
+		{
+			name: "expire", volatile: true,
+			exit: sweep, lease: "gone", event: EventExpire,
+			counter: counts{evicted: 1},
+		},
+		{
+			name: "delete resident",
+			exit: deleteSession, lease: "gone", event: EventDeleted,
+		},
+		{
+			name: "delete unloaded",
+			prep: sweep, exit: deleteSession, lease: "gone", event: EventDeleted,
+		},
+		{
+			name: "relinquish",
+			exit: func(t *testing.T, m *Manager, own *switchOwnership, _ *fakeClock, _, _ string) {
+				own.setOwner(func(string) string { return other })
+				if n := m.RelinquishNotOwned(); n != 1 {
+					t.Fatalf("RelinquishNotOwned = %d, want 1", n)
+				}
+			},
+			record: true, lease: "released", event: EventRedirect, owner: other,
+			counter: counts{relinquished: 1}, reload: true,
+		},
+		{
+			name: "fenced",
+			exit: func(t *testing.T, m *Manager, _ *switchOwnership, clk *fakeClock, dir, id string) {
+				thief, err := store.NewFile(dir, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer thief.Close()
+				if _, err := thief.StealLease(id, other, time.Minute, clk.now()); err != nil {
+					t.Fatal(err)
+				}
+				if _, lost := m.RenewHeldLeases(clk.now()); lost != 1 {
+					t.Fatalf("RenewHeldLeases lost %d, want 1", lost)
+				}
+			},
+			record: true, lease: "superseded", event: EventRedirect, owner: other,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var st store.SessionStore = store.NewMemory()
+			if !tc.volatile {
+				fs, err := store.NewFile(dir, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st = fs
+			}
+			clk := newFakeClock()
+			svc := NewServer(Config{
+				Store: st, TTL: time.Minute, LeaseTTL: time.Minute, LeaseRenew: time.Hour, now: clk.now,
+			})
+			defer svc.Close()
+			m := svc.Manager()
+			// A switchable placement stands in for the cluster ring.
+			own := &switchOwnership{self: "http://self:1", owner: ownAll}
+			m.cfg.Ownership = own
+
+			s, err := m.Create(context.Background(), testCreateReq())
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := s.ID()
+			runRounds(t, s, clk.now(), 1)
+			want := fingerprint(s, clk.now())
+			sub, err := m.Subscribe(context.Background(), id, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.cancel()
+
+			if tc.prep != nil {
+				tc.prep(t, m, own, clk, dir, id)
+			}
+			met := svc.Metrics()
+			before := counts{met.SessionsUnloaded.Load(), met.SessionsEvicted.Load(), met.SessionsRelinquished.Load()}
+			tc.exit(t, m, own, clk, dir, id)
+			after := counts{met.SessionsUnloaded.Load(), met.SessionsEvicted.Load(), met.SessionsRelinquished.Load()}
+
+			if m.Len() != 0 || m.LeasesHeld() != 0 {
+				t.Fatalf("after exit: len=%d held=%d, want 0 0", m.Len(), m.LeasesHeld())
+			}
+			if _, err := m.Store().Get(id); (err == nil) != tc.record {
+				t.Fatalf("store record after exit: err=%v, want kept=%v", err, tc.record)
+			}
+			l, err := m.Store().GetLease(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case tc.lease == "gone" && l != nil,
+				tc.lease == "released" && (l == nil || l.Owner != ""),
+				tc.lease == "superseded" && (l == nil || l.Owner != other):
+				t.Fatalf("lease after exit = %+v, want %s", l, tc.lease)
+			}
+			if got := (counts{after.unloaded - before.unloaded, after.evicted - before.evicted,
+				after.relinquished - before.relinquished}); got != tc.counter {
+				t.Fatalf("counters moved %+v, want %+v", got, tc.counter)
+			}
+			if _, _, err := s.Select(context.Background(), clk.now(), 0); !errors.Is(err, errSessionRetired) {
+				t.Fatalf("stale pointer Select = %v, want errSessionRetired", err)
+			}
+
+			if tc.event == "" {
+				select {
+				case <-sub.done:
+					t.Fatal("stream closed by an exit that keeps the feed")
+				default:
+				}
+			} else {
+				select {
+				case <-sub.done:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("no terminal event, want %s", tc.event)
+				}
+				var last SessionEvent
+				for len(sub.ch) > 0 {
+					last = <-sub.ch
+				}
+				if last.Type != tc.event || last.Owner != tc.owner {
+					t.Fatalf("terminal event = %s owner %q, want %s owner %q", last.Type, last.Owner, tc.event, tc.owner)
+				}
+			}
+
+			if tc.reload {
+				own.setOwner(ownAll)
+				got, err := m.Get(context.Background(), id)
+				if err != nil {
+					t.Fatalf("re-Get after %s: %v", tc.name, err)
+				}
+				requireIdentical(t, fingerprint(got, clk.now()), want)
+				if m.Len() != 1 || m.LeasesHeld() != 1 {
+					t.Fatalf("after reload: len=%d held=%d, want 1 1", m.Len(), m.LeasesHeld())
+				}
+			}
+		})
+	}
+}
+
+// sweep runs the janitor past the session's idle TTL, expecting it to
+// leave memory.
+func sweep(t *testing.T, m *Manager, _ *switchOwnership, clk *fakeClock, _, _ string) {
+	t.Helper()
+	clk.advance(2 * time.Minute)
+	if n := m.Sweep(clk.now()); n != 1 {
+		t.Fatalf("Sweep = %d, want 1", n)
+	}
+}
+
+// deleteSession deletes the session, expecting it to have existed.
+func deleteSession(t *testing.T, m *Manager, _ *switchOwnership, _ *fakeClock, _, id string) {
+	t.Helper()
+	if ok, err := m.Delete(context.Background(), id); err != nil || !ok {
+		t.Fatalf("Delete = %v, %v", ok, err)
 	}
 }
