@@ -41,14 +41,17 @@ STATICCHECK_VERSION ?= 2025.1.1
 build:
 	$(GO) build ./...
 
+# Tests run in shuffled order (-shuffle=on), so a test that depends on
+# another running first fails; the failing run prints its seed, and
+# `go test -shuffle=<seed>` replays that order.
 test:
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 
 # Race detector + coverage in ONE pass (atomic covermode is the race-safe
 # one anyway), so CI never runs the suite twice. Prints the total so the
 # trend is visible straight from CI logs; coverage.out is a CI artifact.
 test-cover:
-	$(GO) test -race -covermode=atomic -coverprofile=coverage.out ./...
+	$(GO) test -race -shuffle=on -covermode=atomic -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
 # Short native-fuzzing passes, 10 s each. FuzzRestoreRecord: any JSON that

@@ -96,12 +96,10 @@ type eventHub struct {
 	feeds   map[string]*sessionFeed
 	maxSubs int
 	subBuf  int
-	// metrics is set once by NewServer before any traffic; nil for bare
-	// managers.
 	metrics *Metrics
 }
 
-func newEventHub(maxSubs int) *eventHub {
+func newEventHub(maxSubs int, metrics *Metrics) *eventHub {
 	if maxSubs <= 0 {
 		maxSubs = DefaultMaxSubscribers
 	}
@@ -109,13 +107,12 @@ func newEventHub(maxSubs int) *eventHub {
 		feeds:   make(map[string]*sessionFeed),
 		maxSubs: maxSubs,
 		subBuf:  defaultSubscriberBuffer,
+		metrics: metrics,
 	}
 }
 
 func (h *eventHub) subscriberGone() {
-	if h.metrics != nil {
-		h.metrics.SubscribersLive.Add(-1)
-	}
+	h.metrics.SubscribersLive.Add(-1)
 }
 
 // publish appends one event to the session's feed and fans it out. A
@@ -137,9 +134,7 @@ func (h *eventHub) publish(id string, ev SessionEvent, now time.Time) {
 		f.ring = f.ring[len(f.ring)-eventRingSize:]
 	}
 	f.idle = now
-	if h.metrics != nil {
-		h.metrics.EventsPublished.Add(1)
-	}
+	h.metrics.EventsPublished.Add(1)
 	for sub := range f.subs {
 		select {
 		case sub.ch <- ev:
@@ -153,10 +148,8 @@ func (h *eventHub) publish(id string, ev SessionEvent, now time.Time) {
 			sub.closed = true
 			close(sub.done)
 			delete(f.subs, sub)
-			if h.metrics != nil {
-				h.metrics.EventsDropped.Add(1)
-				h.metrics.SubscribersDropped.Add(1)
-			}
+			h.metrics.EventsDropped.Add(1)
+			h.metrics.SubscribersDropped.Add(1)
 			h.subscriberGone()
 		}
 	}
@@ -208,9 +201,7 @@ func (h *eventHub) subscribe(id string, lastID uint64, hasLast bool, snapshot Se
 	}
 	f.subs[sub] = struct{}{}
 	f.idle = now
-	if h.metrics != nil {
-		h.metrics.SubscribersLive.Add(1)
-	}
+	h.metrics.SubscribersLive.Add(1)
 	return sub, nil
 }
 

@@ -348,3 +348,65 @@ func TestLeaseRenewalRacesEvictionAndPartials(t *testing.T) {
 		t.Fatalf("leases held = %d, want 1", held)
 	}
 }
+
+// TestStaleFencedSignalSparesSuccessor: a fenced signal that arrives after
+// this node already retired the fenced instance and adopted a successor
+// (the handler that saw the refused write runs late) must not retire the
+// successor. The signal names the epoch that was refused, and only an
+// instance at that epoch is dropped.
+func TestStaleFencedSignalSparesSuccessor(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	const selfA, selfB = "http://a:1", "http://b:2"
+	ringA := &leaseRing{self: selfA, alive: map[string]bool{selfB: true}}
+	mA := newFileManager(t, dir, ManagerConfig{
+		Ownership: ringA, Self: selfA, LeaseTTL: time.Minute, LeaseRenew: time.Hour, now: clk.now,
+	})
+	defer mA.Close()
+	ringB := &leaseRing{self: selfB, alive: map[string]bool{selfA: false}}
+	mB := newFileManager(t, dir, ManagerConfig{
+		Ownership: ringB, Self: selfB, LeaseTTL: time.Minute, LeaseRenew: time.Hour, now: clk.now,
+	})
+	defer mB.Close()
+
+	x, err := mA.Create(context.Background(), testCreateReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := x.ID()
+	// B steals the lease (epoch 2); X's next write is refused.
+	if _, err := mB.Get(context.Background(), id); err != nil {
+		t.Fatal(err)
+	}
+	sel, _, err := x.Select(context.Background(), clk.now(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = x.Merge(context.Background(), clk.now(), &AnswersRequest{
+		Tasks: sel.Tasks, Answers: make([]bool, len(sel.Tasks)), Version: &sel.Version,
+	})
+	var fenced *FencedError
+	if !errors.As(err, &fenced) {
+		t.Fatalf("deposed merge = %v, want FencedError", err)
+	}
+
+	// The heartbeat retires X, then A adopts a successor Y from B (now
+	// seen dead) at epoch 3.
+	if _, lost := mA.RenewHeldLeases(clk.now()); lost != 1 {
+		t.Fatalf("A renewal lost %d leases, want 1", lost)
+	}
+	ringA.setAlive(selfB, false)
+	y, err := mA.Get(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The late handler call for X's refused write.
+	mA.RetireFenced(id, fenced.epoch)
+	if mA.Len() != 1 || mA.LeasesHeld() != 1 {
+		t.Fatalf("stale fenced signal dropped the successor: len=%d held=%d", mA.Len(), mA.LeasesHeld())
+	}
+	if _, _, err := y.Select(context.Background(), clk.now(), 0); err != nil {
+		t.Fatalf("successor Select = %v", err)
+	}
+}

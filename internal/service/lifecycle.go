@@ -2,17 +2,17 @@ package service
 
 // lifecycle.go is the residency core of the Manager: which sessions are
 // live in this process, how they get in (single-flight lazy loads from the
-// store), and how they get out (TTL eviction, relinquishment to a new
-// owner). manager.go layers the public API and the ownership gate on top;
-// this file owns every transition of the resident set.
+// store), and how they get out. manager.go layers the public API, Create
+// and the ownership gate on top.
 //
-// The file exists because residency transitions all share one delicate
-// invariant: the store side effect (flush or delete) and the map removal
-// must happen in ONE shard-lock critical section, or a concurrent lazy
-// load slips into the gap, publishes a second live instance, and the two
-// instances fork the session's history. Eviction, deletion, and
-// relinquishment are the same dance with different store side effects —
-// keeping them side by side keeps them honest.
+// Every way a session leaves memory is one exit, and drop is the only code
+// that removes a session from the resident set: TTL unload and expiry
+// (Sweep), Delete, relinquishment to a new owner, and retirement after a
+// lost lease all call it. drop holds the one invariant residency has: the
+// exit's store side effect (flush or delete) and the removal from the map
+// happen in ONE shard-lock critical section, or a concurrent lazy load
+// slips into the gap, publishes a second live instance, and the two
+// instances fork the session's history.
 
 import (
 	"context"
@@ -79,6 +79,193 @@ func (m *Manager) janitor(interval time.Duration) {
 	}
 }
 
+// exit names a way a session leaves memory. It decides drop's store side
+// effect, whether the lease is handed back, and the terminal event the
+// session's subscribers receive.
+type exit int
+
+const (
+	// exitUnload: TTL over a durable store. Flush; the session reloads on
+	// its next touch, so the event feed stays open.
+	exitUnload exit = iota
+	// exitExpire: TTL over a volatile store. Delete the record and leave a
+	// tombstone; subscribers get expire.
+	exitExpire
+	// exitDelete: a client delete. Delete the record whether or not the
+	// session is resident; subscribers get deleted.
+	exitDelete
+	// exitRelinquish: another node owns the session now. Flush, so the new
+	// owner adopts the full history; subscribers get redirect.
+	exitRelinquish
+	// exitFenced: another node took the lease. No write (the fence would
+	// refuse it); subscribers get redirect.
+	exitFenced
+)
+
+// exitFailure is the log message for a failed store side effect.
+var exitFailure = [exitFenced + 1]string{
+	exitUnload:     "eviction flush failed",
+	exitExpire:     "eviction delete failed",
+	exitDelete:     "store delete failed",
+	exitRelinquish: "relinquish flush failed",
+}
+
+// drop removes session id from memory by exit why and reports whether the
+// session existed: a resident instance, or for exitDelete a stored record.
+// A non-nil want drops only that instance: if id has been unloaded and
+// reloaded since the caller looked, the successor stays.
+//
+// Under the shard write lock drop runs the exit's store side effect,
+// retires the instance — a handler still holding the pointer is bounced to
+// the manager instead of committing to an orphan — and unpublishes it.
+// After the lock it gives back the slot, hands a flushed session's lease
+// over (after the flush: release keeps our epoch, so the flush was not
+// fenced by it), bumps the exit's counter and closes the event feed with
+// the exit's terminal event.
+func (m *Manager) drop(ctx context.Context, id string, want *Session, why exit) bool {
+	var sp *trace.Span
+	if why == exitRelinquish {
+		ctx, sp = m.tracer.Start(ctx, "session.relinquish")
+		sp.SetAttr("session", id)
+		defer sp.End()
+	}
+	now := m.cfg.now()
+	sh := m.shardFor(id)
+	sh.mu.Lock()
+	s := sh.sessions[id]
+	if want != nil && s != want {
+		s = nil
+	}
+	var stored bool
+	var err error
+	switch {
+	case why == exitDelete:
+		// The store delete runs even when nothing is resident (an unloaded
+		// session exists only in the store), and under the lock so it
+		// serializes with lazy loads: a load that could still observe the
+		// record registered its loadOp before this lock and is invalidated
+		// here, so a deleted session is never resurrected.
+		if s != nil {
+			s.retire()
+		}
+		if op, ok := sh.loading[id]; ok {
+			op.deleted = true
+		}
+		stored, err = m.store.Delete(id)
+	case s == nil:
+	case why == exitUnload || why == exitRelinquish:
+		// No merge can land on this instance after the snapshot it flushes.
+		// The merges themselves are already in the op log; only the final
+		// access time and done latch are at risk if the flush fails.
+		err = s.retireAndFlush(m.store)
+	case why == exitExpire:
+		s.retire()
+		_, err = m.store.Delete(id)
+		m.tombMu.Lock()
+		m.tombs[id] = now
+		m.tombMu.Unlock()
+	default:
+		s.retire()
+	}
+	if s != nil {
+		delete(sh.sessions, id)
+	}
+	sh.mu.Unlock()
+
+	if err != nil && !errors.Is(err, store.ErrBadID) {
+		m.log.Error(exitFailure[why], "session", id, "trace_id", trace.TraceIDFromContext(ctx), "err", err)
+		sp.SetError(err)
+	}
+	if s == nil && !stored {
+		return false
+	}
+	if s != nil {
+		m.unreserve()
+		// A deleted record took its lease with it, and a fenced lease is
+		// someone else's already.
+		if why == exitUnload || why == exitRelinquish {
+			m.releaseLease(id, s.leaseEpoch)
+		}
+	}
+
+	ev := &SessionEvent{SessionInfo: SessionInfo{ID: id}, TraceID: trace.TraceIDFromContext(ctx)}
+	switch why {
+	case exitUnload:
+		// The feed outlives the unload: the reloaded instance publishes
+		// into it.
+		m.metrics.SessionsUnloaded.Add(1)
+		return true
+	case exitExpire:
+		ev.Type = EventExpire
+		m.metrics.SessionsEvicted.Add(1)
+		info := s.peekInfo()
+		m.log.Info("session expired after idle TTL", "session", id,
+			"ttl", m.cfg.TTL, "version", info.Version,
+			"spent", info.Spent, "budget", info.Budget)
+	case exitDelete:
+		ev.Type = EventDeleted
+	default:
+		// Subscribers re-subscribe at the new owner and resume: the lease
+		// holder when one is recorded, else the ring's choice.
+		ev.Type = EventRedirect
+		if l, err := m.store.GetLease(id); err == nil && l != nil {
+			ev.Owner = l.Owner
+		}
+		if ev.Owner == "" && m.cfg.Ownership != nil {
+			ev.Owner = m.cfg.Ownership.Owner(id)
+		}
+		sp.SetAttr("new_owner", ev.Owner)
+		if why == exitRelinquish {
+			m.metrics.SessionsRelinquished.Add(1)
+			m.log.Info("session relinquished to new owner", "session", id,
+				"new_owner", ev.Owner, "trace_id", ev.TraceID)
+		}
+	}
+	m.events.terminate(id, ev, now)
+	return true
+}
+
+// resident snapshots every published instance across the shards.
+func (m *Manager) resident() []*Session {
+	var out []*Session
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.RLock()
+		for _, s := range sh.sessions {
+			out = append(out, s)
+		}
+		sh.mu.RUnlock()
+	}
+	return out
+}
+
+// published returns the instance id currently maps to, or nil.
+func (m *Manager) published(id string) *Session {
+	sh := m.shardFor(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.sessions[id]
+}
+
+// reserve takes a live-session slot, failing with ErrTooManySessions at
+// the cap. Created and reloaded sessions occupy the same memory, so both
+// take a slot; unreserve gives one back.
+func (m *Manager) reserve() error {
+	m.countMu.Lock()
+	defer m.countMu.Unlock()
+	if m.cfg.MaxSessions > 0 && m.count >= m.cfg.MaxSessions {
+		return fmt.Errorf("%w (%d live)", ErrTooManySessions, m.cfg.MaxSessions)
+	}
+	m.count++
+	return nil
+}
+
+func (m *Manager) unreserve() {
+	m.countMu.Lock()
+	m.count--
+	m.countMu.Unlock()
+}
+
 // Sweep evicts every session idle since before now-TTL and returns how
 // many were evicted. Over a durable store eviction is an unload: the
 // session is flushed (final access time, done latch — its merges are
@@ -92,85 +279,21 @@ func (m *Manager) Sweep(now time.Time) int {
 		return 0
 	}
 	cutoff := now.Add(-m.cfg.TTL)
-	durable := m.store.Durable()
+	why := exitExpire
+	if m.store.Durable() {
+		why = exitUnload
+	}
 	evicted := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		// Collect candidates under the read lock, then re-check under
-		// the write lock so a session touched in between survives.
-		sh.mu.RLock()
-		var stale []string
-		for id, s := range sh.sessions {
-			if s.idleSince().Before(cutoff) {
-				stale = append(stale, id)
-			}
-		}
-		sh.mu.RUnlock()
-		if len(stale) == 0 {
-			continue
-		}
-		// The store side effect (flush or delete) MUST happen before the
-		// session leaves the map, under the shard write lock. Otherwise a
-		// lazy reload could slip into the gap, publish a second live
-		// instance, and acknowledge merges that the victim's stale flush
-		// would then truncate out of the log (or whose record the volatile
-		// delete would pull out from under it).
-		sh.mu.Lock()
-		for _, id := range stale {
-			s, ok := sh.sessions[id]
-			if !ok || !s.idleSince().Before(cutoff) {
-				continue
-			}
-			if durable {
-				// Flush and retire in one critical section: no merge can
-				// land on this instance after the snapshot it flushed, so
-				// a handler still holding the pointer is bounced to the
-				// manager (and the reloaded successor) instead of
-				// committing to an orphan.
-				if err := s.retireAndFlush(m.store); err != nil {
-					// The merges themselves are already in the op log;
-					// only the final access time is at risk.
-					m.log.Error("eviction flush failed", "session", id, "err", err)
-				}
-			} else {
-				info := s.Info(now, false)
-				s.retire()
-				if _, err := m.store.Delete(id); err != nil {
-					m.log.Error("eviction delete failed", "session", id, "err", err)
-				}
-				m.tombMu.Lock()
-				m.tombs[id] = now
-				m.tombMu.Unlock()
-				m.log.Info("session expired after idle TTL", "session", id,
-					"ttl", m.cfg.TTL, "version", info.Version,
-					"spent", info.Spent, "budget", info.Budget)
-				// Volatile expiry is terminal: say goodbye to watchers.
-				m.events.terminate(id, &SessionEvent{
-					Type:        EventExpire,
-					SessionInfo: SessionInfo{ID: id},
-				}, now)
-			}
-			delete(sh.sessions, id)
-			// An evicted session's lease goes with it: release (keeping
-			// the epoch as the fence) so a future owner adopts without
-			// waiting out the TTL. On the volatile path the store delete
-			// already removed the lease record; releaseLease then only
-			// clears the bookkeeping entry.
-			m.releaseLease(id)
+	for _, s := range m.resident() {
+		// Idleness is checked right before the drop, and drop removes only
+		// this instance: a session reloaded since the snapshot is never
+		// the victim.
+		if s.idleSince().Before(cutoff) && m.drop(context.Background(), s.id, s, why) {
 			evicted++
 		}
-		sh.mu.Unlock()
 	}
-	if evicted > 0 {
-		m.countMu.Lock()
-		m.count -= evicted
-		m.countMu.Unlock()
-		if durable {
-			m.log.Info("unloaded idle sessions to the store", "count", evicted)
-		}
-		if m.evicted != nil {
-			m.evicted(evicted, !durable)
-		}
+	if evicted > 0 && why == exitUnload {
+		m.log.Info("unloaded idle sessions to the store", "count", evicted)
 	}
 	m.pruneTombs(now)
 	// Subscriber-less feeds idle past the TTL go too; feeds with live
@@ -203,106 +326,23 @@ func (m *Manager) wasExpired(id string) bool {
 	return ok
 }
 
-// relinquish hands a resident session over to whichever node now owns it:
-// flush-and-retire under the shard write lock (the same critical section
-// discipline as eviction — no merge can land between the flushed snapshot
-// and the map removal), then drop it from memory. The new owner rebuilds
-// the session from the shared store by record replay, bit-identically,
-// exactly as crash recovery would. Reports whether an instance was
-// resident.
-//
-// Relinquishing is idempotent and safe to race with itself; a session
-// relinquished by mistake (ownership flapped back) just reloads from the
-// store on its next touch.
-func (m *Manager) relinquish(ctx context.Context, id string) bool {
-	sh := m.shardFor(id)
-	// Fast path under the read lock: the common misrouted request is for a
-	// session that was never resident here, and taking the write lock for
-	// every such 421 would serialize redirect storms against the stripe's
-	// owned-session traffic. A load that publishes between this check and
-	// the caller's redirect is a pre-ownership-change straggler; the next
-	// touch relinquishes it, which is the documented convergence path.
-	sh.mu.RLock()
-	_, resident := sh.sessions[id]
-	sh.mu.RUnlock()
-	if !resident {
-		return false
-	}
-	var sp *trace.Span
-	if m.tracer != nil {
-		ctx, sp = m.tracer.Start(ctx, "session.relinquish")
-		sp.SetAttr("session", id)
-		defer sp.End()
-	}
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
-	if ok {
-		if err := s.retireAndFlush(m.store); err != nil {
-			// The merges are already in the op log; only the final access
-			// time and done latch are at risk.
-			m.log.Error("relinquish flush failed", "session", id,
-				"trace_id", trace.TraceIDFromContext(ctx), "err", err)
-			sp.SetError(err)
-		}
-		delete(sh.sessions, id)
-	}
-	sh.mu.Unlock()
-	if ok {
-		// Hand the lease over with the session: release AFTER the flush
-		// (release keeps our epoch, so the flush was not fenced by it) and
-		// the new owner's acquisition bumps past it immediately.
-		m.releaseLease(id)
-		m.countMu.Lock()
-		m.count--
-		m.countMu.Unlock()
-		if m.relinquished != nil {
-			m.relinquished(1)
-		}
-		// Terminate streams with a redirect event carrying the new
-		// owner's address: subscribers re-subscribe there and resume.
-		owner := ""
-		if m.cfg.Ownership != nil {
-			owner = m.cfg.Ownership.Owner(id)
-		}
-		m.events.terminate(id, &SessionEvent{
-			Type:        EventRedirect,
-			SessionInfo: SessionInfo{ID: id},
-			Owner:       owner,
-			TraceID:     trace.TraceIDFromContext(ctx),
-		}, m.cfg.now())
-		sp.SetAttr("new_owner", owner)
-		m.log.Info("session relinquished to new owner", "session", id,
-			"owner", owner, "trace_id", trace.TraceIDFromContext(ctx))
-	}
-	return ok
-}
-
-// RelinquishNotOwned scans the resident set and relinquishes every session
-// this node no longer owns, returning how many moved. The server calls it
-// on ring topology changes; rebalance cost is bounded by the rendezvous
-// minimal-disruption property — only the ~K/N sessions the change actually
-// re-homed are touched, everything else stays resident and hot.
+// RelinquishNotOwned hands every resident session this node no longer
+// owns to its new owner, returning how many moved. The new owner rebuilds
+// each from the shared store by record replay, bit-identically, exactly
+// as crash recovery would. The server calls it on ring topology changes;
+// rebalance cost is bounded by the rendezvous minimal-disruption property —
+// only the ~K/N sessions the change actually re-homed are touched,
+// everything else stays resident and hot.
 func (m *Manager) RelinquishNotOwned() int {
 	if m.cfg.Ownership == nil {
 		return 0
 	}
 	moved := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		var stale []string
-		for id := range sh.sessions {
-			if !m.owns(id) {
-				stale = append(stale, id)
-			}
-		}
-		sh.mu.RUnlock()
-		for _, id := range stale {
-			// Re-check under current ownership: the ring may have flapped
-			// back between the scan and the handoff.
-			if !m.owns(id) && m.relinquish(context.Background(), id) {
-				moved++
-			}
+	for _, s := range m.resident() {
+		// Ownership is read right before the drop: the ring may have
+		// flapped back since the snapshot.
+		if !m.owns(s.id) && m.drop(context.Background(), s.id, s, exitRelinquish) {
+			moved++
 		}
 	}
 	if moved > 0 {
@@ -338,14 +378,16 @@ func (m *Manager) load(ctx context.Context, id string, sh *shard) (*Session, err
 	sh.loading[id] = op
 	sh.mu.Unlock()
 
-	s, release, err := m.loadFromStore(ctx, id)
+	s, err := m.loadFromStore(ctx, id)
 
 	sh.mu.Lock()
 	delete(sh.loading, id)
 	if err == nil && op.deleted {
+		// The delete took the record and its lease with it; only the slot
+		// is left to give back.
 		err = ErrNotFound
 		s.retire()
-		release()
+		m.unreserve()
 		s = nil
 	}
 	if err == nil {
@@ -362,25 +404,23 @@ func (m *Manager) load(ctx context.Context, id string, sh *shard) (*Session, err
 	m.log.Info("session recovered from store", "session", id,
 		"version", info.Version, "spent", info.Spent, "budget", info.Budget,
 		"trace_id", trace.TraceIDFromContext(ctx))
-	if m.recovered != nil {
-		m.recovered()
-	}
+	m.metrics.SessionsRecovered.Add(1)
 	return s, nil
 }
 
-// loadFromStore reads and replays one record, reserving a live-session
-// slot. On success the caller owns the slot and must call release if it
-// discards the session instead of publishing it.
-func (m *Manager) loadFromStore(ctx context.Context, id string) (s *Session, release func(), err error) {
+// loadFromStore reads and replays one record, taking its write lease and a
+// live-session slot. On success the caller owns both and must unreserve
+// the slot if it discards the session instead of publishing it.
+func (m *Manager) loadFromStore(ctx context.Context, id string) (s *Session, err error) {
 	rec, err := m.store.Get(id)
 	if err != nil {
 		if errors.Is(err, store.ErrNotExist) || errors.Is(err, store.ErrBadID) {
 			if m.wasExpired(id) {
-				return nil, nil, ErrExpired
+				return nil, ErrExpired
 			}
-			return nil, nil, ErrNotFound
+			return nil, ErrNotFound
 		}
-		return nil, nil, fmt.Errorf("%w: %v", ErrStore, err)
+		return nil, fmt.Errorf("%w: %v", ErrStore, err)
 	}
 
 	// The adoption span covers the fence takeover and the full record
@@ -402,48 +442,35 @@ func (m *Manager) loadFromStore(ctx context.Context, id string) (s *Session, rel
 	// probes for unknown IDs never mint lease records.
 	epoch, err := m.acquireLease(ctx, id)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			m.releaseLease(id, epoch)
+		}
+	}()
 	if epoch > 0 {
 		// Re-read under our fence: anything the deposed owner flushed
 		// before our acquisition landed is visible now, and nothing more
 		// can land after it.
-		rec, err = m.store.Get(id)
-		if err != nil {
-			m.releaseLease(id)
+		if rec, err = m.store.Get(id); err != nil {
 			if errors.Is(err, store.ErrNotExist) {
-				return nil, nil, ErrNotFound
+				return nil, ErrNotFound
 			}
-			return nil, nil, fmt.Errorf("%w: %v", ErrStore, err)
+			return nil, fmt.Errorf("%w: %v", ErrStore, err)
 		}
 	}
-
-	// A reloaded session occupies the same memory as a created one, so it
-	// takes a slot under the same cap.
-	m.countMu.Lock()
-	if m.cfg.MaxSessions > 0 && m.count >= m.cfg.MaxSessions {
-		m.countMu.Unlock()
-		m.releaseLease(id)
-		return nil, nil, fmt.Errorf("%w (%d live)", ErrTooManySessions, m.cfg.MaxSessions)
+	if err = m.reserve(); err != nil {
+		return nil, err
 	}
-	m.count++
-	m.countMu.Unlock()
-	release = func() {
-		m.countMu.Lock()
-		m.count--
-		m.countMu.Unlock()
-		m.releaseLease(id)
-	}
-
-	s, err = restoreSession(rec, m.cfg.AnonWorker, m.cfg.now())
-	if err != nil {
-		release()
-		return nil, nil, fmt.Errorf("%w: %v", ErrStore, err)
+	if s, err = restoreSession(rec, m.cfg.AnonWorker, m.cfg.now()); err != nil {
+		m.unreserve()
+		return nil, fmt.Errorf("%w: %v", ErrStore, err)
 	}
 	// The hooks are attached only after replay: recovery transitions are
 	// not republished (subscribers already saw them or will re-sync from
 	// their snapshot), and the reloaded instance feeds the same ID-keyed
 	// stream its predecessor did.
 	m.attach(s, epoch)
-	return s, release, nil
+	return s, nil
 }

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crowdfusion/internal/crowd"
@@ -72,6 +73,9 @@ func (e *NotOwnerError) Error() string {
 type FencedError struct {
 	ID    string
 	Owner string // current lease holder, "" when unknown
+	// epoch is the lease epoch the refused write was stamped with, naming
+	// the instance that must retire; 0 for a bounced acquisition.
+	epoch uint64
 }
 
 // Error implements error.
@@ -137,6 +141,9 @@ type ManagerConfig struct {
 	AnonWorker string
 	// now overrides the clock in tests.
 	now func() time.Time
+	// metrics receives the manager's counters; nil gets a fresh set. The
+	// server passes its own.
+	metrics *Metrics
 }
 
 // Manager is the ownership-aware session cache in front of the
@@ -155,16 +162,17 @@ type ManagerConfig struct {
 //     session by record replay — the property that makes both crash
 //     recovery and cross-node migration the same code path.
 type Manager struct {
-	cfg    ManagerConfig
-	store  store.SessionStore
-	log    *slog.Logger
-	tracer *trace.Tracer
+	cfg     ManagerConfig
+	store   store.SessionStore
+	log     *slog.Logger
+	tracer  *trace.Tracer
+	metrics *Metrics
 
 	shards [sessionShards]shard
 
 	countMu sync.Mutex
-	count   int   // live sessions across shards
-	created int64 // sessions ever created (seeds Random selector streams)
+	count   int          // live sessions across shards, see reserve
+	created atomic.Int64 // sessions ever created (seeds Random selector streams)
 
 	// tombs records sessions the janitor dropped from a volatile store,
 	// so later requests can be answered with ErrExpired rather than a
@@ -181,40 +189,16 @@ type Manager struct {
 	janitorStop chan struct{}
 	janitorDone chan struct{}
 
-	// held tracks the lease epochs this node holds, keyed by session ID —
-	// the renewal loop's work list and the leases_held gauge. An entry
-	// exists iff this node believes it holds the session's lease; the
-	// store's lease record is the ground truth the renewal loop checks
-	// against.
-	leaseMu   sync.Mutex
-	held      map[string]uint64
 	leaseStop chan struct{}
 	leaseDone chan struct{}
-
-	// Metrics hooks, set by the server. evicted reports janitor activity
-	// (dropped=true when the state was discarded, false when it was
-	// flushed to a durable store); recovered reports one lazy reload;
-	// relinquished reports sessions handed to another owner; fencedBounced
-	// reports an acquisition bounced off a live holder's lease (store-level
-	// fenced writes are counted by the instrumented store instead).
-	evicted       func(n int, dropped bool)
-	recovered     func()
-	relinquished  func(n int)
-	fencedBounced func()
-	// refitObserved reports one worker-accuracy refit and its latency;
-	// weightedMerged reports one posterior conditioning that used
-	// per-worker accuracy estimates instead of the scalar pc.
-	refitObserved  func(d time.Duration)
-	weightedMerged func()
 }
 
-// attach wires a session built by restoreSession into this manager: metric
-// hooks, the lease epoch its writes are stamped with, the tracer, the
+// attach wires a session built by restoreSession into this manager: the
+// counters, the lease epoch its writes are stamped with, the tracer, the
 // persist hook and the event sink — the same wiring for created and
 // reloaded sessions, done before the instance is published.
 func (m *Manager) attach(s *Session, epoch uint64) {
-	s.onRefit = m.refitObserved
-	s.onWeightedMerge = m.weightedMerged
+	s.metrics = m.metrics
 	s.leaseEpoch = epoch
 	s.tracer = m.tracer
 	s.persist = func(op store.Op) error { return m.store.Append(s.id, op) }
@@ -227,7 +211,10 @@ func NewManager(cfg ManagerConfig) *Manager {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
-	m := &Manager{cfg: cfg, store: cfg.Store, log: cfg.Logger, tracer: cfg.Tracer}
+	m := &Manager{cfg: cfg, store: cfg.Store, log: cfg.Logger, tracer: cfg.Tracer, metrics: cfg.metrics}
+	if m.metrics == nil {
+		m.metrics = &Metrics{}
+	}
 	if m.store == nil {
 		m.store = store.NewMemory()
 	}
@@ -235,8 +222,7 @@ func NewManager(cfg ManagerConfig) *Manager {
 		m.log = slog.New(slog.DiscardHandler)
 	}
 	m.tombs = make(map[string]time.Time)
-	m.held = make(map[string]uint64)
-	m.events = newEventHub(cfg.MaxSubscribers)
+	m.events = newEventHub(cfg.MaxSubscribers, m.metrics)
 	for i := range m.shards {
 		m.shards[i].sessions = make(map[string]*Session)
 		m.shards[i].loading = make(map[string]*loadOp)
@@ -277,12 +263,19 @@ func (m *Manager) owns(id string) bool {
 // checkOwnership gates every session-addressed entry point. For an ID this
 // node does not serve it relinquishes any resident instance (the bounded
 // part of rebalancing: a topology change moves only the sessions it
-// re-homed, each with one flush) and returns the redirect.
+// re-homed, each with one flush) and returns the redirect. Relinquishing
+// is idempotent; a session relinquished by mistake (ownership flapped
+// back) just reloads from the store on its next touch.
 func (m *Manager) checkOwnership(ctx context.Context, id string) error {
 	if m.owns(id) {
 		return nil
 	}
-	m.relinquish(ctx, id)
+	// The read-locked probe keeps the common misrouted request — for a
+	// session never resident here — off the stripe's write lock, so a
+	// redirect storm does not serialize against owned-session traffic.
+	if s := m.published(id); s != nil {
+		m.drop(ctx, id, s, exitRelinquish)
+	}
 	return &NotOwnerError{ID: id, Owner: m.cfg.Ownership.Owner(id)}
 }
 
@@ -302,33 +295,16 @@ func (m *Manager) Close() {
 		m.leaseStop = nil
 	}
 	m.events.closeAll()
-	if m.store.Durable() {
-		for i := range m.shards {
-			sh := &m.shards[i]
-			sh.mu.RLock()
-			resident := make([]*Session, 0, len(sh.sessions))
-			for _, s := range sh.sessions {
-				resident = append(resident, s)
-			}
-			sh.mu.RUnlock()
-			for _, s := range resident {
-				if err := s.flush(m.store); err != nil {
-					m.log.Error("final flush failed", "session", s.ID(), "err", err)
-				}
+	// Each lease is released after the final flush (release keeps the
+	// epoch, so our own flush is never fenced by it) — a clean shutdown
+	// lets the next owner adopt immediately instead of waiting out the TTL.
+	for _, s := range m.resident() {
+		if m.store.Durable() {
+			if err := s.flush(m.store); err != nil {
+				m.log.Error("final flush failed", "session", s.ID(), "err", err)
 			}
 		}
-	}
-	// Release held leases after the final flush (release keeps the epoch,
-	// so our own flush is never fenced by it) — a clean shutdown lets the
-	// next owner adopt immediately instead of waiting out the TTL.
-	m.leaseMu.Lock()
-	held := m.held
-	m.held = make(map[string]uint64)
-	m.leaseMu.Unlock()
-	for id, epoch := range held {
-		if err := m.store.ReleaseLease(id, m.leaseSelf(), epoch); err != nil {
-			m.log.Warn("lease release failed", "session", id, "err", err)
-		}
+		m.releaseLease(s.id, s.leaseEpoch)
 	}
 	if err := m.store.Close(); err != nil {
 		m.log.Error("closing store failed", "err", err)
@@ -380,25 +356,18 @@ func (m *Manager) Create(ctx context.Context, req *CreateSessionRequest) (*Sessi
 	// product distribution can materialize 2^n worlds, and that work
 	// must not be burned for a request the cap is about to reject (nor
 	// can the cap be raced past by concurrent creates).
-	m.countMu.Lock()
-	if m.cfg.MaxSessions > 0 && m.count >= m.cfg.MaxSessions {
-		m.countMu.Unlock()
-		return nil, fmt.Errorf("%w (%d live)", ErrTooManySessions, m.cfg.MaxSessions)
+	if err := m.reserve(); err != nil {
+		return nil, err
 	}
-	m.count++
-	m.created++
-	seq := m.created
-	m.countMu.Unlock()
-	release := func() {
-		m.countMu.Lock()
-		m.count--
-		m.countMu.Unlock()
+	seq := m.created.Add(1)
+	fail := func(err error) (*Session, error) {
+		m.unreserve()
+		return nil, err
 	}
 
 	id, err := m.placeID()
 	if err != nil {
-		release()
-		return nil, err
+		return fail(err)
 	}
 	now := m.cfg.now()
 	rec := &store.Record{
@@ -436,16 +405,14 @@ func (m *Manager) Create(ctx context.Context, req *CreateSessionRequest) (*Sessi
 	}
 	s, err := restoreSession(rec, m.cfg.AnonWorker, now)
 	if err != nil {
-		release()
-		return nil, err
+		return fail(err)
 	}
 	// Take the write lease before the first Put so the record (and every
 	// later op) is stamped with our epoch. A fresh random ID cannot have a
 	// live holder, so this only ever fails on store trouble.
 	epoch, err := m.acquireLease(ctx, id)
 	if err != nil {
-		release()
-		return nil, err
+		return fail(err)
 	}
 	m.attach(s, epoch)
 
@@ -457,9 +424,8 @@ func (m *Manager) Create(ctx context.Context, req *CreateSessionRequest) (*Sessi
 	psp.SetError(perr)
 	psp.End()
 	if perr != nil {
-		m.releaseLease(id)
-		release()
-		return nil, fmt.Errorf("%w: %v", ErrStore, perr)
+		m.releaseLease(id, epoch)
+		return fail(fmt.Errorf("%w: %v", ErrStore, perr))
 	}
 	sh := m.shardFor(id)
 	sh.mu.Lock()
@@ -476,14 +442,10 @@ func (m *Manager) Get(ctx context.Context, id string) (*Session, error) {
 	if err := m.checkOwnership(ctx, id); err != nil {
 		return nil, err
 	}
-	sh := m.shardFor(id)
-	sh.mu.RLock()
-	s, ok := sh.sessions[id]
-	sh.mu.RUnlock()
-	if ok {
+	if s := m.published(id); s != nil {
 		return s, nil
 	}
-	return m.load(ctx, id, sh)
+	return m.load(ctx, id, m.shardFor(id))
 }
 
 // onSession calls f on sess, the instance id resolved to. When that
@@ -503,50 +465,13 @@ func onSession[T any](ctx context.Context, m *Manager, id string, sess *Session,
 }
 
 // Delete removes a session from memory and the store, reporting whether it
-// existed in either. The store delete runs under the shard lock so it
-// serializes with lazy loads: any load that could still observe the record
-// registered its loadOp before this lock and gets invalidated here — a
-// deleted session can never be resurrected by a racing reload.
+// existed in either. A load racing the delete is invalidated, so a deleted
+// session can never be resurrected by it (see drop).
 func (m *Manager) Delete(ctx context.Context, id string) (bool, error) {
 	if err := m.checkOwnership(ctx, id); err != nil {
 		return false, err
 	}
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
-	if ok {
-		delete(sh.sessions, id)
-		s.retire()
-	}
-	if op, loading := sh.loading[id]; loading {
-		op.deleted = true
-	}
-	stored, err := m.store.Delete(id)
-	sh.mu.Unlock()
-	// The store delete removed the lease record with the session; only the
-	// local bookkeeping entry is left to drop.
-	m.leaseMu.Lock()
-	delete(m.held, id)
-	m.leaseMu.Unlock()
-	if ok {
-		m.countMu.Lock()
-		m.count--
-		m.countMu.Unlock()
-	}
-	if err != nil && !errors.Is(err, store.ErrBadID) {
-		m.log.Error("store delete failed", "session", id,
-			"trace_id", trace.TraceIDFromContext(ctx), "err", err)
-	}
-	// A session unloaded by the janitor exists only in the store.
-	existed := ok || stored
-	if existed {
-		m.events.terminate(id, &SessionEvent{
-			Type:        EventDeleted,
-			SessionInfo: SessionInfo{ID: id},
-			TraceID:     trace.TraceIDFromContext(ctx),
-		}, m.cfg.now())
-	}
-	return existed, nil
+	return m.drop(ctx, id, nil, exitDelete), nil
 }
 
 // eventSink returns a session's emit hook: publish into the hub, keyed by
@@ -606,11 +531,7 @@ func (m *Manager) ListSessions(after string, limit int) (*ListSessionsResponse, 
 // summarize builds one listing row. ok=false when the session vanished
 // between List and here (a concurrent delete) — the row is skipped.
 func (m *Manager) summarize(id string) (SessionSummary, bool) {
-	sh := m.shardFor(id)
-	sh.mu.RLock()
-	s, resident := sh.sessions[id]
-	sh.mu.RUnlock()
-	if resident {
+	if s := m.published(id); s != nil {
 		// peekInfo deliberately skips the TTL touch: listing a node must
 		// not keep every session resident forever.
 		info := s.peekInfo()
@@ -670,31 +591,22 @@ func (m *Manager) Workers() *WorkersResponse {
 	}
 	aggs := make(map[string]*agg)
 	sessions := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		resident := make([]*Session, 0, len(sh.sessions))
-		for _, s := range sh.sessions {
-			resident = append(resident, s)
+	for _, s := range m.resident() {
+		infos := s.WorkerStats()
+		if len(infos) == 0 {
+			continue
 		}
-		sh.mu.RUnlock()
-		for _, s := range resident {
-			infos := s.WorkerStats()
-			if len(infos) == 0 {
-				continue
+		sessions++
+		for _, wi := range infos {
+			a := aggs[wi.Worker]
+			if a == nil {
+				a = &agg{}
+				aggs[wi.Worker] = a
 			}
-			sessions++
-			for _, wi := range infos {
-				a := aggs[wi.Worker]
-				if a == nil {
-					a = &agg{}
-					aggs[wi.Worker] = a
-				}
-				a.sessions++
-				a.support += wi.Support
-				a.correct += wi.Correct
-				a.weighted += float64(wi.Support) * wi.Accuracy
-			}
+			a.sessions++
+			a.support += wi.Support
+			a.correct += wi.Correct
+			a.weighted += float64(wi.Support) * wi.Accuracy
 		}
 	}
 	resp := &WorkersResponse{Workers: make([]WorkerFleetInfo, 0, len(aggs)), Sessions: sessions}
@@ -723,12 +635,17 @@ func (m *Manager) leaseSelf() string {
 	return "local"
 }
 
-// LeasesHeld returns the number of session write leases this node holds —
-// the leases_held gauge, also reported by /healthz.
+// LeasesHeld returns the number of resident sessions holding a write
+// lease — the leases_held gauge, also reported by /healthz. Each resident
+// instance records the lease it holds in its epoch.
 func (m *Manager) LeasesHeld() int {
-	m.leaseMu.Lock()
-	defer m.leaseMu.Unlock()
-	return len(m.held)
+	n := 0
+	for _, s := range m.resident() {
+		if s.leaseEpoch > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // holderGone reports whether the node blocking a lease acquisition can be
@@ -747,8 +664,8 @@ func (m *Manager) holderGone(owner string) bool {
 	return true
 }
 
-// acquireLease takes (or steals) the write lease for id and records it in
-// the held map, returning the fencing epoch to stamp on the session's
+// acquireLease takes (or steals) the write lease for id, returning the
+// fencing epoch to stamp on the session's
 // writes. Returns epoch 0 with no store traffic when leasing is disabled.
 //
 // Steal policy: a held, unexpired lease is taken over only when the ring
@@ -778,9 +695,9 @@ func (m *Manager) acquireLease(ctx context.Context, id string) (epoch uint64, er
 	var held *store.LeaseHeldError
 	if errors.As(aerr, &held) {
 		if !m.holderGone(held.Lease.Owner) {
-			if m.fencedBounced != nil {
-				m.fencedBounced()
-			}
+			// Store-level fenced writes are counted by the instrumented
+			// store; a bounced acquisition is counted here.
+			m.metrics.FencedWritesRefused.Add(1)
 			return 0, &FencedError{ID: id, Owner: held.Lease.Owner}
 		}
 		m.log.Info("stealing lease: holder presumed dead", "session", id,
@@ -792,21 +709,15 @@ func (m *Manager) acquireLease(ctx context.Context, id string) (epoch uint64, er
 	if aerr != nil {
 		return 0, fmt.Errorf("%w: %v", ErrStore, aerr)
 	}
-	m.leaseMu.Lock()
-	m.held[id] = l.Epoch
-	m.leaseMu.Unlock()
 	return l.Epoch, nil
 }
 
-// releaseLease gives up the lease for id. Release keeps the epoch in the
-// store as a permanent fence, so this node's already-stamped writes stay
-// valid while the next owner's acquisition outranks them.
-func (m *Manager) releaseLease(id string) {
-	m.leaseMu.Lock()
-	epoch, ok := m.held[id]
-	delete(m.held, id)
-	m.leaseMu.Unlock()
-	if !ok {
+// releaseLease gives up the lease for id taken at epoch (0: leasing is
+// disabled, nothing to release). Release keeps the epoch in the store as a
+// permanent fence, so this node's already-stamped writes stay valid while
+// the next owner's acquisition outranks them.
+func (m *Manager) releaseLease(id string, epoch uint64) {
+	if epoch == 0 {
 		return
 	}
 	if err := m.store.ReleaseLease(id, m.leaseSelf(), epoch); err != nil {
@@ -831,89 +742,65 @@ func (m *Manager) leaseLoop(interval time.Duration) {
 	}
 }
 
-// RenewHeldLeases renews every lease this node holds against the store,
-// retiring any session whose lease another node took. Returns the renewed
-// and lost counts. The lease loop calls it on the heartbeat; it is
-// exported so tests (and deployments with an external cadence) can drive
-// renewal with an explicit clock.
+// RenewHeldLeases renews the lease of every resident session at the epoch
+// it holds, retiring any session whose lease another node took. Returns
+// the renewed and lost counts. The lease loop calls it on the heartbeat;
+// it is exported so tests (and deployments with an external cadence) can
+// drive renewal with an explicit clock.
 func (m *Manager) RenewHeldLeases(now time.Time) (renewed, lost int) {
 	if m.cfg.LeaseTTL <= 0 {
 		return 0, 0
 	}
-	m.leaseMu.Lock()
-	snap := make(map[string]uint64, len(m.held))
-	for id, epoch := range m.held {
-		snap[id] = epoch
+	var held []*Session
+	for _, s := range m.resident() {
+		if s.leaseEpoch > 0 {
+			held = append(held, s)
+		}
 	}
-	m.leaseMu.Unlock()
 	// The sweep span is opened only when there is work: an idle node's
 	// heartbeat must not flood the trace recorder with empty traces.
 	var sp *trace.Span
-	if m.tracer != nil && len(snap) > 0 {
+	if m.tracer != nil && len(held) > 0 {
 		_, sp = m.tracer.Start(context.Background(), "lease.renew_sweep")
-		sp.SetAttr("held", len(snap))
+		sp.SetAttr("held", len(held))
 		defer func() {
 			sp.SetAttr("renewed", renewed)
 			sp.SetAttr("lost", lost)
 			sp.End()
 		}()
 	}
-	for id, epoch := range snap {
-		_, err := m.store.RenewLease(id, m.leaseSelf(), epoch, m.cfg.LeaseTTL, now)
+	for _, s := range held {
+		_, err := m.store.RenewLease(s.id, m.leaseSelf(), s.leaseEpoch, m.cfg.LeaseTTL, now)
 		switch {
 		case err == nil:
 			renewed++
 		case errors.Is(err, store.ErrFenced):
 			m.log.Warn("lease superseded; retiring local instance",
-				"session", id, "epoch", epoch)
-			m.RetireFenced(id)
-			lost++
+				"session", s.id, "epoch", s.leaseEpoch)
+			// An instance unloaded since the snapshot released its lease
+			// (so the renewal was refused) and is not dropped again.
+			if m.drop(context.Background(), s.id, s, exitFenced) {
+				lost++
+			}
 		default:
 			// A store hiccup is not a deposition: keep serving — the epoch
 			// fence still protects every write — and retry next tick.
-			m.log.Warn("lease renewal failed", "session", id, "err", err)
+			m.log.Warn("lease renewal failed", "session", s.id, "err", err)
 		}
 	}
 	return renewed, lost
 }
 
-// RetireFenced drops a resident session whose write lease another node
-// superseded. The instance must not serve another request from memory —
-// its state may already trail the new owner's — so it is retired without
-// a flush (a flush would fence anyway) and its event streams are closed
-// with a redirect pointing at the new holder. Reports whether an instance
-// was resident.
-func (m *Manager) RetireFenced(id string) bool {
-	m.leaseMu.Lock()
-	delete(m.held, id)
-	m.leaseMu.Unlock()
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
-	if ok {
-		s.retire()
-		delete(sh.sessions, id)
-	}
-	sh.mu.Unlock()
-	if !ok {
-		return false
-	}
-	m.countMu.Lock()
-	m.count--
-	m.countMu.Unlock()
-	owner := ""
-	if l, err := m.store.GetLease(id); err == nil && l != nil {
-		owner = l.Owner
-	}
-	if owner == "" && m.cfg.Ownership != nil {
-		owner = m.cfg.Ownership.Owner(id)
-	}
-	m.events.terminate(id, &SessionEvent{
-		Type:        EventRedirect,
-		SessionInfo: SessionInfo{ID: id},
-		Owner:       owner,
-	}, m.cfg.now())
-	return true
+// RetireFenced drops the resident instance of id whose write lease, taken
+// at epoch, another node superseded. The instance must not serve another
+// request from memory — its state may already trail the new owner's — so
+// it is retired without a flush (a flush would fence anyway) and its event
+// streams are closed with a redirect pointing at the new holder. A
+// successor adopted at a later epoch is left alone. Reports whether an
+// instance was dropped.
+func (m *Manager) RetireFenced(id string, epoch uint64) bool {
+	s := m.published(id)
+	return s != nil && s.leaseEpoch == epoch && m.drop(context.Background(), id, s, exitFenced)
 }
 
 // Now returns the manager's clock reading (test-overridable).

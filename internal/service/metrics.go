@@ -192,7 +192,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, sessionsLive, leasesHeld, workers
 		counter("crowdfusion_sessions_deleted_total", "Sessions deleted by clients.", m.SessionsDeleted.Load()) +
 		counter("crowdfusion_sessions_relinquished_total", "Sessions flushed and handed to a new owner.", m.SessionsRelinquished.Load()) +
 		counter("crowdfusion_not_owner_rejects_total", "Requests bounced with code not_owner.", m.NotOwnerRejects.Load()) +
-		gauge("crowdfusion_leases_held", "Session write leases this node currently holds.", float64(leasesHeld)) +
+		gauge("crowdfusion_leases_held", "Resident sessions holding a write lease.", float64(leasesHeld)) +
 		counter("crowdfusion_leases_renewed_total", "Successful lease heartbeat renewals.", m.LeasesRenewed.Load()) +
 		counter("crowdfusion_leases_stolen_total", "Unexpired leases this node took over from a deposed owner.", m.LeasesStolen.Load()) +
 		counter("crowdfusion_fenced_writes_refused_total", "Writes and takeover attempts refused by the lease fence.", m.FencedWritesRefused.Load()) +

@@ -233,14 +233,6 @@ func TestManagerTTLUnloadReloadsExactly(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	m := newFileManager(t, dir, ManagerConfig{TTL: time.Minute, now: clk.now})
 	defer m.Close()
-	var unloads, drops int
-	m.evicted = func(n int, dropped bool) {
-		if dropped {
-			drops += n
-		} else {
-			unloads += n
-		}
-	}
 
 	s, err := m.Create(context.Background(), testCreateReq())
 	if err != nil {
@@ -253,8 +245,8 @@ func TestManagerTTLUnloadReloadsExactly(t *testing.T) {
 	if n := m.Sweep(clk.now()); n != 1 {
 		t.Fatalf("Sweep evicted %d, want 1", n)
 	}
-	if unloads != 1 || drops != 0 {
-		t.Fatalf("eviction hooks: unloads=%d drops=%d", unloads, drops)
+	if unloads, drops := m.metrics.SessionsUnloaded.Load(), m.metrics.SessionsEvicted.Load(); unloads != 1 || drops != 0 {
+		t.Fatalf("eviction counters: unloads=%d drops=%d", unloads, drops)
 	}
 	if m.Len() != 0 {
 		t.Fatalf("Len after unload = %d", m.Len())

@@ -182,29 +182,13 @@ func NewServer(cfg Config) *Server {
 		LeaseRenew:     cfg.LeaseRenew,
 		AnonWorker:     cfg.AnonWorker,
 		now:            cfg.now,
+		metrics:        s.metrics,
 	}
 	if cfg.Cluster != nil {
 		mgrCfg.Ownership = cfg.Cluster
 		mgrCfg.Self = cfg.Cluster.Self()
 	}
 	s.mgr = NewManager(mgrCfg)
-	s.mgr.fencedBounced = func() { s.metrics.FencedWritesRefused.Add(1) }
-	// Give the hub its counters before any traffic exists.
-	s.mgr.events.metrics = s.metrics
-	s.mgr.evicted = func(n int, dropped bool) {
-		if dropped {
-			s.metrics.SessionsEvicted.Add(int64(n))
-		} else {
-			s.metrics.SessionsUnloaded.Add(int64(n))
-		}
-	}
-	s.mgr.recovered = func() { s.metrics.SessionsRecovered.Add(1) }
-	s.mgr.relinquished = func(n int) { s.metrics.SessionsRelinquished.Add(int64(n)) }
-	s.mgr.refitObserved = func(d time.Duration) {
-		s.metrics.WorkerRefits.Add(1)
-		s.metrics.RefitDuration.observe(d)
-	}
-	s.mgr.weightedMerged = func() { s.metrics.WeightedMerges.Add(1) }
 	if cfg.Cluster != nil {
 		// Eager rebalance: a topology change immediately hands off every
 		// resident session the ring re-homed (at most ~K/N of them), so
@@ -514,32 +498,41 @@ func decodeJSON(r *http.Request, v any) error {
 	return nil
 }
 
-// acquire claims a compute slot, waiting up to QueueTimeout. It returns
-// false (after writing the 503) when the server is saturated — the
-// backpressure path that keeps heavy selection traffic from piling up
-// unboundedly behind the per-session locks.
-func (s *Server) acquire(w http.ResponseWriter, r *http.Request) bool {
+// admit admits one unit of compute (create, select, answers): it registers
+// with the drain group, refusing once Close has started, then claims a
+// compute slot, waiting up to QueueTimeout — the backpressure path that
+// keeps heavy selection traffic from piling up unboundedly behind the
+// per-session locks. On refusal it writes the 503 itself and returns nil;
+// otherwise the caller defers the returned done.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (done func()) {
+	if !s.beginWork() {
+		writeShuttingDown(w, r)
+		return nil
+	}
+	done = func() {
+		<-s.gate
+		s.inflight.Done()
+	}
 	select {
 	case s.gate <- struct{}{}:
-		return true
+		return done
 	default:
 	}
 	t := time.NewTimer(s.cfg.QueueTimeout)
 	defer t.Stop()
 	select {
 	case s.gate <- struct{}{}:
-		return true
+		return done
 	case <-r.Context().Done():
 	case <-t.C:
 	}
+	s.inflight.Done()
 	s.metrics.RequestsRejected.Add(1)
 	w.Header().Set("Retry-After", "1")
 	writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{
 		Error: "service: saturated, retry later", RequestID: requestIDFrom(r.Context())})
-	return false
+	return nil
 }
-
-func (s *Server) release() { <-s.gate }
 
 // writeShuttingDown is the refusal for work arriving after Close began.
 func writeShuttingDown(w http.ResponseWriter, r *http.Request) {
@@ -551,9 +544,10 @@ func writeShuttingDown(w http.ResponseWriter, r *http.Request) {
 // the bookkeeping for 421 outcomes: bump the misroute counter for
 // not_owner, and retire the local instance on fenced — a session whose
 // lease another node took must not serve another request from memory.
-// (The fenced metric is counted where the refusal happened: the
-// instrumented store for fenced writes, the acquire bounce hook for fenced
-// adoptions.)
+// Only the instance at the refused write's epoch retires: a late signal
+// must not retire a successor adopted since. (The fenced metric is counted
+// where the refusal happened: the instrumented store for fenced writes,
+// acquireLease for bounced adoptions.)
 func (s *Server) writeSessionError(w http.ResponseWriter, r *http.Request, err error) {
 	var notOwner *NotOwnerError
 	var fenced *FencedError
@@ -561,7 +555,7 @@ func (s *Server) writeSessionError(w http.ResponseWriter, r *http.Request, err e
 	case errors.As(err, &notOwner):
 		s.metrics.NotOwnerRejects.Add(1)
 	case errors.As(err, &fenced):
-		s.mgr.RetireFenced(r.PathValue("id"))
+		s.mgr.RetireFenced(r.PathValue("id"), fenced.epoch)
 	}
 	writeError(w, r, err)
 }
@@ -612,17 +606,12 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Prior construction can materialize a 2^n-world product
-	// distribution, so creation is compute like select/merge: it takes a
-	// slot and registers with the drain group.
-	if !s.beginWork() {
-		writeShuttingDown(w, r)
+	// distribution, so creation is compute like select/merge.
+	done := s.admit(w, r)
+	if done == nil {
 		return
 	}
-	defer s.inflight.Done()
-	if !s.acquire(w, r) {
-		return
-	}
-	defer s.release()
+	defer done()
 
 	sess, err := s.mgr.Create(r.Context(), &req)
 	if err != nil {
@@ -675,15 +664,11 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err)
 		return
 	}
-	if !s.beginWork() {
-		writeShuttingDown(w, r)
+	done := s.admit(w, r)
+	if done == nil {
 		return
 	}
-	defer s.inflight.Done()
-	if !s.acquire(w, r) {
-		return
-	}
-	defer s.release()
+	defer done()
 
 	start := time.Now()
 	var cached bool
@@ -716,15 +701,11 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err)
 		return
 	}
-	if !s.beginWork() {
-		writeShuttingDown(w, r)
+	done := s.admit(w, r)
+	if done == nil {
 		return
 	}
-	defer s.inflight.Done()
-	if !s.acquire(w, r) {
-		return
-	}
-	defer s.release()
+	defer done()
 
 	// A reloaded successor has the full durable history, so idempotency
 	// and version checks behave as if the eviction never happened.

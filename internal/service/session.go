@@ -125,11 +125,9 @@ type Session struct {
 	sensBuf []float64
 	specBuf []float64
 
-	// onRefit/onWeightedMerge are the metrics hooks (refit latency and
-	// weighted-merge count), invoked while holding mu; nil outside a
-	// server.
-	onRefit         func(time.Duration)
-	onWeightedMerge func()
+	// metrics receives refit latency and the weighted-merge count, updated
+	// while holding mu.
+	metrics *Metrics
 
 	// Pending-batch ledger for incremental (answer-at-a-time) merging.
 	// While pendBatch is non-nil, the selected batch at the current
@@ -207,6 +205,7 @@ func newSession(id string, prior *dist.Joint, selector core.Selector, selName st
 		anonWorker:  DefaultAnonWorker,
 		lastAccess:  now,
 		created:     now,
+		metrics:     &Metrics{}, // the manager's counters replace it on attach
 	}
 }
 
@@ -457,7 +456,7 @@ func (s *Session) Select(ctx context.Context, now time.Time, kOverride int) (res
 func persistError(id string, err error) error {
 	var fe *store.FencedError
 	if errors.As(err, &fe) {
-		return &FencedError{ID: id, Owner: fe.Lease.Owner}
+		return &FencedError{ID: id, Owner: fe.Lease.Owner, epoch: fe.WriteEpoch}
 	}
 	return fmt.Errorf("%w: %v", ErrStore, err)
 }
@@ -843,9 +842,7 @@ func (s *Session) conditionLocked(tasks []int, answers []bool, workers []string)
 		spec = append(spec, sp)
 	}
 	s.sensBuf, s.specBuf = sens, spec
-	if s.onWeightedMerge != nil {
-		s.onWeightedMerge()
-	}
+	s.metrics.WeightedMerges.Add(1)
 	return core.MergeAnswersWeighted(s.posterior, tasks, answers, sens, spec)
 }
 
@@ -897,9 +894,8 @@ func (s *Session) refitLocked(ctx context.Context) {
 		s.workerRaw[w] = (sn + sp) / 2
 	}
 	s.refits++
-	if s.onRefit != nil {
-		s.onRefit(time.Since(start))
-	}
+	s.metrics.WorkerRefits.Add(1)
+	s.metrics.RefitDuration.observe(time.Since(start))
 	s.emitLocked(ctx, EventRefit, func(ev *SessionEvent) { ev.Refits = s.refits })
 }
 

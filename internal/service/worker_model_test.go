@@ -219,8 +219,6 @@ func driveDifferentialRound(t *testing.T, now time.Time, fixed, em *Session, r i
 func TestWeightedUniformMatchesFixedInProcess(t *testing.T) {
 	m := NewManager(ManagerConfig{})
 	defer m.Close()
-	var weighted int
-	m.weightedMerged = func() { weighted++ }
 
 	fixed, err := m.Create(context.Background(), workerCreateReq(4, WorkerModelFixed))
 	if err != nil {
@@ -248,7 +246,7 @@ func TestWeightedUniformMatchesFixedInProcess(t *testing.T) {
 	if refits < 4 {
 		t.Fatalf("em session refit %d times, want one per merge after the first", refits)
 	}
-	if weighted < 4 {
+	if weighted := m.metrics.WeightedMerges.Load(); weighted < 4 {
 		t.Fatalf("weighted conditioning ran %d times, want every post-refit round", weighted)
 	}
 }
