@@ -84,31 +84,6 @@ func (s *condScratch) weights(k int, pc float64) []float64 {
 	return fillChannelWeights(s.w[:k+1], pc)
 }
 
-// jointSlabSize is how many Joint headers one slab allocation vends.
-// Posteriors are produced once per merge and typically retired within a
-// few rounds, so amortizing the header allocation 64-ways is nearly free;
-// the tradeoff is that one live posterior pins its sibling headers
-// (~64 × ~100 B) until all are dead, which is negligible next to the
-// probability slices each posterior owns.
-const jointSlabSize = 64
-
-var jointSlab struct {
-	mu   sync.Mutex
-	free []Joint
-}
-
-// newJointFromSlab vends a zeroed *Joint from the batch slab.
-func newJointFromSlab() *Joint {
-	jointSlab.mu.Lock()
-	if len(jointSlab.free) == 0 {
-		jointSlab.free = make([]Joint, jointSlabSize)
-	}
-	j := &jointSlab.free[0]
-	jointSlab.free = jointSlab.free[1:]
-	jointSlab.mu.Unlock()
-	return j
-}
-
 // finishConditioned builds the posterior for likelihood-weighted masses
 // ps parallel to the receiver's support. It replicates finish's exact
 // arithmetic — normalize each mass by the total in ascending support
@@ -116,14 +91,14 @@ func newJointFromSlab() *Joint {
 // probabilities — so posteriors are bit-identical to the allocating path.
 //
 // In the common case no mass is exactly zero (impossible for accuracies
-// strictly inside (0, 1)), and the posterior then
-//   - shares the receiver's worlds slice (both are immutable),
-//   - packs probabilities and marginals into one allocation, and
-//   - draws its Joint header from the batch slab,
-//
-// for one steady-state allocation per conditioning instead of four. When
-// the evidence zeroes out part of the support, it falls back to the
-// compacting finish on fresh copies. ps is scratch: consumed either way.
+// strictly inside (0, 1)). The posterior then shares the receiver's
+// worlds slice (both are immutable; a full support is the shared cube of
+// fullCube) and packs its probabilities and marginals into one buffer, so
+// a conditioning allocates twice: that buffer and the Joint header.
+// Neither is shared with another posterior, so a dropped posterior is
+// garbage at once. When the evidence zeroes out part of the support, it
+// falls back to the compacting finish on fresh copies. ps is scratch:
+// consumed either way.
 func (j *Joint) finishConditioned(ps []float64) (*Joint, error) {
 	zero := false
 	for _, p := range ps {
@@ -145,8 +120,7 @@ func (j *Joint) finishConditioned(ps []float64) (*Joint, error) {
 	buf := make([]float64, m+j.n)
 	probs := buf[:m:m]
 	marginals := buf[m:]
-	post := newJointFromSlab()
-	*post = Joint{n: j.n, worlds: j.worlds, probs: probs, marginals: marginals}
+	post := &Joint{n: j.n, worlds: j.worlds, probs: probs, marginals: marginals}
 	for i, p := range ps {
 		p /= total
 		probs[i] = p

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"sync/atomic"
 
 	"crowdfusion/internal/info"
 )
@@ -152,9 +153,28 @@ func Independent(marginals []float64) (*Joint, error) {
 	return Dense(n, probs)
 }
 
+// cubes[n] is the full support World(0)…World(2^n−1) over n facts,
+// shared by every Joint whose support is the whole cube.
+var cubes [MaxDenseFacts + 1]atomic.Pointer[[]World]
+
+// fullCube returns the shared full support over n facts. ws must equal
+// it; the first caller's ws becomes the shared slice.
+func fullCube(n int, ws []World) []World {
+	if c := cubes[n].Load(); c != nil {
+		return *c
+	}
+	ws = ws[:len(ws):len(ws)]
+	if cubes[n].CompareAndSwap(nil, &ws) {
+		return ws
+	}
+	return *cubes[n].Load()
+}
+
 // finish normalizes the sorted, deduplicated support, drops zero-mass
 // worlds, and precomputes the cached marginals and entropy. It takes
-// ownership of ws and ps.
+// ownership of ws and ps. A support of all 2^n worlds is swapped for the
+// shared cube, so full-support priors and their posteriors hold one
+// world array between them.
 func finish(n int, ws []World, ps []float64) (*Joint, error) {
 	total := info.Sum(ps)
 	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
@@ -173,6 +193,10 @@ func finish(n int, ws []World, ps []float64) (*Joint, error) {
 	ps = ps[:out]
 	if out == 0 {
 		return nil, ErrZeroMass
+	}
+	if n <= MaxDenseFacts && out == 1<<uint(n) {
+		// Sorted, duplicate-free and in range: exactly the cube.
+		ws = fullCube(n, ws)
 	}
 	j := &Joint{n: n, worlds: ws, probs: ps}
 	j.marginals = make([]float64, n)
@@ -193,7 +217,8 @@ func (j *Joint) N() int { return j.n }
 func (j *Joint) SupportSize() int { return len(j.worlds) }
 
 // Worlds returns the support, sorted ascending. The slice is shared with
-// the Joint and must not be modified.
+// the Joint — for a full support, with every full-support Joint over the
+// same facts — and must not be modified.
 func (j *Joint) Worlds() []World { return j.worlds }
 
 // Probs returns the probabilities parallel to Worlds, summing to 1. The
