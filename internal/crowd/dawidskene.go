@@ -86,14 +86,10 @@ func EstimateDawidSkene(answers []Answer, opts EMOptions) (*ConfusionEstimate, e
 		taskIdx[f] = i
 	}
 
-	type vote struct {
-		w     int
-		value bool
-	}
-	votes := make([][]vote, len(taskIDs))
+	votes := make([][]emVote, len(taskIDs))
 	for _, a := range answers {
 		fi := taskIdx[a.Fact]
-		votes[fi] = append(votes[fi], vote{w: workerIdx[a.Worker], value: a.Value})
+		votes[fi] = append(votes[fi], emVote{w: workerIdx[a.Worker], value: a.Value})
 	}
 
 	nW := len(workerIDs)
@@ -177,21 +173,7 @@ func EstimateDawidSkene(answers []Answer, opts EMOptions) (*ConfusionEstimate, e
 			pi = 0.99
 		}
 		// E-step with the updated parameters.
-		for fi, vs := range votes {
-			logT := math.Log(pi)
-			logF := math.Log(1 - pi)
-			for _, v := range vs {
-				if v.value {
-					logT += math.Log(sens[v.w])
-					logF += math.Log(1 - spec[v.w])
-				} else {
-					logT += math.Log(1 - sens[v.w])
-					logF += math.Log(spec[v.w])
-				}
-			}
-			m := math.Max(logT, logF)
-			q[fi] = math.Exp(logT-m) / (math.Exp(logT-m) + math.Exp(logF-m))
-		}
+		eStep(votes, voteLogs(sens, spec), pi, q)
 		if maxDelta < opts.Tol {
 			break
 		}

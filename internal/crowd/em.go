@@ -8,7 +8,8 @@ import (
 	"sort"
 )
 
-// emVote is one (worker, judgment) pair attached to a task.
+// emVote is one (worker, judgment) pair attached to a task; the symmetric
+// and the Dawid–Skene estimators share it.
 type emVote struct {
 	w     int
 	value bool
@@ -144,7 +145,7 @@ func EstimateEM(answers []Answer, opts EMOptions) (*EMEstimate, error) {
 			}
 		}
 		acc, q, pi, iters := runSymmetricEM(votes, perWorker, initAcc, len(taskIDs), opts, restart == 0)
-		ll := symmetricLogLikelihood(votes, acc, pi)
+		ll := logLikelihood(votes, voteLogs(acc, acc), pi)
 		if ll > bestLL {
 			bestLL = ll
 			bestAcc, bestQ, bestPi, bestIters = acc, q, pi, iters
@@ -218,7 +219,7 @@ func runSymmetricEM(votes [][]emVote, perWorker []int, initAcc []float64,
 			q[fi] = (float64(trues) + 0.5) / (float64(len(vs)) + 1)
 		}
 	} else {
-		eStepSymmetric(votes, acc, pi, q)
+		eStep(votes, voteLogs(acc, acc), pi, q)
 	}
 
 	for iter := 0; iter < opts.MaxIter; iter++ {
@@ -263,7 +264,7 @@ func runSymmetricEM(votes [][]emVote, perWorker []int, initAcc []float64,
 		if pi > 0.99 {
 			pi = 0.99
 		}
-		eStepSymmetric(votes, acc, pi, q)
+		eStep(votes, voteLogs(acc, acc), pi, q)
 		if maxDelta < opts.Tol {
 			break
 		}
@@ -271,43 +272,60 @@ func runSymmetricEM(votes [][]emVote, perWorker []int, initAcc []float64,
 	return acc, q, pi, iters
 }
 
-// eStepSymmetric fills q with posterior truth probabilities in log space.
-func eStepSymmetric(votes [][]emVote, acc []float64, pi float64, q []float64) {
-	for fi, vs := range votes {
-		logT := math.Log(pi)
-		logF := math.Log(1 - pi)
-		for _, v := range vs {
-			p := acc[v.w]
-			if v.value {
-				logT += math.Log(p)
-				logF += math.Log(1 - p)
-			} else {
-				logT += math.Log(1 - p)
-				logF += math.Log(p)
-			}
+// voteLog is what one vote adds to a task's two log joints: t to
+// log P(votes, fact true) and f to log P(votes, fact false).
+type voteLog struct{ t, f float64 }
+
+// workerLogs is one worker's voteLog for each vote value.
+type workerLogs struct{ yes, no voteLog }
+
+// voteLogs tabulates every worker's vote logs for one parameter set —
+// sens[w] = P(yes | true), spec[w] = P(no | false); the symmetric model
+// passes its accuracies as both — so each EM iteration takes the logs
+// once per worker and the per-vote loops only look them up.
+func voteLogs(sens, spec []float64) []workerLogs {
+	logs := make([]workerLogs, len(sens))
+	for w := range logs {
+		logs[w] = workerLogs{
+			yes: voteLog{t: math.Log(sens[w]), f: math.Log(1 - spec[w])},
+			no:  voteLog{t: math.Log(1 - sens[w]), f: math.Log(spec[w])},
 		}
+	}
+	return logs
+}
+
+// taskLogs returns log P(vs, fact true) and log P(vs, fact false), each
+// summed from the truth prior's log in vote order.
+func taskLogs(vs []emVote, logs []workerLogs, logPi, log1mPi float64) (logT, logF float64) {
+	logT, logF = logPi, log1mPi
+	for _, v := range vs {
+		l := logs[v.w].no
+		if v.value {
+			l = logs[v.w].yes
+		}
+		logT += l.t
+		logF += l.f
+	}
+	return logT, logF
+}
+
+// eStep fills q with posterior truth probabilities in log space.
+func eStep(votes [][]emVote, logs []workerLogs, pi float64, q []float64) {
+	logPi, log1mPi := math.Log(pi), math.Log(1-pi)
+	for fi, vs := range votes {
+		logT, logF := taskLogs(vs, logs, logPi, log1mPi)
 		m := math.Max(logT, logF)
 		q[fi] = math.Exp(logT-m) / (math.Exp(logT-m) + math.Exp(logF-m))
 	}
 }
 
-// symmetricLogLikelihood scores a parameter set: the marginal log
-// probability of every task's votes under the two latent truth values.
-func symmetricLogLikelihood(votes [][]emVote, acc []float64, pi float64) float64 {
+// logLikelihood scores a parameter set: the marginal log probability of
+// every task's votes under the two latent truth values.
+func logLikelihood(votes [][]emVote, logs []workerLogs, pi float64) float64 {
+	logPi, log1mPi := math.Log(pi), math.Log(1-pi)
 	var total float64
 	for _, vs := range votes {
-		logT := math.Log(pi)
-		logF := math.Log(1 - pi)
-		for _, v := range vs {
-			p := acc[v.w]
-			if v.value {
-				logT += math.Log(p)
-				logF += math.Log(1 - p)
-			} else {
-				logT += math.Log(1 - p)
-				logF += math.Log(p)
-			}
-		}
+		logT, logF := taskLogs(vs, logs, logPi, log1mPi)
 		m := math.Max(logT, logF)
 		total += m + math.Log(math.Exp(logT-m)+math.Exp(logF-m))
 	}
