@@ -137,8 +137,8 @@ func TestFullSupportSharesCube(t *testing.T) {
 // TestCubeSharedAcrossGoroutines: priors built at once on several
 // goroutines agree on one cube, whichever of them installs it.
 func TestCubeSharedAcrossGoroutines(t *testing.T) {
-	const n, builders = 9, 8
-	got := make([]*World, builders)
+	const n, goroutines = 9, 8
+	got := make([]*World, goroutines)
 	var wg sync.WaitGroup
 	for b := range got {
 		wg.Add(1)
@@ -155,7 +155,7 @@ func TestCubeSharedAcrossGoroutines(t *testing.T) {
 	wg.Wait()
 	for b, p := range got {
 		if p != got[0] {
-			t.Fatalf("builder %d got its own support, not the shared cube", b)
+			t.Fatalf("goroutine %d got its own support, not the shared cube", b)
 		}
 	}
 }
