@@ -38,8 +38,12 @@ STATICCHECK_VERSION ?= 2025.1.1
 
 .PHONY: build test test-cover fuzz-smoke loadgen-test lint cover bench bench-json bench-diff smoke smoke-restart smoke-cluster smoke-chaos ci
 
+# The load generator is its own module, so `./...` does not reach it; it is
+# built too (its binary discarded) so an API change it compiles against
+# fails here.
 build:
 	$(GO) build ./...
+	$(GO) -C cmd/loadgen build -o /dev/null ./...
 
 # Tests run in shuffled order (-shuffle=on), so a test that depends on
 # another running first fails; the failing run prints its seed, and

@@ -224,9 +224,6 @@ func main() {
 		LeaseRenew:     *leaseRenew,
 		AnonWorker:     *anonWorker,
 	}
-	if *ttl == 0 {
-		cfg.TTL = -1 // Config treats 0 as "default"; negative disables.
-	}
 	if *clockSkew != 0 {
 		skew := *clockSkew
 		cfg.Clock = func() time.Time { return time.Now().Add(skew) }

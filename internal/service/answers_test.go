@@ -212,7 +212,7 @@ func TestAnswerOutcomesOverHTTP(t *testing.T) {
 // to w1 and w2 — so a fuzzed request can retry it.
 func answersFixture(f *testing.F, model string, now time.Time) *store.Record {
 	f.Helper()
-	m := NewManager(ManagerConfig{now: func() time.Time { return now }})
+	m := newManager(Config{Clock: func() time.Time { return now }})
 	defer m.Close()
 	s, err := m.Create(context.Background(), &CreateSessionRequest{
 		Marginals: []float64{0.5, 0.6, 0.4, 0.7}, Pc: 0.8, K: 2, Budget: 8, WorkerModel: model,
@@ -245,7 +245,7 @@ func FuzzAnswersRequest(f *testing.F) {
 			return
 		}
 		for _, rec := range fixtures {
-			s, err := restoreSession(rec.Clone(), "", now)
+			s, err := restoreSession(rec.Clone(), DefaultAnonWorker, now)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +265,7 @@ func FuzzAnswersRequest(f *testing.F) {
 					t.Fatalf("spent %d, committed batches %d, budget %d", info.Spent, committed, info.Budget)
 				}
 			}
-			restored, err := restoreSession(s.record(), "", now)
+			restored, err := restoreSession(s.record(), DefaultAnonWorker, now)
 			if err != nil {
 				t.Fatalf("record does not restore: %v", err)
 			}

@@ -22,7 +22,7 @@ func TestInjectedPersistFailureIsAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := chaos.Wrap(fs)
-	m := NewManager(ManagerConfig{Store: cs})
+	m := newManager(Config{Store: cs})
 
 	s, err := m.Create(context.Background(), testCreateReq())
 	if err != nil {
@@ -54,7 +54,7 @@ func TestInjectedPersistFailureIsAtomic(t *testing.T) {
 	after := fingerprint(s, m.Now())
 
 	// Crash (no Close — nothing flushed) and restart over the same dir.
-	m2 := newFileManager(t, dir, ManagerConfig{})
+	m2 := newFileManager(t, dir, Config{})
 	defer m2.Close()
 	restored, err := m2.Get(context.Background(), id)
 	if err != nil {

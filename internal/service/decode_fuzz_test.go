@@ -18,7 +18,7 @@ import (
 // its second batch, and one whose done latch is set.
 func selectFixtures(f *testing.F, now time.Time) map[string]*store.Record {
 	f.Helper()
-	m := NewManager(ManagerConfig{now: func() time.Time { return now }})
+	m := newManager(Config{Clock: func() time.Time { return now }})
 	defer m.Close()
 	ctx := context.Background()
 	create := func(req *CreateSessionRequest) *Session {
@@ -86,7 +86,7 @@ func FuzzSelectRequest(f *testing.F) {
 		}
 		ctx := context.Background()
 		for name, rec := range fixtures {
-			s, err := restoreSession(rec.Clone(), "", now)
+			s, err := restoreSession(rec.Clone(), DefaultAnonWorker, now)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func FuzzSelectRequest(f *testing.F) {
 				t.Fatalf("%s: repeat select = %+v (cached=%v); want %+v", name, again, cachedAgain, want)
 			}
 
-			restored, err := restoreSession(s.record(), "", now)
+			restored, err := restoreSession(s.record(), DefaultAnonWorker, now)
 			if err != nil {
 				t.Fatalf("%s: record does not restore: %v", name, err)
 			}
@@ -145,7 +145,7 @@ func FuzzCreateRequest(f *testing.F) {
 		if err := req.Validate(); err != nil {
 			return
 		}
-		m := NewManager(ManagerConfig{now: func() time.Time { return now }})
+		m := newManager(Config{Clock: func() time.Time { return now }})
 		defer m.Close()
 		s, err := m.Create(context.Background(), &req)
 		if err != nil {
@@ -155,7 +155,7 @@ func FuzzCreateRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("created session has no stored record: %v", err)
 		}
-		restored, err := restoreSession(rec, "", now)
+		restored, err := restoreSession(rec, DefaultAnonWorker, now)
 		if err != nil {
 			t.Fatalf("stored record does not restore: %v", err)
 		}

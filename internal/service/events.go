@@ -100,9 +100,6 @@ type eventHub struct {
 }
 
 func newEventHub(maxSubs int, metrics *Metrics) *eventHub {
-	if maxSubs <= 0 {
-		maxSubs = DefaultMaxSubscribers
-	}
 	return &eventHub{
 		feeds:   make(map[string]*sessionFeed),
 		maxSubs: maxSubs,

@@ -44,7 +44,7 @@ func submitOne(t *testing.T, s *Session, now time.Time, task int, answer bool, v
 // in the middle — must land on a posterior bit-identical to a twin session
 // that merged the same batch at once, with budget spent exactly once.
 func TestPartialSequenceMatchesBatchedMerge(t *testing.T) {
-	m := NewManager(ManagerConfig{})
+	m := newManager(Config{})
 	defer m.Close()
 	now := m.Now()
 
@@ -132,7 +132,7 @@ func TestPartialSequenceMatchesBatchedMerge(t *testing.T) {
 // TestPartialValidation covers the new failure modes: no pending batch,
 // foreign task, contradictory judgment.
 func TestPartialValidation(t *testing.T) {
-	m := NewManager(ManagerConfig{})
+	m := newManager(Config{})
 	defer m.Close()
 	now := m.Now()
 	s, err := m.Create(context.Background(), testCreateReq())
@@ -196,7 +196,7 @@ func errorsIs(err, target error) bool { return errors.Is(err, target) }
 // and commit bit-identically to a batched twin.
 func TestPartialSequenceSurvivesCrashMidLedger(t *testing.T) {
 	dir := t.TempDir()
-	m1 := newFileManager(t, dir, ManagerConfig{})
+	m1 := newFileManager(t, dir, Config{})
 	now := m1.Now()
 	s1, err := m1.Create(context.Background(), testCreateReq())
 	if err != nil {
@@ -220,7 +220,7 @@ func TestPartialSequenceSurvivesCrashMidLedger(t *testing.T) {
 	// SIGKILL analogue: abandon m1 without Close. Acknowledged partials
 	// were fsynced before their responses, so nothing else may be needed.
 
-	m2 := newFileManager(t, dir, ManagerConfig{})
+	m2 := newFileManager(t, dir, Config{})
 	defer m2.Close()
 	s2, err := m2.Get(context.Background(), id)
 	if err != nil {
@@ -245,7 +245,7 @@ func TestPartialSequenceSurvivesCrashMidLedger(t *testing.T) {
 	}
 
 	// Batched twin in a separate directory.
-	m3 := newFileManager(t, t.TempDir(), ManagerConfig{})
+	m3 := newFileManager(t, t.TempDir(), Config{})
 	defer m3.Close()
 	s3, err := m3.Create(context.Background(), testCreateReq())
 	if err != nil {
@@ -282,7 +282,7 @@ func TestPartialSequenceSurvivesCrashMidLedger(t *testing.T) {
 	retryCommitted(s2)
 
 	// And the committed state must itself survive another restart.
-	m4 := newFileManager(t, dir, ManagerConfig{})
+	m4 := newFileManager(t, dir, Config{})
 	defer m4.Close()
 	s4, err := m4.Get(context.Background(), id)
 	if err != nil {

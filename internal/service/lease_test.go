@@ -16,7 +16,7 @@ import (
 // nodes with a common view of time.
 func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(9000, 0).UTC()} }
 
-// leaseRing is an Ownership stub with a liveness view, standing in for
+// leaseRing is an ownership stub with a liveness view, standing in for
 // cluster.Ring in the steal-policy tests: this node owns everything, and
 // alive says which peers it can still see.
 type leaseRing struct {
@@ -27,6 +27,7 @@ type leaseRing struct {
 
 func (o *leaseRing) Owns(string) bool    { return true }
 func (o *leaseRing) Owner(string) string { return o.self }
+func (o *leaseRing) Self() string        { return o.self }
 
 func (o *leaseRing) PeerAlive(addr string) bool {
 	o.mu.Lock()
@@ -52,14 +53,13 @@ func TestLeaseFencesDualWriter(t *testing.T) {
 	const selfA, selfB = "http://a:1", "http://b:2"
 
 	ringA := &leaseRing{self: selfA, alive: map[string]bool{selfB: true}}
-	mA := newFileManager(t, dir, ManagerConfig{
-		Ownership: ringA,
-		Self:      selfA,
+	mA := newFileManager(t, dir, Config{
+		ownership: ringA,
 		LeaseTTL:  time.Minute,
 		// A huge heartbeat keeps the background loop out of the test;
 		// renewal is driven explicitly.
 		LeaseRenew: time.Hour,
-		now:        clk.now,
+		Clock:      clk.now,
 	})
 	defer mA.Close()
 
@@ -77,12 +77,11 @@ func TestLeaseFencesDualWriter(t *testing.T) {
 	// B cannot see A (netsplit view) and the ring has re-homed the
 	// session to B: adoption steals the unexpired lease at a higher epoch.
 	ringB := &leaseRing{self: selfB, alive: map[string]bool{selfA: false}}
-	mB := newFileManager(t, dir, ManagerConfig{
-		Ownership:  ringB,
-		Self:       selfB,
+	mB := newFileManager(t, dir, Config{
+		ownership:  ringB,
 		LeaseTTL:   time.Minute,
 		LeaseRenew: time.Hour,
-		now:        clk.now,
+		Clock:      clk.now,
 	})
 	defer mB.Close()
 
@@ -151,8 +150,8 @@ func TestLeaseFencesDualWriter(t *testing.T) {
 func TestLeaseExpiryAllowsTakeoverWithoutSteal(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
-	mA := newFileManager(t, dir, ManagerConfig{
-		Self: "http://a:1", LeaseTTL: time.Minute, LeaseRenew: time.Hour, now: clk.now,
+	mA := newFileManager(t, dir, Config{
+		ownership: &leaseRing{self: "http://a:1"}, LeaseTTL: time.Minute, LeaseRenew: time.Hour, Clock: clk.now,
 	})
 	defer mA.Close()
 	sA, err := mA.Create(context.Background(), testCreateReq())
@@ -165,8 +164,8 @@ func TestLeaseExpiryAllowsTakeoverWithoutSteal(t *testing.T) {
 	// expired: takeover needs no steal and no liveness opinion.
 	clk.advance(2 * time.Minute)
 	ringB := &leaseRing{self: "http://b:2", alive: map[string]bool{"http://a:1": true}}
-	mB := newFileManager(t, dir, ManagerConfig{
-		Ownership: ringB, Self: "http://b:2", LeaseTTL: time.Minute, LeaseRenew: time.Hour, now: clk.now,
+	mB := newFileManager(t, dir, Config{
+		ownership: ringB, LeaseTTL: time.Minute, LeaseRenew: time.Hour, Clock: clk.now,
 	})
 	defer mB.Close()
 	if _, err := mB.Get(context.Background(), id); err != nil {
@@ -285,8 +284,8 @@ func TestServerFencedDoneLatch(t *testing.T) {
 // weak on purpose — the race detector and the absence of deadlock are the
 // test.
 func TestLeaseRenewalRacesEvictionAndPartials(t *testing.T) {
-	m := newFileManager(t, t.TempDir(), ManagerConfig{
-		TTL: 50 * time.Millisecond, Self: "http://self:1",
+	m := newFileManager(t, t.TempDir(), Config{
+		TTL: 50 * time.Millisecond, ownership: &leaseRing{self: "http://self:1"},
 		LeaseTTL: time.Minute, LeaseRenew: time.Hour,
 	})
 	defer m.Close()
@@ -359,13 +358,13 @@ func TestStaleFencedSignalSparesSuccessor(t *testing.T) {
 	clk := newFakeClock()
 	const selfA, selfB = "http://a:1", "http://b:2"
 	ringA := &leaseRing{self: selfA, alive: map[string]bool{selfB: true}}
-	mA := newFileManager(t, dir, ManagerConfig{
-		Ownership: ringA, Self: selfA, LeaseTTL: time.Minute, LeaseRenew: time.Hour, now: clk.now,
+	mA := newFileManager(t, dir, Config{
+		ownership: ringA, LeaseTTL: time.Minute, LeaseRenew: time.Hour, Clock: clk.now,
 	})
 	defer mA.Close()
 	ringB := &leaseRing{self: selfB, alive: map[string]bool{selfA: false}}
-	mB := newFileManager(t, dir, ManagerConfig{
-		Ownership: ringB, Self: selfB, LeaseTTL: time.Minute, LeaseRenew: time.Hour, now: clk.now,
+	mB := newFileManager(t, dir, Config{
+		ownership: ringB, LeaseTTL: time.Minute, LeaseRenew: time.Hour, Clock: clk.now,
 	})
 	defer mB.Close()
 

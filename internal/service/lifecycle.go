@@ -74,7 +74,7 @@ func (m *Manager) janitor(interval time.Duration) {
 		case <-m.janitorStop:
 			return
 		case <-t.C:
-			m.Sweep(m.cfg.now())
+			m.Sweep(m.cfg.Clock())
 		}
 	}
 }
@@ -125,11 +125,11 @@ var exitFailure = [exitFenced + 1]string{
 func (m *Manager) drop(ctx context.Context, id string, want *Session, why exit) bool {
 	var sp *trace.Span
 	if why == exitRelinquish {
-		ctx, sp = m.tracer.Start(ctx, "session.relinquish")
+		ctx, sp = m.cfg.Tracer.Start(ctx, "session.relinquish")
 		sp.SetAttr("session", id)
 		defer sp.End()
 	}
-	now := m.cfg.now()
+	now := m.cfg.Clock()
 	sh := m.shardFor(id)
 	sh.mu.Lock()
 	s := sh.sessions[id]
@@ -151,16 +151,16 @@ func (m *Manager) drop(ctx context.Context, id string, want *Session, why exit) 
 		if op, ok := sh.loading[id]; ok {
 			op.deleted = true
 		}
-		stored, err = m.store.Delete(id)
+		stored, err = m.cfg.Store.Delete(id)
 	case s == nil:
 	case why == exitUnload || why == exitRelinquish:
 		// No merge can land on this instance after the snapshot it flushes.
 		// The merges themselves are already in the op log; only the final
 		// access time and done latch are at risk if the flush fails.
-		err = s.retireAndFlush(m.store)
+		err = s.retireAndFlush(m.cfg.Store)
 	case why == exitExpire:
 		s.retire()
-		_, err = m.store.Delete(id)
+		_, err = m.cfg.Store.Delete(id)
 		m.tombMu.Lock()
 		m.tombs[id] = now
 		m.tombMu.Unlock()
@@ -173,7 +173,7 @@ func (m *Manager) drop(ctx context.Context, id string, want *Session, why exit) 
 	sh.mu.Unlock()
 
 	if err != nil && !errors.Is(err, store.ErrBadID) {
-		m.log.Error(exitFailure[why], "session", id, "trace_id", trace.TraceIDFromContext(ctx), "err", err)
+		m.cfg.Logger.Error(exitFailure[why], "session", id, "trace_id", trace.TraceIDFromContext(ctx), "err", err)
 		sp.SetError(err)
 	}
 	if s == nil && !stored {
@@ -199,7 +199,7 @@ func (m *Manager) drop(ctx context.Context, id string, want *Session, why exit) 
 		ev.Type = EventExpire
 		m.metrics.SessionsEvicted.Add(1)
 		info := s.peekInfo()
-		m.log.Info("session expired after idle TTL", "session", id,
+		m.cfg.Logger.Info("session expired after idle TTL", "session", id,
 			"ttl", m.cfg.TTL, "version", info.Version,
 			"spent", info.Spent, "budget", info.Budget)
 	case exitDelete:
@@ -208,16 +208,16 @@ func (m *Manager) drop(ctx context.Context, id string, want *Session, why exit) 
 		// Subscribers re-subscribe at the new owner and resume: the lease
 		// holder when one is recorded, else the ring's choice.
 		ev.Type = EventRedirect
-		if l, err := m.store.GetLease(id); err == nil && l != nil {
+		if l, err := m.cfg.Store.GetLease(id); err == nil && l != nil {
 			ev.Owner = l.Owner
 		}
-		if ev.Owner == "" && m.cfg.Ownership != nil {
-			ev.Owner = m.cfg.Ownership.Owner(id)
+		if ev.Owner == "" {
+			ev.Owner = m.cfg.ownership.Owner(id)
 		}
 		sp.SetAttr("new_owner", ev.Owner)
 		if why == exitRelinquish {
 			m.metrics.SessionsRelinquished.Add(1)
-			m.log.Info("session relinquished to new owner", "session", id,
+			m.cfg.Logger.Info("session relinquished to new owner", "session", id,
 				"new_owner", ev.Owner, "trace_id", ev.TraceID)
 		}
 	}
@@ -280,7 +280,7 @@ func (m *Manager) Sweep(now time.Time) int {
 	}
 	cutoff := now.Add(-m.cfg.TTL)
 	why := exitExpire
-	if m.store.Durable() {
+	if m.cfg.Store.Durable() {
 		why = exitUnload
 	}
 	evicted := 0
@@ -293,7 +293,7 @@ func (m *Manager) Sweep(now time.Time) int {
 		}
 	}
 	if evicted > 0 && why == exitUnload {
-		m.log.Info("unloaded idle sessions to the store", "count", evicted)
+		m.cfg.Logger.Info("unloaded idle sessions to the store", "count", evicted)
 	}
 	m.pruneTombs(now)
 	// Subscriber-less feeds idle past the TTL go too; feeds with live
@@ -334,9 +334,6 @@ func (m *Manager) wasExpired(id string) bool {
 // only the ~K/N sessions the change actually re-homed are touched,
 // everything else stays resident and hot.
 func (m *Manager) RelinquishNotOwned() int {
-	if m.cfg.Ownership == nil {
-		return 0
-	}
 	moved := 0
 	for _, s := range m.resident() {
 		// Ownership is read right before the drop: the ring may have
@@ -346,7 +343,7 @@ func (m *Manager) RelinquishNotOwned() int {
 		}
 	}
 	if moved > 0 {
-		m.log.Info("topology change: relinquished sessions to new owners", "count", moved)
+		m.cfg.Logger.Info("topology change: relinquished sessions to new owners", "count", moved)
 	}
 	return moved
 }
@@ -400,8 +397,8 @@ func (m *Manager) load(ctx context.Context, id string, sh *shard) (*Session, err
 	if err != nil {
 		return nil, err
 	}
-	info := s.Info(m.cfg.now(), false)
-	m.log.Info("session recovered from store", "session", id,
+	info := s.Info(m.cfg.Clock(), false)
+	m.cfg.Logger.Info("session recovered from store", "session", id,
 		"version", info.Version, "spent", info.Spent, "budget", info.Budget,
 		"trace_id", trace.TraceIDFromContext(ctx))
 	m.metrics.SessionsRecovered.Add(1)
@@ -412,7 +409,7 @@ func (m *Manager) load(ctx context.Context, id string, sh *shard) (*Session, err
 // live-session slot. On success the caller owns both and must unreserve
 // the slot if it discards the session instead of publishing it.
 func (m *Manager) loadFromStore(ctx context.Context, id string) (s *Session, err error) {
-	rec, err := m.store.Get(id)
+	rec, err := m.cfg.Store.Get(id)
 	if err != nil {
 		if errors.Is(err, store.ErrNotExist) || errors.Is(err, store.ErrBadID) {
 			if m.wasExpired(id) {
@@ -425,16 +422,13 @@ func (m *Manager) loadFromStore(ctx context.Context, id string) (s *Session, err
 
 	// The adoption span covers the fence takeover and the full record
 	// replay — the most expensive miss path a request can hit.
-	if m.tracer != nil {
-		var sp *trace.Span
-		ctx, sp = m.tracer.Start(ctx, "session.adopt")
-		sp.SetAttr("session", id)
-		sp.SetAttr("ops", len(rec.Ops))
-		defer func() {
-			sp.SetError(err)
-			sp.End()
-		}()
-	}
+	ctx, sp := m.cfg.Tracer.Start(ctx, "session.adopt")
+	sp.SetAttr("session", id)
+	sp.SetAttr("ops", len(rec.Ops))
+	defer func() {
+		sp.SetError(err)
+		sp.End()
+	}()
 
 	// Take the write lease before replaying: adoption must fence the old
 	// owner BEFORE this node starts serving, or both could acknowledge
@@ -453,7 +447,7 @@ func (m *Manager) loadFromStore(ctx context.Context, id string) (s *Session, err
 		// Re-read under our fence: anything the deposed owner flushed
 		// before our acquisition landed is visible now, and nothing more
 		// can land after it.
-		if rec, err = m.store.Get(id); err != nil {
+		if rec, err = m.cfg.Store.Get(id); err != nil {
 			if errors.Is(err, store.ErrNotExist) {
 				return nil, ErrNotFound
 			}
@@ -463,7 +457,7 @@ func (m *Manager) loadFromStore(ctx context.Context, id string) (s *Session, err
 	if err = m.reserve(); err != nil {
 		return nil, err
 	}
-	if s, err = restoreSession(rec, m.cfg.AnonWorker, m.cfg.now()); err != nil {
+	if s, err = restoreSession(rec, m.cfg.AnonWorker, m.cfg.Clock()); err != nil {
 		m.unreserve()
 		return nil, fmt.Errorf("%w: %v", ErrStore, err)
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,21 +32,33 @@ var (
 	ErrTooManySessions = errors.New("service: session limit reached")
 )
 
-// Ownership is the manager's view of session placement: which sessions
-// this node serves, and where the others live. A nil Ownership means this
-// node owns everything — the single-node deployment. cluster.Ring is the
-// production implementation; tests substitute arbitrary partitions.
+// ownership is the manager's view of session placement: which sessions
+// this node serves, where the others live, and the name this node records
+// on its leases. cluster.Ring is the production implementation, soleNode
+// the single-node one; tests substitute arbitrary partitions.
 //
 // Ownership answers are allowed to change over time (nodes die, rings
 // heal). The manager re-checks on every touch and relinquishes resident
 // sessions it no longer owns, so placement changes move sessions with at
 // most one flush-and-reload — never a fork.
-type Ownership interface {
+type ownership interface {
 	// Owns reports whether this node currently serves id.
 	Owns(id string) bool
 	// Owner returns the address of the node that currently serves id.
 	Owner(id string) string
+	// Self is this node's advertised address, recorded as the lease owner
+	// so peers (and operators reading lease files) can see who holds a
+	// session.
+	Self() string
 }
+
+// soleNode is the placement of a node outside any cluster: it owns every
+// session, names no other owner, and records its leases as "local".
+type soleNode struct{}
+
+func (soleNode) Owns(string) bool    { return true }
+func (soleNode) Owner(string) string { return "" }
+func (soleNode) Self() string        { return "local" }
 
 // NotOwnerError reports that this node does not serve the session; the
 // request must be retried against Owner. The server layer maps it to
@@ -86,66 +97,6 @@ func (e *FencedError) Error() string {
 	return fmt.Sprintf("service: session %s write fenced: lease held by %s", e.ID, e.Owner)
 }
 
-// ManagerConfig tunes the session manager.
-type ManagerConfig struct {
-	// TTL is the idle lifetime of a session: sessions untouched for TTL
-	// are evicted by the janitor. Zero means no eviction. What eviction
-	// means depends on the store: durable stores flush-and-unload (the
-	// session reloads lazily on next touch), volatile stores drop the
-	// session for good (later requests get ErrExpired).
-	TTL time.Duration
-	// MaxSessions caps live (in-memory) sessions (0 = unlimited). Create
-	// and lazy reload fail with ErrTooManySessions at the cap.
-	MaxSessions int
-	// Seed seeds Random selectors; each session derives its own stream
-	// from it and a per-session counter.
-	Seed int64
-	// Store persists sessions. Nil means a fresh volatile store
-	// (store.NewMemory) — PR 3's in-memory-only behavior. The manager
-	// takes ownership: Manager.Close closes the store.
-	Store store.SessionStore
-	// Ownership partitions the session space across nodes. Nil means this
-	// node owns every session. When set, Create only mints IDs this node
-	// owns, and every touch of a non-owned ID fails with *NotOwnerError
-	// (after relinquishing any resident instance).
-	Ownership Ownership
-	// MaxSubscribers caps concurrent event-stream subscribers per session
-	// (0 = DefaultMaxSubscribers). The cap bounds fan-out work on the
-	// merge path, which does one non-blocking channel send per subscriber.
-	MaxSubscribers int
-	// LeaseTTL enables write-lease fencing: the manager acquires a lease
-	// (TTL-long, renewed on a heartbeat) for every session it serves, and
-	// the store refuses writes stamped with a superseded lease epoch. Zero
-	// disables leasing — writes carry epoch 0 and the store lets them
-	// through as long as no lease was ever taken.
-	LeaseTTL time.Duration
-	// LeaseRenew is the heartbeat interval for lease renewal. Zero defaults
-	// to LeaseTTL/3. Must be well under LeaseTTL: a node that misses
-	// renewals for a full TTL can have its sessions stolen.
-	LeaseRenew time.Duration
-	// Self is this node's advertised address, recorded as the lease owner
-	// so peers (and operators reading lease files) can see who holds a
-	// session. Defaults to "local" for single-node deployments.
-	Self string
-	// Logger, when set, receives structured operational log records
-	// (evictions, recoveries, relinquishments, store failures) with
-	// session/trace attrs. Nil discards them.
-	Logger *slog.Logger
-	// Tracer, when set, records spans around session compute, persistence,
-	// lease transitions, relinquishment, and adoption replay. Nil disables
-	// span recording (ids still flow through contexts untouched).
-	Tracer *trace.Tracer
-	// AnonWorker is the worker identity unattributed (legacy parallel-array)
-	// judgments are recorded under on sessions whose worker model tracks
-	// observations. Empty defaults to DefaultAnonWorker.
-	AnonWorker string
-	// now overrides the clock in tests.
-	now func() time.Time
-	// metrics receives the manager's counters; nil gets a fresh set. The
-	// server passes its own.
-	metrics *Metrics
-}
-
 // Manager is the ownership-aware session cache in front of the
 // SessionStore. All methods are safe for concurrent use.
 //
@@ -162,10 +113,8 @@ type ManagerConfig struct {
 //     session by record replay — the property that makes both crash
 //     recovery and cross-node migration the same code path.
 type Manager struct {
-	cfg     ManagerConfig
-	store   store.SessionStore
-	log     *slog.Logger
-	tracer  *trace.Tracer
+	// cfg is resolved; its Store is wrapped to count store operations.
+	cfg     Config
 	metrics *Metrics
 
 	shards [sessionShards]shard
@@ -200,65 +149,46 @@ type Manager struct {
 func (m *Manager) attach(s *Session, epoch uint64) {
 	s.metrics = m.metrics
 	s.leaseEpoch = epoch
-	s.tracer = m.tracer
-	s.persist = func(op store.Op) error { return m.store.Append(s.id, op) }
+	s.tracer = m.cfg.Tracer
+	s.persist = func(op store.Op) error { return m.cfg.Store.Append(s.id, op) }
 	s.emit = m.eventSink(s.id)
 }
 
-// NewManager builds a manager over cfg.Store and starts its TTL janitor
-// (when TTL > 0).
-func NewManager(cfg ManagerConfig) *Manager {
-	if cfg.now == nil {
-		cfg.now = time.Now
+// newManager builds a manager over cfg.Store and starts its TTL janitor
+// (when TTL > 0) and lease heartbeat (when LeaseTTL > 0).
+func newManager(cfg Config) *Manager {
+	cfg = cfg.withDefaults()
+	metrics := &Metrics{}
+	cfg.Store = instrumentedStore{inner: cfg.Store, m: metrics}
+	m := &Manager{
+		cfg:     cfg,
+		metrics: metrics,
+		tombs:   make(map[string]time.Time),
+		events:  newEventHub(cfg.MaxSubscribers, metrics),
 	}
-	m := &Manager{cfg: cfg, store: cfg.Store, log: cfg.Logger, tracer: cfg.Tracer, metrics: cfg.metrics}
-	if m.metrics == nil {
-		m.metrics = &Metrics{}
-	}
-	if m.store == nil {
-		m.store = store.NewMemory()
-	}
-	if m.log == nil {
-		m.log = slog.New(slog.DiscardHandler)
-	}
-	m.tombs = make(map[string]time.Time)
-	m.events = newEventHub(cfg.MaxSubscribers, m.metrics)
 	for i := range m.shards {
 		m.shards[i].sessions = make(map[string]*Session)
 		m.shards[i].loading = make(map[string]*loadOp)
 	}
 	if cfg.LeaseTTL > 0 {
-		interval := cfg.LeaseRenew
-		if interval <= 0 {
-			interval = cfg.LeaseTTL / 3
-		}
-		if interval < 10*time.Millisecond {
-			interval = 10 * time.Millisecond
-		}
-		m.cfg.LeaseRenew = interval
 		m.leaseStop = make(chan struct{})
 		m.leaseDone = make(chan struct{})
-		go m.leaseLoop(interval)
+		go m.leaseLoop(cfg.LeaseRenew)
 	}
 	if cfg.TTL > 0 {
 		m.janitorStop = make(chan struct{})
 		m.janitorDone = make(chan struct{})
-		interval := cfg.TTL / 4
-		if interval < time.Second {
-			interval = time.Second
-		}
-		go m.janitor(interval)
+		go m.janitor(max(cfg.TTL/4, time.Second))
 	}
 	return m
 }
 
-// Store exposes the underlying session store (for tests and embedders).
-func (m *Manager) Store() store.SessionStore { return m.store }
+// Store exposes the session store, wrapped to count store operations (for
+// tests and embedders).
+func (m *Manager) Store() store.SessionStore { return m.cfg.Store }
 
-// owns reports whether this node serves id (nil Ownership owns all).
-func (m *Manager) owns(id string) bool {
-	return m.cfg.Ownership == nil || m.cfg.Ownership.Owns(id)
-}
+// owns reports whether this node serves id.
+func (m *Manager) owns(id string) bool { return m.cfg.ownership.Owns(id) }
 
 // checkOwnership gates every session-addressed entry point. For an ID this
 // node does not serve it relinquishes any resident instance (the bounded
@@ -276,7 +206,7 @@ func (m *Manager) checkOwnership(ctx context.Context, id string) error {
 	if s := m.published(id); s != nil {
 		m.drop(ctx, id, s, exitRelinquish)
 	}
-	return &NotOwnerError{ID: id, Owner: m.cfg.Ownership.Owner(id)}
+	return &NotOwnerError{ID: id, Owner: m.cfg.ownership.Owner(id)}
 }
 
 // Close stops the janitor, flushes every live session to a durable store
@@ -299,15 +229,15 @@ func (m *Manager) Close() {
 	// epoch, so our own flush is never fenced by it) — a clean shutdown
 	// lets the next owner adopt immediately instead of waiting out the TTL.
 	for _, s := range m.resident() {
-		if m.store.Durable() {
-			if err := s.flush(m.store); err != nil {
-				m.log.Error("final flush failed", "session", s.ID(), "err", err)
+		if m.cfg.Store.Durable() {
+			if err := s.flush(m.cfg.Store); err != nil {
+				m.cfg.Logger.Error("final flush failed", "session", s.ID(), "err", err)
 			}
 		}
 		m.releaseLease(s.id, s.leaseEpoch)
 	}
-	if err := m.store.Close(); err != nil {
-		m.log.Error("closing store failed", "err", err)
+	if err := m.cfg.Store.Close(); err != nil {
+		m.cfg.Logger.Error("closing store failed", "err", err)
 	}
 }
 
@@ -369,7 +299,7 @@ func (m *Manager) Create(ctx context.Context, req *CreateSessionRequest) (*Sessi
 	if err != nil {
 		return fail(err)
 	}
-	now := m.cfg.now()
+	now := m.cfg.Clock()
 	rec := &store.Record{
 		ID:          id,
 		Selector:    req.Selector,
@@ -418,9 +348,9 @@ func (m *Manager) Create(ctx context.Context, req *CreateSessionRequest) (*Sessi
 
 	// The session must be durable before it is acknowledged: a created
 	// session that vanished in a crash would strand the client's ID.
-	_, psp := m.tracer.Start(ctx, "persist.put")
+	_, psp := m.cfg.Tracer.Start(ctx, "persist.put")
 	psp.SetAttr("session", id)
-	perr := m.store.Put(s.record())
+	perr := m.cfg.Store.Put(s.record())
 	psp.SetError(perr)
 	psp.End()
 	if perr != nil {
@@ -478,7 +408,7 @@ func (m *Manager) Delete(ctx context.Context, id string) (bool, error) {
 // ID so the feed survives unload/reload. The hook runs under the session
 // mutex; the hub is non-blocking by construction.
 func (m *Manager) eventSink(id string) func(SessionEvent) {
-	return func(ev SessionEvent) { m.events.publish(id, ev, m.cfg.now()) }
+	return func(ev SessionEvent) { m.events.publish(id, ev, m.cfg.Clock()) }
 }
 
 // Subscribe attaches an event-stream subscriber to the session, loading
@@ -493,7 +423,7 @@ func (m *Manager) Subscribe(ctx context.Context, id string, lastID uint64, hasLa
 	}
 	traceID := trace.TraceIDFromContext(ctx)
 	return onSession(ctx, m, id, s, func(s *Session) (sub *subscription, err error) {
-		now := m.cfg.now()
+		now := m.cfg.Clock()
 		if werr := s.withSnapshot(now, func(info SessionInfo) {
 			sub, err = m.events.subscribe(id, lastID, hasLast, info, traceID, now)
 		}); werr != nil {
@@ -508,7 +438,7 @@ func (m *Manager) Subscribe(ctx context.Context, id string, lastID uint64, hasLa
 // live state including entropy; unloaded ones are summarized from their
 // store record without forcing a replay.
 func (m *Manager) ListSessions(after string, limit int) (*ListSessionsResponse, error) {
-	ids, err := m.store.List()
+	ids, err := m.cfg.Store.List()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStore, err)
 	}
@@ -546,7 +476,7 @@ func (m *Manager) summarize(id string) (SessionSummary, bool) {
 			Entropy:  &e,
 		}, true
 	}
-	rec, err := m.store.Get(id)
+	rec, err := m.cfg.Store.Get(id)
 	if err != nil {
 		return SessionSummary{}, false
 	}
@@ -627,14 +557,6 @@ func (m *Manager) Workers() *WorkersResponse {
 	return resp
 }
 
-// leaseSelf is the owner identity recorded in lease records.
-func (m *Manager) leaseSelf() string {
-	if m.cfg.Self != "" {
-		return m.cfg.Self
-	}
-	return "local"
-}
-
 // LeasesHeld returns the number of resident sessions holding a write
 // lease — the leases_held gauge, also reported by /healthz. Each resident
 // instance records the lease it holds in its epoch.
@@ -650,15 +572,15 @@ func (m *Manager) LeasesHeld() int {
 
 // holderGone reports whether the node blocking a lease acquisition can be
 // presumed dead. The ring's liveness view is authoritative when the
-// Ownership implementation exposes one (cluster.Ring does); without
+// placement exposes one (cluster.Ring does); without
 // liveness information, placement already routed this ID here, so the
 // blocker is presumed a dead or deposed predecessor and the steal
 // proceeds — the fence, not the guess, is what protects the history.
 func (m *Manager) holderGone(owner string) bool {
-	if owner == "" || owner == m.leaseSelf() {
+	if owner == "" || owner == m.cfg.ownership.Self() {
 		return true
 	}
-	if pa, ok := m.cfg.Ownership.(interface{ PeerAlive(string) bool }); ok {
+	if pa, ok := m.cfg.ownership.(interface{ PeerAlive(string) bool }); ok {
 		return !pa.PeerAlive(owner)
 	}
 	return true
@@ -680,18 +602,15 @@ func (m *Manager) acquireLease(ctx context.Context, id string) (epoch uint64, er
 	if m.cfg.LeaseTTL <= 0 {
 		return 0, nil
 	}
-	var sp *trace.Span
-	if m.tracer != nil {
-		ctx, sp = m.tracer.Start(ctx, "lease.acquire")
-		sp.SetAttr("session", id)
-		defer func() {
-			sp.SetAttr("epoch", epoch)
-			sp.SetError(err)
-			sp.End()
-		}()
-	}
-	now := m.cfg.now()
-	l, aerr := m.store.AcquireLease(id, m.leaseSelf(), m.cfg.LeaseTTL, now)
+	ctx, sp := m.cfg.Tracer.Start(ctx, "lease.acquire")
+	sp.SetAttr("session", id)
+	defer func() {
+		sp.SetAttr("epoch", epoch)
+		sp.SetError(err)
+		sp.End()
+	}()
+	now := m.cfg.Clock()
+	l, aerr := m.cfg.Store.AcquireLease(id, m.cfg.ownership.Self(), m.cfg.LeaseTTL, now)
 	var held *store.LeaseHeldError
 	if errors.As(aerr, &held) {
 		if !m.holderGone(held.Lease.Owner) {
@@ -700,11 +619,11 @@ func (m *Manager) acquireLease(ctx context.Context, id string) (epoch uint64, er
 			m.metrics.FencedWritesRefused.Add(1)
 			return 0, &FencedError{ID: id, Owner: held.Lease.Owner}
 		}
-		m.log.Info("stealing lease: holder presumed dead", "session", id,
+		m.cfg.Logger.Info("stealing lease: holder presumed dead", "session", id,
 			"holder", held.Lease.Owner, "epoch", held.Lease.Epoch,
 			"trace_id", trace.TraceIDFromContext(ctx))
 		sp.SetAttr("stolen_from", held.Lease.Owner)
-		l, aerr = m.store.StealLease(id, m.leaseSelf(), m.cfg.LeaseTTL, now)
+		l, aerr = m.cfg.Store.StealLease(id, m.cfg.ownership.Self(), m.cfg.LeaseTTL, now)
 	}
 	if aerr != nil {
 		return 0, fmt.Errorf("%w: %v", ErrStore, aerr)
@@ -720,10 +639,10 @@ func (m *Manager) releaseLease(id string, epoch uint64) {
 	if epoch == 0 {
 		return
 	}
-	if err := m.store.ReleaseLease(id, m.leaseSelf(), epoch); err != nil {
+	if err := m.cfg.Store.ReleaseLease(id, m.cfg.ownership.Self(), epoch); err != nil {
 		// Losing the release race just means someone already superseded
 		// us — exactly the state release was trying to reach.
-		m.log.Warn("lease release failed", "session", id, "epoch", epoch, "err", err)
+		m.cfg.Logger.Warn("lease release failed", "session", id, "epoch", epoch, "err", err)
 	}
 }
 
@@ -737,7 +656,7 @@ func (m *Manager) leaseLoop(interval time.Duration) {
 		case <-m.leaseStop:
 			return
 		case <-t.C:
-			m.RenewHeldLeases(m.cfg.now())
+			m.RenewHeldLeases(m.cfg.Clock())
 		}
 	}
 }
@@ -760,8 +679,8 @@ func (m *Manager) RenewHeldLeases(now time.Time) (renewed, lost int) {
 	// The sweep span is opened only when there is work: an idle node's
 	// heartbeat must not flood the trace recorder with empty traces.
 	var sp *trace.Span
-	if m.tracer != nil && len(held) > 0 {
-		_, sp = m.tracer.Start(context.Background(), "lease.renew_sweep")
+	if len(held) > 0 {
+		_, sp = m.cfg.Tracer.Start(context.Background(), "lease.renew_sweep")
 		sp.SetAttr("held", len(held))
 		defer func() {
 			sp.SetAttr("renewed", renewed)
@@ -770,12 +689,12 @@ func (m *Manager) RenewHeldLeases(now time.Time) (renewed, lost int) {
 		}()
 	}
 	for _, s := range held {
-		_, err := m.store.RenewLease(s.id, m.leaseSelf(), s.leaseEpoch, m.cfg.LeaseTTL, now)
+		_, err := m.cfg.Store.RenewLease(s.id, m.cfg.ownership.Self(), s.leaseEpoch, m.cfg.LeaseTTL, now)
 		switch {
 		case err == nil:
 			renewed++
 		case errors.Is(err, store.ErrFenced):
-			m.log.Warn("lease superseded; retiring local instance",
+			m.cfg.Logger.Warn("lease superseded; retiring local instance",
 				"session", s.id, "epoch", s.leaseEpoch)
 			// An instance unloaded since the snapshot released its lease
 			// (so the renewal was refused) and is not dropped again.
@@ -785,7 +704,7 @@ func (m *Manager) RenewHeldLeases(now time.Time) (renewed, lost int) {
 		default:
 			// A store hiccup is not a deposition: keep serving — the epoch
 			// fence still protects every write — and retry next tick.
-			m.log.Warn("lease renewal failed", "session", s.id, "err", err)
+			m.cfg.Logger.Warn("lease renewal failed", "session", s.id, "err", err)
 		}
 	}
 	return renewed, lost
@@ -803,5 +722,5 @@ func (m *Manager) RetireFenced(id string, epoch uint64) bool {
 	return s != nil && s.leaseEpoch == epoch && m.drop(context.Background(), id, s, exitFenced)
 }
 
-// Now returns the manager's clock reading (test-overridable).
-func (m *Manager) Now() time.Time { return m.cfg.now() }
+// Now reads the manager's Config.Clock.
+func (m *Manager) Now() time.Time { return m.cfg.Clock() }

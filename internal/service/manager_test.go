@@ -39,7 +39,7 @@ func testCreateReq() *CreateSessionRequest {
 }
 
 func TestManagerCreateGetDelete(t *testing.T) {
-	m := NewManager(ManagerConfig{})
+	m := newManager(Config{})
 	defer m.Close()
 
 	s, err := m.Create(context.Background(), testCreateReq())
@@ -71,7 +71,7 @@ func TestManagerCreateGetDelete(t *testing.T) {
 }
 
 func TestManagerRejectsInvalidCreate(t *testing.T) {
-	m := NewManager(ManagerConfig{})
+	m := newManager(Config{})
 	defer m.Close()
 	bad := testCreateReq()
 	bad.Pc = 0.3
@@ -89,7 +89,7 @@ func TestManagerRejectsInvalidCreate(t *testing.T) {
 }
 
 func TestManagerSessionCap(t *testing.T) {
-	m := NewManager(ManagerConfig{MaxSessions: 2})
+	m := newManager(Config{MaxSessions: 2})
 	defer m.Close()
 	for i := 0; i < 2; i++ {
 		if _, err := m.Create(context.Background(), testCreateReq()); err != nil {
@@ -114,9 +114,30 @@ func TestManagerSessionCap(t *testing.T) {
 	}
 }
 
+// TestMaxSessionsZeroIsUnlimited: MaxSessions 0 means no cap, as the
+// daemon's -max-sessions flag documents, not a default of 100 000.
+func TestMaxSessionsZeroIsUnlimited(t *testing.T) {
+	for _, tc := range []struct {
+		max  int
+		want error
+	}{
+		{max: 0, want: nil},
+		{max: 100_000, want: ErrTooManySessions},
+	} {
+		svc := NewServer(Config{MaxSessions: tc.max})
+		m := svc.Manager()
+		m.count = 100_000
+		err := m.reserve()
+		svc.Close()
+		if !errors.Is(err, tc.want) {
+			t.Errorf("MaxSessions %d: reserve at 100000 live = %v, want %v", tc.max, err, tc.want)
+		}
+	}
+}
+
 func TestManagerTTLEviction(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	m := NewManager(ManagerConfig{TTL: time.Minute, now: clk.now})
+	m := newManager(Config{TTL: time.Minute, Clock: clk.now})
 	defer m.Close()
 
 	idle, err := m.Create(context.Background(), testCreateReq())
@@ -164,7 +185,7 @@ func TestManagerTTLEviction(t *testing.T) {
 
 func TestManagerConcurrentCreates(t *testing.T) {
 	const cap = 32
-	m := NewManager(ManagerConfig{MaxSessions: cap})
+	m := newManager(Config{MaxSessions: cap})
 	defer m.Close()
 	var wg sync.WaitGroup
 	var created, rejected sync.Map
@@ -195,7 +216,7 @@ func TestManagerConcurrentCreates(t *testing.T) {
 }
 
 func TestManagerShardDistribution(t *testing.T) {
-	m := NewManager(ManagerConfig{})
+	m := newManager(Config{})
 	defer m.Close()
 	for i := 0; i < 200; i++ {
 		if _, err := m.Create(context.Background(), testCreateReq()); err != nil {
@@ -297,14 +318,14 @@ func TestSessionExits(t *testing.T) {
 				st = fs
 			}
 			clk := newFakeClock()
+			// A switchable placement stands in for the cluster ring.
+			own := &switchOwnership{self: "http://self:1", owner: ownAll}
 			svc := NewServer(Config{
-				Store: st, TTL: time.Minute, LeaseTTL: time.Minute, LeaseRenew: time.Hour, now: clk.now,
+				Store: st, TTL: time.Minute, LeaseTTL: time.Minute, LeaseRenew: time.Hour, Clock: clk.now,
+				ownership: own,
 			})
 			defer svc.Close()
 			m := svc.Manager()
-			// A switchable placement stands in for the cluster ring.
-			own := &switchOwnership{self: "http://self:1", owner: ownAll}
-			m.cfg.Ownership = own
 
 			s, err := m.Create(context.Background(), testCreateReq())
 			if err != nil {

@@ -24,7 +24,7 @@ func TestResidentHeapPerSession(t *testing.T) {
 	const sessions, rounds, bound = 256, 10, 128 << 10
 	ctx := context.Background()
 	now := time.Unix(1000, 0)
-	m := NewManager(ManagerConfig{now: func() time.Time { return now }})
+	m := newManager(Config{Clock: func() time.Time { return now }})
 	defer m.Close()
 	refine := func(seed int64, n int) error {
 		rng := rand.New(rand.NewSource(seed))

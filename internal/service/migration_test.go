@@ -62,7 +62,7 @@ func TestMigrateLegacyDataDir(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := NewManager(ManagerConfig{Store: fs, now: func() time.Time { return now }})
+		m := newManager(Config{Store: fs, Clock: func() time.Time { return now }})
 		for id, want := range golden {
 			s, err := m.Get(context.Background(), id)
 			if err != nil {

@@ -10,7 +10,7 @@ import (
 	"crowdfusion/internal/store"
 )
 
-// switchOwnership is a mutable Ownership for tests: sessions are owned by
+// switchOwnership is a mutable ownership for tests: sessions are owned by
 // whichever node the switch currently names, computed per ID by a pluggable
 // partition function.
 type switchOwnership struct {
@@ -20,6 +20,8 @@ type switchOwnership struct {
 }
 
 func (o *switchOwnership) Owns(id string) bool { return o.Owner(id) == o.self }
+
+func (o *switchOwnership) Self() string { return o.self }
 
 func (o *switchOwnership) Owner(id string) string {
 	o.mu.Lock()
@@ -46,7 +48,7 @@ func TestCreateMintsOwnedIDs(t *testing.T) {
 		}
 		return "http://other:2"
 	}}
-	m := NewManager(ManagerConfig{Ownership: own})
+	m := newManager(Config{ownership: own})
 	defer m.Close()
 	for i := 0; i < 8; i++ {
 		s, err := m.Create(context.Background(), testCreateReq())
@@ -65,7 +67,7 @@ func TestCreateMintsOwnedIDs(t *testing.T) {
 func TestGetRedirectsAndRelinquishes(t *testing.T) {
 	own := &switchOwnership{self: "http://self:1", owner: ownAll}
 	dir := t.TempDir()
-	m := newFileManager(t, dir, ManagerConfig{Ownership: own})
+	m := newFileManager(t, dir, Config{ownership: own})
 	defer m.Close()
 
 	s, err := m.Create(context.Background(), testCreateReq())
@@ -121,7 +123,7 @@ func TestGetRedirectsAndRelinquishes(t *testing.T) {
 // resident sessions.
 func TestRelinquishNotOwned(t *testing.T) {
 	own := &switchOwnership{self: "http://self:1", owner: ownAll}
-	m := newFileManager(t, t.TempDir(), ManagerConfig{Ownership: own})
+	m := newFileManager(t, t.TempDir(), Config{ownership: own})
 	defer m.Close()
 
 	var ids []string
@@ -162,7 +164,7 @@ func TestRelinquishNotOwned(t *testing.T) {
 }
 
 // TestRingIsManagerOwnership wires a real cluster.Ring as the manager's
-// Ownership and checks the interfaces actually meet: created sessions land
+// Cluster and checks the interfaces actually meet: created sessions land
 // on self, foreign IDs redirect to the ring's owner.
 func TestRingIsManagerOwnership(t *testing.T) {
 	ring, err := cluster.New(cluster.Config{
@@ -172,7 +174,7 @@ func TestRingIsManagerOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(ManagerConfig{Ownership: ring, Store: store.NewMemory()})
+	m := newManager(Config{Cluster: ring, Store: store.NewMemory()})
 	defer m.Close()
 
 	s, err := m.Create(context.Background(), testCreateReq())

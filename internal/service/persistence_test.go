@@ -19,14 +19,14 @@ import (
 // newFileManager builds a manager over a file store in dir. Closing is the
 // caller's choice: crash tests deliberately abandon the manager without
 // Close, because an acknowledged merge must not depend on a clean exit.
-func newFileManager(t *testing.T, dir string, cfg ManagerConfig) *Manager {
+func newFileManager(t *testing.T, dir string, cfg Config) *Manager {
 	t.Helper()
 	fs, err := store.NewFile(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Store = fs
-	return NewManager(cfg)
+	return newManager(cfg)
 }
 
 // sessionFingerprint captures everything the acceptance criteria require
@@ -101,7 +101,7 @@ func TestManagerCrashRecoveryBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Unix(1000, 0)
 
-	m1 := newFileManager(t, dir, ManagerConfig{now: func() time.Time { return now }})
+	m1 := newFileManager(t, dir, Config{Clock: func() time.Time { return now }})
 	s1, err := m1.Create(context.Background(), testCreateReq())
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestManagerCrashRecoveryBitIdentical(t *testing.T) {
 	want := fingerprint(s1, now)
 	// No m1.Close(): the process just died.
 
-	m2 := newFileManager(t, dir, ManagerConfig{now: func() time.Time { return now }})
+	m2 := newFileManager(t, dir, Config{Clock: func() time.Time { return now }})
 	defer m2.Close()
 	s2, err := m2.Get(context.Background(), s1.ID())
 	if err != nil {
@@ -153,7 +153,7 @@ func TestManagerCrashRecoveryExplicitJoint(t *testing.T) {
 	}
 	req := &CreateSessionRequest{Joint: &jw, Pc: 0.8, K: 2, Budget: 8}
 
-	m1 := newFileManager(t, dir, ManagerConfig{now: func() time.Time { return now }})
+	m1 := newFileManager(t, dir, Config{Clock: func() time.Time { return now }})
 	s1, err := m1.Create(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestManagerCrashRecoveryExplicitJoint(t *testing.T) {
 	runRounds(t, s1, now, 2)
 	want := fingerprint(s1, now)
 
-	m2 := newFileManager(t, dir, ManagerConfig{now: func() time.Time { return now }})
+	m2 := newFileManager(t, dir, Config{Clock: func() time.Time { return now }})
 	defer m2.Close()
 	s2, err := m2.Get(context.Background(), s1.ID())
 	if err != nil {
@@ -175,14 +175,14 @@ func TestManagerCrashRecoveryExplicitJoint(t *testing.T) {
 func TestManagerCrashRecoveryFreshSession(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Unix(1000, 0)
-	m1 := newFileManager(t, dir, ManagerConfig{now: func() time.Time { return now }})
+	m1 := newFileManager(t, dir, Config{Clock: func() time.Time { return now }})
 	s1, err := m1.Create(context.Background(), testCreateReq())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := fingerprint(s1, now)
 
-	m2 := newFileManager(t, dir, ManagerConfig{now: func() time.Time { return now }})
+	m2 := newFileManager(t, dir, Config{Clock: func() time.Time { return now }})
 	defer m2.Close()
 	s2, err := m2.Get(context.Background(), s1.ID())
 	if err != nil {
@@ -197,7 +197,7 @@ func TestManagerCrashRecoveryFreshSession(t *testing.T) {
 func TestManagerDoneLatchSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Unix(1000, 0)
-	m1 := newFileManager(t, dir, ManagerConfig{now: func() time.Time { return now }})
+	m1 := newFileManager(t, dir, Config{Clock: func() time.Time { return now }})
 	// A certain prior: one world. The first selection finds no task with
 	// positive utility and latches done.
 	s1, err := m1.Create(context.Background(), &CreateSessionRequest{
@@ -214,7 +214,7 @@ func TestManagerDoneLatchSurvivesRestart(t *testing.T) {
 		t.Fatalf("certain prior selected tasks: %+v", sel)
 	}
 
-	m2 := newFileManager(t, dir, ManagerConfig{now: func() time.Time { return now }})
+	m2 := newFileManager(t, dir, Config{Clock: func() time.Time { return now }})
 	defer m2.Close()
 	s2, err := m2.Get(context.Background(), s1.ID())
 	if err != nil {
@@ -231,7 +231,7 @@ func TestManagerDoneLatchSurvivesRestart(t *testing.T) {
 func TestManagerTTLUnloadReloadsExactly(t *testing.T) {
 	dir := t.TempDir()
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	m := newFileManager(t, dir, ManagerConfig{TTL: time.Minute, now: clk.now})
+	m := newFileManager(t, dir, Config{TTL: time.Minute, Clock: clk.now})
 	defer m.Close()
 
 	s, err := m.Create(context.Background(), testCreateReq())
@@ -281,7 +281,7 @@ func TestManagerTTLUnloadReloadsExactly(t *testing.T) {
 func TestManagerUnloadRetiresStalePointers(t *testing.T) {
 	dir := t.TempDir()
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	m := newFileManager(t, dir, ManagerConfig{TTL: time.Minute, now: clk.now})
+	m := newFileManager(t, dir, Config{TTL: time.Minute, Clock: clk.now})
 	defer m.Close()
 
 	s1, err := m.Create(context.Background(), testCreateReq())
@@ -322,7 +322,7 @@ func TestManagerUnloadRetiresStalePointers(t *testing.T) {
 // the call on the reloaded successor.
 func TestOnSessionReresolvesEvictedPointer(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	m := newFileManager(t, t.TempDir(), ManagerConfig{TTL: time.Minute, now: clk.now})
+	m := newFileManager(t, t.TempDir(), Config{TTL: time.Minute, Clock: clk.now})
 	defer m.Close()
 
 	ctx := context.Background()
@@ -363,7 +363,7 @@ func TestOnSessionReresolvesEvictedPointer(t *testing.T) {
 func TestManagerConcurrentMergesFileStore(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Unix(1000, 0)
-	m := newFileManager(t, dir, ManagerConfig{now: func() time.Time { return now }})
+	m := newFileManager(t, dir, Config{Clock: func() time.Time { return now }})
 
 	const sessions = 6
 	ids := make([]string, sessions)
@@ -410,7 +410,7 @@ func TestManagerConcurrentMergesFileStore(t *testing.T) {
 		return
 	}
 
-	fresh := newFileManager(t, dir, ManagerConfig{now: func() time.Time { return now }})
+	fresh := newFileManager(t, dir, Config{Clock: func() time.Time { return now }})
 	defer fresh.Close()
 	for _, id := range ids {
 		live, err := m.Get(context.Background(), id)
@@ -434,7 +434,7 @@ func TestServerExpiredSessionOverTheWire(t *testing.T) {
 	svc, ts := newTestServer(t, Config{
 		TTL:    time.Minute,
 		Logger: slog.New(slog.NewTextHandler(logBuf, nil)),
-		now:    clk.now,
+		Clock:  clk.now,
 	})
 
 	var info SessionInfo

@@ -68,7 +68,7 @@ func runLiveReplayModel(t *testing.T, model string, seed int64) {
 		t.Fatal(err)
 	}
 	trap := &observeTrap{Store: chaos.Wrap(fs)}
-	m := NewManager(ManagerConfig{Store: trap, now: func() time.Time { return now }})
+	m := newManager(Config{Store: trap, Clock: func() time.Time { return now }})
 	defer m.Close()
 	live, err := m.Create(ctx, &CreateSessionRequest{
 		Marginals:   []float64{0.5, 0.6, 0.4, 0.7, 0.3, 0.55},
@@ -87,7 +87,7 @@ func runLiveReplayModel(t *testing.T, model string, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		twin, err := restoreSession(rec, "", now)
+		twin, err := restoreSession(rec, DefaultAnonWorker, now)
 		if err != nil {
 			t.Fatalf("restore: %v", err)
 		}

@@ -18,7 +18,7 @@ import (
 // a record that touches every part of restore.
 func restoreFixture(t *testing.T) *store.Record {
 	t.Helper()
-	m := NewManager(ManagerConfig{})
+	m := newManager(Config{})
 	defer m.Close()
 	now := m.Now()
 	s, err := m.Create(context.Background(), workerCreateReq(4, WorkerModelEM))
@@ -43,7 +43,7 @@ func restoreFixture(t *testing.T) *store.Record {
 		t.Fatal(err)
 	}
 	rec := s.record()
-	if _, err := restoreSession(rec.Clone(), "", now); err != nil {
+	if _, err := restoreSession(rec.Clone(), DefaultAnonWorker, now); err != nil {
 		t.Fatalf("fixture does not restore: %v", err)
 	}
 	return rec
@@ -147,7 +147,7 @@ func TestRestoreRejectsMalformedRecords(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rec := base.Clone()
 			mutate(rec)
-			if s, err := restoreSession(rec, "", time.Unix(1000, 0)); err == nil {
+			if s, err := restoreSession(rec, DefaultAnonWorker, time.Unix(1000, 0)); err == nil {
 				t.Fatalf("malformed record restored: %+v", s.Info(time.Unix(1000, 0), true))
 			}
 		})
@@ -183,13 +183,13 @@ func FuzzRestoreRecord(f *testing.F) {
 			return
 		}
 		now := time.Unix(1000, 0)
-		s, err := restoreSession(&rec, "", now)
+		s, err := restoreSession(&rec, DefaultAnonWorker, now)
 		if err != nil {
 			return
 		}
 		fixedPoint := func() {
 			t.Helper()
-			again, err := restoreSession(s.record(), "", now)
+			again, err := restoreSession(s.record(), DefaultAnonWorker, now)
 			if err != nil {
 				t.Fatalf("record of a restored session does not restore: %v", err)
 			}

@@ -19,17 +19,24 @@ import (
 	"crowdfusion/internal/trace"
 )
 
-// Config tunes the HTTP service.
+// Config tunes the service: the HTTP server and the session manager
+// behind it. One zero-value rule covers every field: 0 means off for TTL
+// and MaxSessions (no idle eviction, no session cap), and 0 (or nil, or
+// empty) means the documented default for the rest. withDefaults is the
+// only code that resolves them.
 type Config struct {
-	// TTL is the idle session lifetime (default 30m; negative disables
-	// eviction).
+	// TTL is the idle lifetime of a session: sessions untouched for TTL
+	// are evicted by the janitor (0 = off). What eviction means depends
+	// on the store: durable stores flush-and-unload (the session reloads
+	// lazily on next touch), volatile stores drop the session for good
+	// (later requests get ErrExpired).
 	TTL time.Duration
-	// MaxSessions caps live sessions (default 100_000; negative means
-	// unlimited).
+	// MaxSessions caps live (in-memory) sessions (0 = off: unlimited).
+	// Create and lazy reload fail with ErrTooManySessions at the cap.
 	MaxSessions int
 	// MaxConcurrent bounds compute-heavy requests (select/answers) in
 	// flight; further requests wait up to QueueTimeout for a slot and
-	// are then rejected with 503. Zero resolves to the machine width via
+	// are then rejected with 503. The default is the machine width via
 	// the internal/parallel pool, matching the compute the selection
 	// kernel can actually use.
 	MaxConcurrent int
@@ -38,70 +45,64 @@ type Config struct {
 	QueueTimeout time.Duration
 	// RequestTimeout bounds whole-request handling (default 60s).
 	RequestTimeout time.Duration
-	// Seed seeds Random selectors (sessions derive per-session streams).
+	// Seed seeds Random selectors; each session derives its own stream
+	// from it and a per-session counter.
 	Seed int64
-	// Store persists sessions across restarts. Nil means a fresh volatile
-	// store (PR 3's in-memory-only behavior). The server takes ownership
-	// and closes it on Close.
+	// Store persists sessions across restarts (default a fresh volatile
+	// store.NewMemory). The service takes ownership and closes it on
+	// Close.
 	Store store.SessionStore
 	// MaxSubscribers caps concurrent event-stream (SSE) subscribers per
-	// session (0 = DefaultMaxSubscribers; negative = the default too).
-	// The cap bounds the fan-out work a merge performs: one non-blocking
-	// channel send per subscriber.
+	// session (default DefaultMaxSubscribers). The cap bounds the fan-out
+	// work a merge performs: one non-blocking channel send per subscriber.
 	MaxSubscribers int
 	// Cluster, when set, makes serving shard-aware: this node only serves
 	// sessions the ring places on it, answers misrouted requests with
 	// HTTP 421 code "not_owner" + the owner's address, and relinquishes
 	// resident sessions on topology changes so the new owner can adopt
-	// them from the shared Store by record replay. The caller keeps ring
-	// lifecycle (Start/Stop); the server registers its rebalance hook via
-	// the ring's OnChange. Clustered deployments must share a durable
-	// Store across nodes, or migrated sessions come up empty.
+	// them from the shared Store by record replay. The ring's Self is the
+	// owner recorded on this node's leases ("local" without a ring). The
+	// caller keeps ring lifecycle (Start/Stop); the server registers its
+	// rebalance hook via the ring's OnChange. Clustered deployments must
+	// share a durable Store across nodes, or migrated sessions come up
+	// empty.
 	Cluster *cluster.Ring
 	// Logger receives structured operational and access-log records
 	// (evictions, recoveries, store failures, one line per request with
-	// trace/request ids). Nil discards them.
+	// trace/request ids). The default discards them.
 	Logger *slog.Logger
-	// Tracer records spans for every request hop. Nil gets a recorder-less
-	// tracer minted internally, so request and trace IDs are always
-	// stamped on responses even when nothing retains the spans; pass a
-	// tracer built over a trace.Recorder to serve /debug/traces.
+	// Tracer records spans for every request hop and around session
+	// compute, persistence, leases and adoption. The default is a
+	// recorder-less tracer, so request and trace IDs are always stamped
+	// on responses even when nothing retains the spans; pass a tracer
+	// built over a trace.Recorder to serve /debug/traces.
 	Tracer *trace.Tracer
 
 	// LeaseTTL enables per-session write leases with fencing epochs: the
 	// node acquires a lease for every session it serves, stamps the epoch
 	// on every write, and the store refuses writes from a deposed owner
-	// with ErrFenced (HTTP 421, code "fenced"). Zero disables leasing.
+	// with ErrFenced (HTTP 421, code "fenced"). 0 = off.
 	LeaseTTL time.Duration
-	// LeaseRenew is the lease heartbeat interval (0 = LeaseTTL/3).
+	// LeaseRenew is the lease heartbeat interval (default LeaseTTL/3,
+	// floored at 10ms). Must be well under LeaseTTL: a node that misses
+	// renewals for a full TTL can have its sessions stolen.
 	LeaseRenew time.Duration
 	// AnonWorker is the worker identity that unattributed (legacy
 	// parallel-array) judgments are recorded under on sessions tracking
-	// per-worker accuracy. Empty means DefaultAnonWorker ("anon").
+	// per-worker accuracy (default DefaultAnonWorker, "anon").
 	AnonWorker string
-	// Clock overrides the wall clock (the daemon's -clock-skew flag uses
-	// it to simulate a node whose lease arithmetic runs ahead or behind).
-	// Nil means time.Now.
+	// Clock is the wall clock (default time.Now). Tests set a fake one;
+	// the daemon's -clock-skew flag uses it to simulate a node whose
+	// lease arithmetic runs ahead or behind.
 	Clock func() time.Time
 
-	// now overrides the clock in tests (takes precedence over Clock).
-	now func() time.Time
+	// ownership is the session placement the manager consults (default
+	// Cluster, or soleNode without one). Tests set fake partitions here.
+	ownership ownership
 }
 
 // withDefaults resolves zero values.
 func (c Config) withDefaults() Config {
-	if c.TTL == 0 {
-		c.TTL = 30 * time.Minute
-	}
-	if c.TTL < 0 {
-		c.TTL = 0
-	}
-	if c.MaxSessions == 0 {
-		c.MaxSessions = 100_000
-	}
-	if c.MaxSessions < 0 {
-		c.MaxSessions = 0
-	}
 	if c.MaxConcurrent <= 0 {
 		// One slot per hardware thread the selection kernel could use;
 		// parallel.Workers also floors the result at 1.
@@ -113,11 +114,35 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 60 * time.Second
 	}
-	if c.now == nil {
-		c.now = c.Clock
+	if c.Store == nil {
+		c.Store = store.NewMemory()
 	}
-	if c.now == nil {
-		c.now = time.Now
+	if c.MaxSubscribers <= 0 {
+		c.MaxSubscribers = DefaultMaxSubscribers
+	}
+	if c.Logger == nil {
+		c.Logger = slog.New(slog.DiscardHandler)
+	}
+	if c.Tracer == nil {
+		// Recorder-less: spans are minted (request/trace ids flow) but
+		// dropped on End. Keeps the id contract independent of ops wiring.
+		c.Tracer = trace.New("", nil)
+	}
+	if c.LeaseRenew <= 0 {
+		c.LeaseRenew = c.LeaseTTL / 3
+	}
+	c.LeaseRenew = max(c.LeaseRenew, 10*time.Millisecond)
+	if c.AnonWorker == "" {
+		c.AnonWorker = DefaultAnonWorker
+	}
+	if c.Clock == nil {
+		c.Clock = time.Now
+	}
+	if c.ownership == nil {
+		c.ownership = soleNode{}
+		if c.Cluster != nil {
+			c.ownership = c.Cluster
+		}
 	}
 	return c
 }
@@ -125,12 +150,8 @@ func (c Config) withDefaults() Config {
 // Server is the crowdfusiond HTTP service: routing, encode/decode at the
 // trust boundary, backpressure, and operational endpoints over a Manager.
 type Server struct {
-	cfg     Config
-	mgr     *Manager
-	metrics *Metrics
-	tracer  *trace.Tracer
-	log     *slog.Logger
-	gate    chan struct{} // compute-slot semaphore
+	mgr  *Manager
+	gate chan struct{} // compute-slot semaphore
 
 	// inflight counts compute work (selects and merges) so Close can
 	// drain them even if the HTTP listener has already stopped accepting.
@@ -149,58 +170,24 @@ type Server struct {
 
 // NewServer builds the service.
 func NewServer(cfg Config) *Server {
-	cfg = cfg.withDefaults()
+	mgr := newManager(cfg)
 	s := &Server{
-		cfg:        cfg,
-		metrics:    &Metrics{},
-		tracer:     cfg.Tracer,
-		log:        cfg.Logger,
-		gate:       make(chan struct{}, cfg.MaxConcurrent),
+		mgr:        mgr,
+		gate:       make(chan struct{}, mgr.cfg.MaxConcurrent),
 		streamStop: make(chan struct{}),
 	}
-	if s.tracer == nil {
-		// Recorder-less: spans are minted (request/trace ids flow) but
-		// dropped on End. Keeps the id contract independent of ops wiring.
-		s.tracer = trace.New("", nil)
-	}
-	if s.log == nil {
-		s.log = slog.New(slog.DiscardHandler)
-	}
-	sessionStore := cfg.Store
-	if sessionStore == nil {
-		sessionStore = store.NewMemory()
-	}
-	mgrCfg := ManagerConfig{
-		TTL:            cfg.TTL,
-		MaxSessions:    cfg.MaxSessions,
-		Seed:           cfg.Seed,
-		MaxSubscribers: cfg.MaxSubscribers,
-		Store:          instrumentedStore{inner: sessionStore, m: s.metrics},
-		Logger:         cfg.Logger,
-		Tracer:         s.tracer,
-		LeaseTTL:       cfg.LeaseTTL,
-		LeaseRenew:     cfg.LeaseRenew,
-		AnonWorker:     cfg.AnonWorker,
-		now:            cfg.now,
-		metrics:        s.metrics,
-	}
-	if cfg.Cluster != nil {
-		mgrCfg.Ownership = cfg.Cluster
-		mgrCfg.Self = cfg.Cluster.Self()
-	}
-	s.mgr = NewManager(mgrCfg)
-	if cfg.Cluster != nil {
+	if ring := mgr.cfg.Cluster; ring != nil {
 		// Eager rebalance: a topology change immediately hands off every
 		// resident session the ring re-homed (at most ~K/N of them), so
 		// the new owner adopts from a fresh flush instead of waiting for
 		// this node's next misrouted touch.
-		cfg.Cluster.SetOnChange(func() { s.mgr.RelinquishNotOwned() })
+		ring.SetOnChange(func() { mgr.RelinquishNotOwned() })
 	}
 	return s
 }
 
 // Metrics exposes the counter set (for tests and embedding processes).
-func (s *Server) Metrics() *Metrics { return s.metrics }
+func (s *Server) Metrics() *Metrics { return s.mgr.metrics }
 
 // Manager exposes the session store (for tests and embedding processes).
 func (s *Server) Manager() *Manager { return s.mgr }
@@ -268,7 +255,7 @@ func (s *Server) Handler() http.Handler {
 	// route to here; register the path methodless so they get a proper 405
 	// with Allow instead of a 404.
 	mux.HandleFunc("/v1/sessions/{id}/events", s.handleEventsBadMethod)
-	timed := http.TimeoutHandler(mux, s.cfg.RequestTimeout,
+	timed := http.TimeoutHandler(mux, s.mgr.cfg.RequestTimeout,
 		`{"error":"request timed out"}`)
 	outer := http.NewServeMux()
 	outer.HandleFunc("GET /v1/sessions/{id}/events", s.handleEvents)
@@ -326,9 +313,9 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		var sp *trace.Span
 		name := r.Method + " " + r.URL.Path
 		if remote, ok := trace.ParseTraceparent(r.Header.Get("traceparent")); ok {
-			ctx, sp = s.tracer.StartRemote(ctx, remote, name)
+			ctx, sp = s.mgr.cfg.Tracer.StartRemote(ctx, remote, name)
 		} else {
-			ctx, sp = s.tracer.Start(ctx, name)
+			ctx, sp = s.mgr.cfg.Tracer.Start(ctx, name)
 		}
 		reqID := sp.SpanID()
 		ctx = context.WithValue(ctx, requestIDKey{}, reqID)
@@ -345,7 +332,7 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		}
 		sp.SetAttr("status", sw.status)
 		sp.End()
-		s.log.Info("http request",
+		s.mgr.cfg.Logger.Info("http request",
 			"method", r.Method,
 			"path", r.URL.Path,
 			"status", sw.status,
@@ -518,7 +505,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (done func()) {
 		return done
 	default:
 	}
-	t := time.NewTimer(s.cfg.QueueTimeout)
+	t := time.NewTimer(s.mgr.cfg.QueueTimeout)
 	defer t.Stop()
 	select {
 	case s.gate <- struct{}{}:
@@ -527,7 +514,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (done func()) {
 	case <-t.C:
 	}
 	s.inflight.Done()
-	s.metrics.RequestsRejected.Add(1)
+	s.mgr.metrics.RequestsRejected.Add(1)
 	w.Header().Set("Retry-After", "1")
 	writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{
 		Error: "service: saturated, retry later", RequestID: requestIDFrom(r.Context())})
@@ -553,7 +540,7 @@ func (s *Server) writeSessionError(w http.ResponseWriter, r *http.Request, err e
 	var fenced *FencedError
 	switch {
 	case errors.As(err, &notOwner):
-		s.metrics.NotOwnerRejects.Add(1)
+		s.mgr.metrics.NotOwnerRejects.Add(1)
 	case errors.As(err, &fenced):
 		s.mgr.RetireFenced(r.PathValue("id"), fenced.epoch)
 	}
@@ -565,20 +552,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"status":        "ok",
 		"sessions_live": s.mgr.Len(),
 	}
-	if s.cfg.LeaseTTL > 0 {
+	if s.mgr.cfg.LeaseTTL > 0 {
 		resp["leases"] = map[string]any{
 			"held":  s.mgr.LeasesHeld(),
-			"owner": s.mgr.leaseSelf(),
-			"ttl":   s.cfg.LeaseTTL.String(),
+			"owner": s.mgr.cfg.ownership.Self(),
+			"ttl":   s.mgr.cfg.LeaseTTL.String(),
 			"renew": s.mgr.cfg.LeaseRenew.String(),
 		}
 	}
-	if s.cfg.Cluster != nil {
+	if ring := s.mgr.cfg.Cluster; ring != nil {
 		resp["cluster"] = map[string]any{
-			"self":        s.cfg.Cluster.Self(),
-			"peers":       s.cfg.Cluster.Peers(),
-			"peers_alive": len(s.cfg.Cluster.Alive()),
-			"epoch":       s.cfg.Cluster.Epoch(),
+			"self":        ring.Self(),
+			"peers":       ring.Peers(),
+			"peers_alive": len(ring.Alive()),
+			"epoch":       ring.Epoch(),
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -586,10 +573,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := s.metrics.WritePrometheus(w, s.mgr.Len(), s.mgr.LeasesHeld(), len(s.mgr.Workers().Workers)); err != nil {
+	if err := s.mgr.metrics.WritePrometheus(w, s.mgr.Len(), s.mgr.LeasesHeld(), len(s.mgr.Workers().Workers)); err != nil {
 		return
 	}
-	if ring := s.cfg.Cluster; ring != nil {
+	if ring := s.mgr.cfg.Cluster; ring != nil {
 		fmt.Fprintf(w, "# HELP crowdfusion_cluster_peers Static cluster size.\n"+
 			"# TYPE crowdfusion_cluster_peers gauge\ncrowdfusion_cluster_peers %d\n", ring.Size())
 		fmt.Fprintf(w, "# HELP crowdfusion_cluster_peers_alive Peers currently considered alive.\n"+
@@ -618,7 +605,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err)
 		return
 	}
-	s.metrics.SessionsCreated.Add(1)
+	s.mgr.metrics.SessionsCreated.Add(1)
 	writeJSON(w, http.StatusCreated, sess.Info(s.mgr.Now(), false))
 }
 
@@ -643,7 +630,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, ErrNotFound)
 		return
 	}
-	s.metrics.SessionsDeleted.Add(1)
+	s.mgr.metrics.SessionsDeleted.Add(1)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -680,12 +667,12 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		s.writeSessionError(w, r, err)
 		return
 	}
-	s.metrics.SelectDuration.observe(time.Since(start))
-	s.metrics.SelectsServed.Add(1)
+	s.mgr.metrics.SelectDuration.observe(time.Since(start))
+	s.mgr.metrics.SelectsServed.Add(1)
 	if cached {
-		s.metrics.SelectCacheHits.Add(1)
+		s.mgr.metrics.SelectCacheHits.Add(1)
 	} else {
-		s.metrics.SelectBatchWidth.observe(1)
+		s.mgr.metrics.SelectBatchWidth.observe(1)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -717,18 +704,18 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		s.writeSessionError(w, r, err)
 		return
 	}
-	s.metrics.MergeDuration.observe(time.Since(start))
+	s.mgr.metrics.MergeDuration.observe(time.Since(start))
 	switch {
 	case resp.Merged:
-		s.metrics.MergesApplied.Add(1)
+		s.mgr.metrics.MergesApplied.Add(1)
 		if resp.Partial {
 			// The partial that completed its batch and committed it.
-			s.metrics.PartialAnswers.Add(1)
+			s.mgr.metrics.PartialAnswers.Add(1)
 		}
 	case resp.Partial:
-		s.metrics.PartialAnswers.Add(1)
+		s.mgr.metrics.PartialAnswers.Add(1)
 	default:
-		s.metrics.MergeReplays.Add(1)
+		s.mgr.metrics.MergeReplays.Add(1)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -842,7 +829,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sub.cancel()
-	s.metrics.StreamsServed.Add(1)
+	s.mgr.metrics.StreamsServed.Add(1)
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")

@@ -1273,7 +1273,8 @@ func (s *Session) retireAndFlush(st store.SessionStore) error {
 // and applies the record's ops in journal order through the transition
 // function live requests run, so the restored state matches the pre-crash
 // session bit for bit. Random selectors restart at the recorded seed. The
-// session comes back without persist, tracer or event hooks.
+// session comes back without persist, tracer or event hooks, crediting
+// unattributed judgments to anonWorker.
 func restoreSession(rec *store.Record, anonWorker string, now time.Time) (*Session, error) {
 	fail := func(err error) (*Session, error) {
 		return nil, fmt.Errorf("service: session %s: %w", rec.ID, err)
@@ -1299,9 +1300,7 @@ func restoreSession(rec *store.Record, anonWorker string, now time.Time) (*Sessi
 	if rec.WorkerModel != "" {
 		s.workerModel = rec.WorkerModel
 	}
-	if anonWorker != "" {
-		s.anonWorker = anonWorker
-	}
+	s.anonWorker = anonWorker
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, op := range rec.Ops {

@@ -41,7 +41,7 @@ func judge(tasks []int, answers []bool, workers []string) []Judgment {
 }
 
 func TestCreateRejectsUnknownWorkerModel(t *testing.T) {
-	m := NewManager(ManagerConfig{})
+	m := newManager(Config{})
 	defer m.Close()
 
 	req := workerCreateReq(4, "majority-vote")
@@ -64,7 +64,7 @@ func TestCreateRejectsUnknownWorkerModel(t *testing.T) {
 }
 
 func TestJudgmentsRejectDuplicateTask(t *testing.T) {
-	m := NewManager(ManagerConfig{})
+	m := newManager(Config{})
 	defer m.Close()
 	s, err := m.Create(context.Background(), workerCreateReq(4, WorkerModelEM))
 	if err != nil {
@@ -91,7 +91,7 @@ func TestAttributionConflictOnRetry(t *testing.T) {
 		t.Run(model, func(t *testing.T) {
 			dir := t.TempDir()
 			now := time.Unix(1000, 0)
-			cfg := ManagerConfig{now: func() time.Time { return now }}
+			cfg := Config{Clock: func() time.Time { return now }}
 			m1 := newFileManager(t, dir, cfg)
 			s, err := m1.Create(context.Background(), workerCreateReq(4, model))
 			if err != nil {
@@ -217,7 +217,7 @@ func driveDifferentialRound(t *testing.T, now time.Time, fixed, em *Session, r i
 // weighted path with all channels pinned at pc — and must reproduce the
 // fixed-pc posterior bit-for-bit, round after round, refits and all.
 func TestWeightedUniformMatchesFixedInProcess(t *testing.T) {
-	m := NewManager(ManagerConfig{})
+	m := newManager(Config{})
 	defer m.Close()
 
 	fixed, err := m.Create(context.Background(), workerCreateReq(4, WorkerModelFixed))
@@ -308,7 +308,7 @@ func TestWeightedUniformMatchesFixedHTTP(t *testing.T) {
 func TestCrashRecoveryWeightedBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Unix(1000, 0)
-	mcfg := func() ManagerConfig { return ManagerConfig{now: func() time.Time { return now }} }
+	mcfg := func() Config { return Config{Clock: func() time.Time { return now }} }
 
 	m1 := newFileManager(t, dir, mcfg())
 	em, err := m1.Create(context.Background(), workerCreateReq(4, WorkerModelDawidSkene))
@@ -420,7 +420,7 @@ func TestGoldenAdversarialWorkerDownWeighted(t *testing.T) {
 	accOf := map[string]float64{"honest-a": honestAcc, "honest-b": honestAcc, "adversary": plantedAcc}
 	crew := []string{"honest-a", "honest-b", "adversary"}
 
-	m := NewManager(ManagerConfig{})
+	m := newManager(Config{})
 	defer m.Close()
 	em, err := m.Create(context.Background(), workerCreateReq(nFacts, WorkerModelEM))
 	if err != nil {
@@ -499,7 +499,7 @@ func TestGoldenAdversarialWorkerDownWeighted(t *testing.T) {
 func TestLegacyFixedJournalUnchanged(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Unix(1000, 0)
-	m1 := newFileManager(t, dir, ManagerConfig{now: func() time.Time { return now }})
+	m1 := newFileManager(t, dir, Config{Clock: func() time.Time { return now }})
 	s1, err := m1.Create(context.Background(), testCreateReq())
 	if err != nil {
 		t.Fatal(err)
@@ -517,7 +517,7 @@ func TestLegacyFixedJournalUnchanged(t *testing.T) {
 		t.Fatalf("legacy fixed session polluted its record: model %q", rec.WorkerModel)
 	}
 
-	m2 := newFileManager(t, dir, ManagerConfig{now: func() time.Time { return now }})
+	m2 := newFileManager(t, dir, Config{Clock: func() time.Time { return now }})
 	defer m2.Close()
 	s2, err := m2.Get(context.Background(), s1.ID())
 	if err != nil {
