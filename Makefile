@@ -10,8 +10,8 @@ BENCHTIME ?= 0.3s
 
 # Benchmarks the JSON artifact (and therefore the perf ratchet) covers:
 # the selection kernel, the sweep scheduler, the serving-path select and
-# merge, and the weighted merge.
-BENCH_PATTERN ?= Kernel|SweepParallelism|ServiceSelect|ServiceMerge|WeightedMerge
+# merge, the weighted merge, and the replay that adopts an em session.
+BENCH_PATTERN ?= Kernel|SweepParallelism|ServiceSelect|ServiceMerge|WeightedMerge|ServiceRestore
 
 # Benchmarks bench-diff never fails on: the HTTP and cached-select paths
 # are dominated by the net stack and the allocator, the parallelism sweep

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,18 +13,25 @@ import (
 
 	"crowdfusion/internal/core"
 	"crowdfusion/internal/dist"
+	"crowdfusion/internal/store"
 )
 
-// benchJoint builds a 12-fact product prior with spread-out marginals —
-// 4096 support worlds, the scale of a real per-book instance after fusion.
-func benchJoint(b *testing.B) *dist.Joint {
-	b.Helper()
+// benchMarginals are 12 spread-out fact marginals, the prior benchJoint
+// builds.
+func benchMarginals() []float64 {
 	rng := rand.New(rand.NewSource(7))
 	m := make([]float64, 12)
 	for i := range m {
 		m[i] = 0.3 + 0.4*rng.Float64()
 	}
-	j, err := dist.Independent(m)
+	return m
+}
+
+// benchJoint builds a 12-fact product prior with spread-out marginals —
+// 4096 support worlds, the scale of a real per-book instance after fusion.
+func benchJoint(b *testing.B) *dist.Joint {
+	b.Helper()
+	j, err := dist.Independent(benchMarginals())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -116,7 +124,7 @@ func BenchmarkServiceSelectHTTP(b *testing.B) {
 // BenchmarkServiceMerge measures the scalar conditioning path — the
 // fixed-pc Bayesian update every merge on a fixed-model session pays —
 // against the same 4096-world posterior the selection benchmarks use.
-// Workers are nil, so this is exactly conditionLocked's fast path.
+// No channels, so this is exactly conditionLocked's scalar path.
 func BenchmarkServiceMerge(b *testing.B) {
 	s := newSession("bench", benchJoint(b), core.NewGreedyPrunePre(),
 		"Approx+Prune+Pre", 0.8, 3, 1<<30, time.Unix(0, 0))
@@ -125,7 +133,7 @@ func BenchmarkServiceMerge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.conditionLocked(tasks, answers, nil); err != nil {
+		if _, err := s.conditionLocked(tasks, answers, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -150,7 +158,55 @@ func BenchmarkWeightedMerge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.conditionLocked(tasks, answers, workers); err != nil {
+		sens, spec := s.channelsLocked(store.Op{}, tasks, workers)
+		if _, err := s.conditionLocked(tasks, answers, sens, spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServiceRestore measures adopting an em session: restoreSession
+// of a 64-round record on the benchJoint prior, k=3 Random selections
+// answered by 12 workers of planted accuracies 0.6–0.95. Each merge's
+// journaled op records the channels it was conditioned on, so replay
+// conditions on them and fits the worker model once, at the end, instead
+// of refitting the growing observation log after every merge.
+func BenchmarkServiceRestore(b *testing.B) {
+	m := newManager(Config{})
+	defer m.Close()
+	ctx, now := context.Background(), m.Now()
+	marginals := benchMarginals()
+	s, err := m.Create(ctx, &CreateSessionRequest{Marginals: marginals, Pc: 0.8, K: 3, Budget: 64 * 3,
+		Seed: 1, Selector: "Random", WorkerModel: WorkerModelEM})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	truth := make([]bool, len(marginals))
+	for i, p := range marginals {
+		truth[i] = rng.Float64() < p
+	}
+	for r := 0; r < 64; r++ {
+		sel, _, err := s.Select(ctx, now, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		js := make([]Judgment, len(sel.Tasks))
+		for i, task := range sel.Tasks {
+			w := rng.Intn(12)
+			right := rng.Float64() < 0.6+0.35*float64(w)/11
+			js[i] = Judgment{Task: task, Answer: truth[task] == right, Worker: fmt.Sprintf("w%02d", w)}
+		}
+		v := sel.Version
+		if resp, err := s.Merge(ctx, now, &AnswersRequest{Version: &v, Judgments: js}); err != nil || !resp.Merged {
+			b.Fatalf("round %d: %+v, %v", r, resp, err)
+		}
+	}
+	rec := s.record()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := restoreSession(rec, DefaultAnonWorker, now); err != nil {
 			b.Fatal(err)
 		}
 	}

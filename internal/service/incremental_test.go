@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"crowdfusion/internal/store"
 )
 
 // answersFor fabricates a deterministic judgment per task (true for even
@@ -292,6 +294,108 @@ func TestPartialSequenceSurvivesCrashMidLedger(t *testing.T) {
 	got4.info.ID = ""
 	requireIdentical(t, got4, want)
 	retryCommitted(s4)
+}
+
+// TestWorkerModelSurvivesCrashMidLedger crashes an em session whose
+// journal ends in observe and partial ops after its last merge. Replay fits
+// the worker model once, over the observations up to that merge: the
+// pending ledger's observations were never refit live, so a fit that saw
+// them would show other worker estimates and condition the completing merge
+// on other channels. The recovered session must match a twin that never
+// crashed in refits, /workers and the next merge's posterior bits.
+func TestWorkerModelSurvivesCrashMidLedger(t *testing.T) {
+	now := time.Unix(1000, 0)
+	cfg := Config{Clock: func() time.Time { return now }}
+	ctx := context.Background()
+	dir := t.TempDir()
+	crashed := newFileManager(t, dir, cfg)
+	twinM := newManager(cfg)
+	defer twinM.Close()
+	var sessions []*Session
+	for _, m := range []*Manager{crashed, twinM} {
+		s, err := m.Create(ctx, workerCreateReq(6, WorkerModelEM))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, s)
+	}
+	// answer sends each session its own copy of one attributed request: w3
+	// contradicts the others, so the refits separate the workers.
+	crew := []string{"w1", "w2", "w3"}
+	answer := func(ss []*Session, tasks []int, partial bool, r int) {
+		t.Helper()
+		for _, s := range ss {
+			sel, _, err := s.Select(ctx, now, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tasks == nil {
+				tasks = sel.Tasks
+			}
+			js := make([]Judgment, len(tasks))
+			for i, task := range tasks {
+				w := crew[(r+task)%len(crew)]
+				js[i] = Judgment{Task: task, Answer: (task%2 == 0) != (w == "w3"), Worker: w}
+			}
+			v := sel.Version
+			if _, err := s.Merge(ctx, now, &AnswersRequest{Version: &v, Partial: partial, Judgments: js}); err != nil {
+				t.Fatalf("round %d: %v", r, err)
+			}
+		}
+	}
+	for r := 0; r < 4; r++ {
+		answer(sessions, nil, false, r)
+	}
+	sel, _, err := sessions[0].Select(ctx, now, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sel.Tasks) < 2 {
+		t.Fatalf("need a multi-task batch, got %v", sel.Tasks)
+	}
+	answer(sessions, sel.Tasks[:1], true, 4)
+	rec, err := crashed.cfg.Store.Get(sessions[0].ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail := rec.Ops[len(rec.Ops)-2:]; tail[0].Kind != store.OpObserve || tail[1].Kind != store.OpPartial {
+		t.Fatalf("journal ends in %s, %s ops; want observe, partial", tail[0].Kind, tail[1].Kind)
+	}
+	// No Close: the process just died.
+
+	m2 := newFileManager(t, dir, cfg)
+	defer m2.Close()
+	recovered, err := m2.Get(ctx, sessions[0].ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := sessions[1]
+	same := func(stage string) {
+		t.Helper()
+		got, want := fingerprint(recovered, now), fingerprint(twin, now)
+		got.info.ID, want.info.ID = "", ""
+		requireIdentical(t, got, want)
+		gotCal, err := recovered.Calibration(now, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCal, err := twin.Calibration(now, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotCal.Refits != wantCal.Refits || gotCal.Refits == 0 {
+			t.Fatalf("%s: refits %d recovered, %d live", stage, gotCal.Refits, wantCal.Refits)
+		}
+		if got, want := m2.Workers(), twinM.Workers(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: /workers diverged:\n got %+v\nwant %+v", stage, got, want)
+		}
+	}
+	same("recovered mid-ledger")
+	answer([]*Session{recovered, twin}, sel.Tasks[1:], true, 4)
+	if info := twin.Info(now, false); info.Version != 5 || info.Pending != nil {
+		t.Fatalf("completing the ledger did not commit: version %d, pending %+v", info.Version, info.Pending)
+	}
+	same("after the completing merge")
 }
 
 // TestPartialSequenceOverHTTP runs the differential flow through the full

@@ -60,6 +60,46 @@ func TestLiveMatchesReplay(t *testing.T) {
 	}
 }
 
+// requireRecomputedChannels checks that the channels an em or dawid-skene
+// record carries are the ones its refits compute: every conditioning op
+// records one per judgment, and the record stripped of them — replayed the
+// old way, refitting after every merge — restores to the session the fast
+// restore (twin) and live are, with the same refit count and worker view,
+// and without gaining channels.
+func requireRecomputedChannels(t *testing.T, rec *store.Record, twin, live *Session, now time.Time) {
+	t.Helper()
+	stripped := rec.Clone()
+	for i := range stripped.Ops {
+		op := &stripped.Ops[i]
+		if (op.Kind == store.OpMerge || op.Kind == store.OpPartial) && (len(op.Sens) != len(op.Tasks) || len(op.Spec) != len(op.Tasks)) {
+			t.Fatalf("%s op at version %d records %d/%d channels for %d tasks",
+				op.Kind, op.Version, len(op.Sens), len(op.Spec), len(op.Tasks))
+		}
+		op.Sens, op.Spec = nil, nil
+	}
+	old, err := restoreSession(stripped, DefaultAnonWorker, now)
+	if err != nil {
+		t.Fatalf("restore without channels: %v", err)
+	}
+	for _, op := range old.record().Ops {
+		if len(op.Sens) > 0 || len(op.Spec) > 0 {
+			t.Fatalf("replay rewrote a %s op of a journal without channels", op.Kind)
+		}
+	}
+	for _, s := range []*Session{twin, live} {
+		requireIdentical(t, fingerprint(old, now), fingerprint(s, now))
+		s.mu.Lock()
+		refits := s.refits
+		s.mu.Unlock()
+		if old.refits != refits {
+			t.Fatalf("refits: %d replaying without channels, %d with", old.refits, refits)
+		}
+		if got, want := old.WorkerStats(), s.WorkerStats(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("worker stats diverged without channels:\n got %+v\nwant %+v", got, want)
+		}
+	}
+}
+
 func runLiveReplayModel(t *testing.T, model string, seed int64) {
 	ctx := context.Background()
 	now := time.Unix(1000, 0)
@@ -87,9 +127,12 @@ func runLiveReplayModel(t *testing.T, model string, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		twin, err := restoreSession(rec, DefaultAnonWorker, now)
+		twin, err := restoreSession(rec.Clone(), DefaultAnonWorker, now)
 		if err != nil {
 			t.Fatalf("restore: %v", err)
+		}
+		if model != WorkerModelFixed {
+			requireRecomputedChannels(t, rec, twin, live, now)
 		}
 		return twin
 	}

@@ -43,6 +43,11 @@ func restoreFixture(t *testing.T) *store.Record {
 		t.Fatal(err)
 	}
 	rec := s.record()
+	for _, op := range rec.Ops {
+		if (op.Kind == store.OpMerge || op.Kind == store.OpPartial) && len(op.Sens) != len(op.Tasks) {
+			t.Fatalf("fixture %s op records %d channels for %d tasks", op.Kind, len(op.Sens), len(op.Tasks))
+		}
+	}
 	if _, err := restoreSession(rec.Clone(), DefaultAnonWorker, now); err != nil {
 		t.Fatalf("fixture does not restore: %v", err)
 	}
@@ -143,6 +148,24 @@ func TestRestoreRejectsMalformedRecords(t *testing.T) {
 		"observe sources unpaired": func(r *store.Record) {
 			fixtureOp(t, r, store.OpObserve, 0).Sources = []string{"a", "b", "c"}
 		},
+		"merge sens without spec": func(r *store.Record) { fixtureOp(t, r, store.OpMerge, 0).Spec = nil },
+		"merge spec without sens": func(r *store.Record) { fixtureOp(t, r, store.OpMerge, 0).Sens = nil },
+		"merge channels short": func(r *store.Record) {
+			m := fixtureOp(t, r, store.OpMerge, 0)
+			m.Sens, m.Spec = m.Sens[:1], m.Spec[:1]
+		},
+		"partial channels long": func(r *store.Record) {
+			p := fixtureOp(t, r, store.OpPartial, 0)
+			p.Sens, p.Spec = append(p.Sens, 0.8), append(p.Spec, 0.8)
+		},
+		"channels on a fixed session": func(r *store.Record) { r.WorkerModel = "" },
+		"channels on an observe op": func(r *store.Record) {
+			o := fixtureOp(t, r, store.OpObserve, 0)
+			o.Sens, o.Spec = make([]float64, len(o.Tasks)), make([]float64, len(o.Tasks))
+		},
+		"merge sensitivity NaN":        func(r *store.Record) { fixtureOp(t, r, store.OpMerge, 0).Sens[0] = math.NaN() },
+		"merge specificity above one":  func(r *store.Record) { fixtureOp(t, r, store.OpMerge, 0).Spec[1] = 1.5 },
+		"partial sensitivity negative": func(r *store.Record) { fixtureOp(t, r, store.OpPartial, 0).Sens[0] = -0.1 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			rec := base.Clone()
@@ -176,6 +199,8 @@ func restoreFingerprint(t *testing.T, s *Session, now time.Time) string {
 // to restore or restores to a session that can be read and asked for a
 // batch without panicking — and whose record restores to the identical
 // state, before and after that select: restore∘record is a fixed point.
+// Fuzzed channels need match no refit, so whether recorded channels equal
+// the recomputed ones is TestLiveMatchesReplay's check, not this one's.
 func FuzzRestoreRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rec store.Record

@@ -61,7 +61,9 @@ var errSessionRetired = errors.New("service: session instance retired; re-resolv
 // Create and crash recovery both build the session from a store.Record and
 // apply its ops in journal order (restoreSession). The posterior after
 // round v is a deterministic function of the prior and the answer sets
-// merged so far (Equation 3), so replay recomputes live state bit for bit.
+// merged so far (Equation 3), with the per-judgment channels each merge
+// journaled on em/dawid-skene sessions, so replay recomputes live state
+// bit for bit.
 //
 // Every operation runs under one per-session mutex, so concurrent requests
 // against the same session serialize: two merges can never interleave, a
@@ -116,14 +118,6 @@ type Session struct {
 	workerSpec map[string]float64
 	workerRaw  map[string]float64
 	refits     int
-
-	// sensBuf/specBuf are the reusable per-judgment channel buffers for
-	// weighted conditioning: the conditioning kernel consumes them before
-	// returning, so they recycle across merges and the weighted path stops
-	// allocating its channel vectors per call. Guarded by mu like all
-	// session scratch.
-	sensBuf []float64
-	specBuf []float64
 
 	// metrics receives refit latency and the weighted-merge count, updated
 	// while holding mu.
@@ -770,10 +764,10 @@ func observationsSince(ops []store.Op, v int) iter.Seq2[int, Judgment] {
 	}
 }
 
-// observationsLocked yields every journaled observation in journal order.
-func (s *Session) observationsLocked() iter.Seq[Judgment] {
+// observations yields every observation journaled in ops, in journal order.
+func observations(ops []store.Op) iter.Seq[Judgment] {
 	return func(yield func(Judgment) bool) {
-		for _, op := range s.journal {
+		for _, op := range ops {
 			for i := 0; i < len(op.Tasks) && op.Kind == store.OpObserve; i++ {
 				if !yield(Judgment{Task: op.Tasks[i], Answer: op.Answers[i], Worker: op.Workers[i]}) {
 					return
@@ -820,52 +814,103 @@ func (s *Session) workerChannelLocked(w string) (sens, spec float64) {
 	return s.pc, s.pc
 }
 
-// conditionLocked conditions the committed posterior on one judgment set.
-// Fixed sessions — and em/dawid-skene sessions before their first refit —
-// take the scalar-pc path; refit sessions condition each judgment on its
-// worker's current smoothed channel. The pre-refit equivalence is exact,
-// not approximate: with every estimate pinned at pc the weighted
-// conditioning delegates to the scalar kernel inside dist, so a fresh
-// em session is bit-identical to a fixed one until evidence arrives.
-func (s *Session) conditionLocked(tasks []int, answers []bool, workers []string) (*dist.Joint, error) {
-	if s.workerModel == WorkerModelFixed || s.refits == 0 || workers == nil {
+// channelsLocked returns the channel each judgment of tasks is conditioned
+// on, parallel to tasks; both nil on a fixed session, which conditions on
+// the scalar pc. A judgment whose channel the journal records — on op, or,
+// for a pending-ledger task, on the partial op that journaled it — takes
+// that one, so replay conditions exactly as the live merge did without
+// recomputing a refit. Otherwise, before the first refit or when the log
+// attributes none of the judgments, every judgment takes pc; after it, each
+// takes its worker's current smoothed channel. The pre-refit equivalence is
+// exact, not approximate: the weighted kernel delegates uniform channels to
+// the scalar one inside dist, so a fresh em session is bit-identical to a
+// fixed one until evidence arrives.
+func (s *Session) channelsLocked(op store.Op, tasks []int, workers []string) (sens, spec []float64) {
+	if s.workerModel == WorkerModelFixed {
+		return nil, nil
+	}
+	weighted := s.refits > 0 && workers != nil
+	if weighted {
+		s.metrics.WeightedMerges.Add(1)
+	}
+	sens, spec = make([]float64, len(tasks)), make([]float64, len(tasks))
+	for i, task := range tasks {
+		switch sn, sp, ok := s.recordedChannelLocked(op, task); {
+		case ok:
+			sens[i], spec[i] = sn, sp
+		case weighted:
+			sens[i], spec[i] = s.workerChannelLocked(workers[i])
+		default:
+			sens[i], spec[i] = s.pc, s.pc
+		}
+	}
+	return sens, spec
+}
+
+// recordedChannelLocked returns the channel the journal records for task
+// when op, a replayed conditioning op, carries channels: op's own, or that
+// of the partial op at the current version that journaled task. A live op
+// carries none, and computes every channel afresh.
+func (s *Session) recordedChannelLocked(op store.Op, task int) (sens, spec float64, ok bool) {
+	if len(op.Sens) == 0 {
+		return 0, 0, false
+	}
+	if j := slices.Index(op.Tasks, task); j >= 0 {
+		return op.Sens[j], op.Spec[j], true
+	}
+	for i := len(s.journal) - 1; i >= 0 && s.journal[i].Version == s.version; i-- {
+		p := s.journal[i]
+		if j := slices.Index(p.Tasks, task); p.Kind == store.OpPartial && j >= 0 && len(p.Sens) > 0 {
+			return p.Sens[j], p.Spec[j], true
+		}
+	}
+	return 0, 0, false
+}
+
+// conditionLocked conditions the committed posterior on one judgment set,
+// on the scalar pc when sens is nil and on the per-judgment channels
+// otherwise.
+func (s *Session) conditionLocked(tasks []int, answers []bool, sens, spec []float64) (*dist.Joint, error) {
+	if sens == nil {
 		return core.MergeAnswers(s.posterior, tasks, answers, s.pc)
 	}
-	// The conditioning kernel reads the channel vectors before returning
-	// and the posterior retains no reference to them, so the session-owned
-	// buffers recycle across merges.
-	sens := s.sensBuf[:0]
-	spec := s.specBuf[:0]
-	for _, w := range workers {
-		sn, sp := s.workerChannelLocked(w)
-		sens = append(sens, sn)
-		spec = append(spec, sp)
-	}
-	s.sensBuf, s.specBuf = sens, spec
-	s.metrics.WeightedMerges.Add(1)
 	return core.MergeAnswersWeighted(s.posterior, tasks, answers, sens, spec)
 }
 
 // refitLocked re-estimates every worker's accuracy from the accumulated
-// observation log; callers hold mu and have just committed a merge. The
-// raw estimates (symmetric EM or Dawid–Skene, seeded from the session
-// seed so recovery replays the identical arithmetic) are shrunk toward
-// the configured pc by a Beta prior of strength workerPriorStrength. An
-// estimator failure keeps the previous estimates — the merge that
-// triggered the refit is already committed and must not be unwound.
+// observation log (fitWorkersLocked); callers hold mu and have just
+// committed a merge. An estimator failure keeps the previous estimates —
+// the merge that triggered the refit is already committed and must not be
+// unwound.
 func (s *Session) refitLocked(ctx context.Context) {
-	if s.workerModel != WorkerModelEM && s.workerModel != WorkerModelDawidSkene {
+	start := time.Now()
+	if !s.fitWorkersLocked(s.journal) {
 		return
 	}
-	start := time.Now()
+	s.refits++
+	s.metrics.WorkerRefits.Add(1)
+	s.metrics.RefitDuration.observe(time.Since(start))
+	s.emitLocked(ctx, EventRefit, func(ev *SessionEvent) { ev.Refits = s.refits })
+}
+
+// fitWorkersLocked estimates every worker's channel from the observations
+// journaled in ops and reports whether it did: a fixed session, an empty
+// log or an estimator failure leaves the estimates as they were. The raw
+// estimates (symmetric EM or Dawid–Skene, seeded from the session seed so
+// recovery replays the identical arithmetic) are shrunk toward the
+// configured pc by a Beta prior of strength workerPriorStrength.
+func (s *Session) fitWorkersLocked(ops []store.Op) bool {
+	if s.workerModel != WorkerModelEM && s.workerModel != WorkerModelDawidSkene {
+		return false
+	}
 	var answers []crowd.Answer
 	support := make(map[string]int)
-	for o := range s.observationsLocked() {
+	for o := range observations(ops) {
 		answers = append(answers, crowd.Answer{Fact: o.Task, Value: o.Answer, Worker: o.Worker})
 		support[o.Worker]++
 	}
 	if len(answers) == 0 {
-		return
+		return false
 	}
 	var rawSens, rawSpec map[string]float64
 	opts := crowd.EMOptions{Seed: s.seed}
@@ -873,13 +918,13 @@ func (s *Session) refitLocked(ctx context.Context) {
 	case WorkerModelEM:
 		est, err := crowd.EstimateEM(answers, opts)
 		if err != nil {
-			return
+			return false
 		}
 		rawSens, rawSpec = est.WorkerAccuracy, est.WorkerAccuracy
 	case WorkerModelDawidSkene:
 		est, err := crowd.EstimateDawidSkene(answers, opts)
 		if err != nil {
-			return
+			return false
 		}
 		rawSens, rawSpec = est.Sensitivity, est.Specificity
 	}
@@ -893,10 +938,7 @@ func (s *Session) refitLocked(ctx context.Context) {
 		s.workerSpec[w] = (workerPriorStrength*s.pc + n*sp) / (workerPriorStrength + n)
 		s.workerRaw[w] = (sn + sp) / 2
 	}
-	s.refits++
-	s.metrics.WorkerRefits.Add(1)
-	s.metrics.RefitDuration.observe(time.Since(start))
-	s.emitLocked(ctx, EventRefit, func(ev *SessionEvent) { ev.Refits = s.refits })
+	return true
 }
 
 // transition is one op's effect, computed by stepLocked and committed by
@@ -904,7 +946,7 @@ func (s *Session) refitLocked(ctx context.Context) {
 // the posterior rules out, a spent budget, a task outside the batch —
 // before anything is journaled, while replay runs the same computation.
 type transition struct {
-	op    store.Op
+	op    store.Op    // the op to journal: a live conditioning op gains its channels
 	post  *dist.Joint // a merge's next posterior, a partial's provisional one
 	taskH float64     // H(T) of a merge's answer set or a partial's batch
 }
@@ -924,6 +966,17 @@ func (s *Session) stepLocked(op store.Op, extra []store.Op) (transition, error) 
 	}
 	if len(op.Tasks) == 0 && op.Kind != store.OpDone {
 		return t, fmt.Errorf("service: empty %s op", op.Kind)
+	}
+	if len(op.Sens) > 0 || len(op.Spec) > 0 {
+		switch {
+		case s.workerModel == WorkerModelFixed:
+			return t, fmt.Errorf("service: %s op on a fixed session carries channels", op.Kind)
+		case op.Kind != store.OpMerge && op.Kind != store.OpPartial:
+			return t, fmt.Errorf("service: %s op carries channels", op.Kind)
+		case len(op.Sens) != len(op.Tasks) || len(op.Spec) != len(op.Tasks):
+			return t, fmt.Errorf("service: %s op has %d tasks but %d/%d channels",
+				op.Kind, len(op.Tasks), len(op.Sens), len(op.Spec))
+		}
 	}
 	switch op.Kind {
 	case store.OpObserve:
@@ -967,8 +1020,21 @@ func (s *Session) stepLocked(op store.Op, extra []store.Op) (transition, error) 
 		if t.taskH, err = s.taskEntropyLocked(batch); err != nil {
 			return t, err
 		}
-		if t.post, err = s.conditionLocked(tasks, answers, s.attributionLocked(op.Version, tasks, answers, extra)); err != nil {
+		sens, spec := s.channelsLocked(op, tasks, s.attributionLocked(op.Version, tasks, answers, extra))
+		if t.post, err = s.conditionLocked(tasks, answers, sens, spec); err != nil {
 			return t, fmt.Errorf("service: merge: %w", err)
+		}
+		if sens != nil && len(op.Sens) == 0 {
+			// The op to journal records the channel each of its judgments
+			// was conditioned on; a merge conditions on its own tasks.
+			t.op.Sens, t.op.Spec = sens, spec
+			if op.Kind == store.OpPartial {
+				t.op.Sens, t.op.Spec = make([]float64, len(op.Tasks)), make([]float64, len(op.Tasks))
+				for i, task := range op.Tasks {
+					j := slices.Index(tasks, task)
+					t.op.Sens[i], t.op.Spec[i] = sens[j], spec[j]
+				}
+			}
 		}
 	case store.OpDone:
 	default:
@@ -979,7 +1045,9 @@ func (s *Session) stepLocked(op store.Op, extra []store.Op) (transition, error) 
 
 // applyLocked commits a transition computed by stepLocked; callers hold mu.
 // It is the only code that changes the session's refinement state, and it
-// cannot fail: everything that can was checked by stepLocked.
+// cannot fail: everything that can was checked by stepLocked. Refitting the
+// worker model after a merge is the caller's: the live path refits after
+// every merge, replay once at the end (restoreSession).
 func (s *Session) applyLocked(ctx context.Context, t transition) {
 	op := t.op
 	s.journal = store.Extend(s.journal, op)
@@ -1012,7 +1080,6 @@ func (s *Session) applyLocked(ctx context.Context, t transition) {
 		})
 		s.merges = append(s.merges, &AnswersResponse{SessionInfo: s.infoLocked(false), Merged: true})
 		s.emitLocked(ctx, EventMerge, nil)
-		s.refitLocked(ctx)
 	case store.OpDone:
 		s.done = true
 		s.emitLocked(ctx, EventDone, nil)
@@ -1025,7 +1092,8 @@ func (s *Session) applyLocked(ctx context.Context, t transition) {
 // applies them in order: an acknowledged transition is durable before any
 // in-memory state changes, and a failed persist leaves the session as it
 // was, safe to retry. An observe op that landed ahead of a failed persist
-// stays; it is durable, and the retry's observe op is a tail match.
+// stays; it is durable, and the retry's observe op is a tail match. Every
+// merge refits the worker model over the log it closes.
 func (s *Session) journalLocked(ctx context.Context, ops ...store.Op) error {
 	ts := make([]transition, len(ops))
 	for i, op := range ops {
@@ -1042,6 +1110,9 @@ func (s *Session) journalLocked(ctx context.Context, ops ...store.Op) error {
 			}
 		}
 		s.applyLocked(ctx, t)
+		if t.op.Kind == store.OpMerge {
+			s.refitLocked(ctx)
+		}
 	}
 	return nil
 }
@@ -1109,9 +1180,9 @@ func (s *Session) Calibration(now time.Time, nBins int) (*CalibrationResponse, e
 	for i, p := range marginals {
 		gold[i] = p >= 0.5
 	}
-	observations := 0
-	for range s.observationsLocked() {
-		observations++
+	observed := 0
+	for range observations(s.journal) {
+		observed++
 	}
 	inst := &worlds.Instance{Statements: make([]bookdata.Statement, len(marginals)), Gold: gold}
 	cal, err := eval.CalibrationReport([]*worlds.Instance{inst}, []*dist.Joint{s.posterior}, nBins)
@@ -1123,7 +1194,7 @@ func (s *Session) Calibration(now time.Time, nBins int) (*CalibrationResponse, e
 		Version:      s.version,
 		WorkerModel:  s.workerModel,
 		Refits:       s.refits,
-		Observations: observations,
+		Observations: observed,
 		Bins:         make([]CalibrationBinInfo, len(cal.Bins)),
 		ECE:          cal.ECE,
 		Brier:        cal.Brier,
@@ -1147,7 +1218,7 @@ func (s *Session) Calibration(now time.Time, nBins int) (*CalibrationResponse, e
 func (s *Session) workerInfosLocked(gold []bool) []WorkerInfo {
 	type tally struct{ support, correct, trues int }
 	tallies := make(map[string]*tally)
-	for o := range s.observationsLocked() {
+	for o := range observations(s.journal) {
 		t := tallies[o.Worker]
 		if t == nil {
 			t = &tally{}
@@ -1303,12 +1374,35 @@ func restoreSession(rec *store.Record, anonWorker string, now time.Time) (*Sessi
 	s.anonWorker = anonWorker
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Conditioning ops that record their channels replay on them, so the
+	// worker model is fitted once, at the end, over the observations the
+	// last live refit saw: those journaled up to the last merge. Every merge
+	// after an observation was such a refit. A journal with a conditioning
+	// op that records none — written before channels were, or extended by a
+	// binary that ignores them — refits after every merge, as live did.
+	perMerge := s.workerModel != WorkerModelFixed && slices.ContainsFunc(rec.Ops, func(op store.Op) bool {
+		return (op.Kind == store.OpMerge || op.Kind == store.OpPartial) && len(op.Sens) == 0
+	})
+	observed, fitted := false, 0
 	for _, op := range rec.Ops {
 		t, err := s.stepLocked(op, nil)
 		if err != nil {
 			return fail(fmt.Errorf("replaying %s op at version %d: %w", op.Kind, op.Version, err))
 		}
+		t.op = op // replay journals each op as recorded, rewriting none
 		s.applyLocked(context.Background(), t)
+		observed = observed || op.Kind == store.OpObserve
+		switch {
+		case op.Kind != store.OpMerge:
+		case perMerge:
+			s.refitLocked(context.Background())
+		case observed && s.workerModel != WorkerModelFixed:
+			s.refits++
+			fitted = len(s.journal)
+		}
+	}
+	if fitted > 0 {
+		s.fitWorkersLocked(s.journal[:fitted])
 	}
 	return s, nil
 }

@@ -376,3 +376,39 @@ func appendRaw(t *testing.T, path, data string) {
 		t.Fatal(err)
 	}
 }
+
+// TestConformanceChannelsRoundTrip: the per-judgment channels a merge op
+// records come back bit for bit — from the op log and from a
+// snapshot — and the store keeps its own copy, because replay conditions
+// on them instead of recomputing them.
+func TestConformanceChannelsRoundTrip(t *testing.T) {
+	eachStore(t, func(t *testing.T, s SessionStore) {
+		rec := testRecord("sess-channels")
+		if err := s.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+		merge := Op{Kind: OpMerge, Version: 2, Tasks: []int{0, 1}, Answers: []bool{false, true},
+			Sens: []float64{0.1 + 0.2, 0.8380000000000001}, Spec: []float64{5e-324, 1.0 / 3}}
+		if err := s.Append(rec.ID, merge.clone()); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Get(rec.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := got.Ops[len(got.Ops)-1]; !reflect.DeepEqual(last, merge) {
+			t.Fatalf("merge from the log: %+v, want %+v", last, merge)
+		}
+		if err := s.Put(got); err != nil {
+			t.Fatal(err)
+		}
+		got.Ops[len(got.Ops)-1].Spec[1] = 0.5 // the caller's copy, not the store's
+		again, err := s.Get(rec.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := again.Ops[len(again.Ops)-1]; !reflect.DeepEqual(last, merge) {
+			t.Fatalf("merge from the snapshot: %+v, want %+v", last, merge)
+		}
+	})
+}

@@ -86,6 +86,14 @@ type Op struct {
 	// originating platform (parallel when present, or absent entirely).
 	Workers []string `json:"workers,omitempty"`
 	Sources []string `json:"sources,omitempty"`
+	// Sens and Spec are the channel each judgment of an OpMerge or
+	// OpPartial on an em or dawid-skene session was conditioned on —
+	// P(answer true | fact true) and P(answer false | fact false) —
+	// parallel to Tasks. Replay conditions on them instead of recomputing
+	// the worker-model refits behind them. Fixed sessions, and journals
+	// written before channels were recorded, carry none.
+	Sens []float64 `json:"sens,omitempty"`
+	Spec []float64 `json:"spec,omitempty"`
 	// Epoch is the fencing epoch of the lease this op was written under,
 	// 0 when the session is not leased. Append refuses ops whose epoch is
 	// not the lease's current epoch with ErrFenced (see lease.go).
@@ -229,6 +237,8 @@ func (o Op) clone() Op {
 	c.Batch = append([]int(nil), o.Batch...)
 	c.Workers = append([]string(nil), o.Workers...)
 	c.Sources = append([]string(nil), o.Sources...)
+	c.Sens = append([]float64(nil), o.Sens...)
+	c.Spec = append([]float64(nil), o.Spec...)
 	return c
 }
 
