@@ -9,8 +9,9 @@ GO ?= go
 BENCHTIME ?= 0.3s
 
 # Benchmarks the JSON artifact (and therefore the perf ratchet) covers:
-# the selection kernel, the sweep scheduler, the serving-path select and
-# merge, the weighted merge, and the replay that adopts an em session.
+# the selection kernel, the conditioning kernel (dist's
+# BenchmarkConditionKernel), the sweep scheduler, the serving-path select
+# and merge, the weighted merge, and the replay that adopts an em session.
 BENCH_PATTERN ?= Kernel|SweepParallelism|ServiceSelect|ServiceMerge|WeightedMerge|ServiceRestore
 
 # Benchmarks bench-diff never fails on: the HTTP and cached-select paths
@@ -40,10 +41,12 @@ STATICCHECK_VERSION ?= 2025.1.1
 
 # The load generator is its own module, so `./...` does not reach it; it is
 # built too (its binary discarded) so an API change it compiles against
-# fails here.
+# fails here. The arm64 cross-build keeps the portable fallbacks of
+# amd64-only code (info's log2) compiling.
 build:
 	$(GO) build ./...
 	$(GO) -C cmd/loadgen build -o /dev/null ./...
+	GOARCH=arm64 $(GO) build ./...
 
 # Tests run in shuffled order (-shuffle=on), so a test that depends on
 # another running first fails; the failing run prints its seed, and
@@ -73,7 +76,9 @@ test-cover:
 # state. FuzzCreateRequest: any create body the manager accepts stores a
 # record that restores to the created session. FuzzParseTraceparent: an
 # accepted header is a valid context that re-renders as the version-00
-# form of its ids. Seed corpora live under testdata/fuzz/ in each package.
+# form of its ids. FuzzPLogP: info's inline log2 reproduces math.Log2 bit
+# for bit on any float. Seed corpora live under testdata/fuzz/ in each
+# package.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRestoreRecord -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzFileLoad -fuzztime 10s ./internal/store/
@@ -81,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSelectRequest -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzCreateRequest -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzPLogP -fuzztime 10s ./internal/info/
 
 # The end-to-end load generator is its own module (cmd/loadgen/go.mod), so
 # the root `go test ./...` never reaches its tests: it scrapes /metrics
@@ -120,7 +126,7 @@ bench-json:
 	@for i in $$(seq $(BENCH_REPS)); do \
 		echo "bench pass $$i/$(BENCH_REPS)"; \
 		$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem \
-			-benchtime $(BENCHTIME) ./internal/core/ ./internal/service/ . >> bench.out || exit 1; \
+			-benchtime $(BENCHTIME) ./internal/core/ ./internal/dist/ ./internal/service/ . >> bench.out || exit 1; \
 	done
 	$(GO) run ./cmd/benchjson < bench.out > BENCH_selection.json
 	@rm -f bench.out
@@ -139,7 +145,7 @@ bench-diff:
 	@for i in $$(seq $(BENCH_REPS)); do \
 		echo "bench pass $$i/$(BENCH_REPS)"; \
 		$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem \
-			-benchtime $(BENCHTIME) ./internal/core/ ./internal/service/ . >> bench.out || exit 1; \
+			-benchtime $(BENCHTIME) ./internal/core/ ./internal/dist/ ./internal/service/ . >> bench.out || exit 1; \
 	done
 	$(GO) run ./cmd/benchjson < bench.out > BENCH_fresh.json
 	@rm -f bench.out

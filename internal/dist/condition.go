@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
-
-	"crowdfusion/internal/info"
 )
 
 // The crowd model of Definition 2: every answer is independently correct
@@ -23,14 +20,8 @@ import (
 // leaving no posterior to normalize.
 var ErrImpossibleAnswers = errors.New("dist: answer set has probability zero")
 
-// channelWeights returns w[d] = pc^(k-d) * (1-pc)^d for d = 0..k, the
-// per-Hamming-distance likelihoods of Equation 2.
-func channelWeights(k int, pc float64) []float64 {
-	return fillChannelWeights(make([]float64, k+1), pc)
-}
-
-// fillChannelWeights is channelWeights into a caller-provided slice of
-// length k+1, so hot paths can reuse pooled scratch.
+// fillChannelWeights fills w[d] = pc^(k-d) * (1-pc)^d for d = 0..k,
+// where k = len(w)-1: the per-Hamming-distance likelihoods of Equation 2.
 func fillChannelWeights(w []float64, pc float64) []float64 {
 	k := len(w) - 1
 	w[0] = 1
@@ -54,81 +45,65 @@ func fillChannelWeights(w []float64, pc float64) []float64 {
 	return w
 }
 
-// condScratch holds the transient buffers of one conditioning call: the
-// unnormalized posterior masses and the Hamming-distance weight table.
-// Both are consumed before the posterior is returned, so they recycle
-// through a pool and the steady-state Bayesian update allocates only the
-// posterior's own storage.
-type condScratch struct {
-	ps []float64
-	w  []float64
+// judgment is one answer of a weighted evidence set, precomputed for the
+// per-world loop: the fact's bit position and the answer's likelihood
+// given the fact false (f[0]) and true (f[1]).
+type judgment struct {
+	shift uint
+	f     [2]float64
 }
 
-var condPool = sync.Pool{New: func() any { return new(condScratch) }}
-
-// masses returns a zero-length-irrelevant slice of n uninitialized
-// floats backed by the scratch.
-func (s *condScratch) masses(n int) []float64 {
-	if cap(s.ps) < n {
-		s.ps = make([]float64, n)
-	}
-	return s.ps[:n]
-}
-
-// weights returns the Equation 2 weight table for (k, pc) backed by the
-// scratch.
-func (s *condScratch) weights(k int, pc float64) []float64 {
-	if cap(s.w) < k+1 {
-		s.w = make([]float64, k+1)
-	}
-	return fillChannelWeights(s.w[:k+1], pc)
-}
-
-// finishConditioned builds the posterior for likelihood-weighted masses
-// ps parallel to the receiver's support. It replicates finish's exact
-// arithmetic — normalize each mass by the total in ascending support
-// order, accumulate marginals by bit-scan, entropy over the normalized
-// probabilities — so posteriors are bit-identical to the allocating path.
-//
-// In the common case no mass is exactly zero (impossible for accuracies
-// strictly inside (0, 1)). The posterior then shares the receiver's
-// worlds slice (both are immutable; a full support is the shared cube of
-// fullCube) and packs its probabilities and marginals into one buffer, so
-// a conditioning allocates twice: that buffer and the Joint header.
-// Neither is shared with another posterior, so a dropped posterior is
-// garbage at once. When the evidence zeroes out part of the support, it
-// falls back to the compacting finish on fresh copies. ps is scratch:
-// consumed either way.
-func (j *Joint) finishConditioned(ps []float64) (*Joint, error) {
-	zero := false
-	for _, p := range ps {
-		if p == 0 {
-			zero = true
-			break
+// fillJudgments fills js with the likelihood pairs of the evidence. An
+// answer "true" is likely sens given the fact true and 1-spec given it
+// false; an answer "false", 1-sens and spec.
+func fillJudgments(js []judgment, tasks []int, answers []bool, sens, spec []float64) []judgment {
+	for b, f := range tasks {
+		js[b].shift = uint(f)
+		if answers[b] {
+			js[b].f = [2]float64{1 - spec[b], sens[b]}
+		} else {
+			js[b].f = [2]float64{spec[b], 1 - sens[b]}
 		}
 	}
-	if zero {
-		ws := make([]World, len(j.worlds))
-		copy(ws, j.worlds)
-		return finish(j.n, ws, append([]float64(nil), ps...))
-	}
-	total := info.Sum(ps)
-	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
-		return nil, ErrZeroMass
-	}
-	m := len(ps)
+	return js
+}
+
+// kahan adds x to the compensated sum (sum, comp): one step of the Kahan
+// summation of info.Sum and info.Entropy, so a sum fused into another
+// loop keeps their bits.
+func kahan(sum, comp, x float64) (float64, float64) {
+	y := x - comp
+	t := sum + y
+	return t, (t - sum) - y
+}
+
+// posteriorBuffer returns the one allocation a conditioning makes besides
+// the Joint header: room for a mass per world of the support, which
+// become the posterior's probabilities in place, and for its marginals.
+func (j *Joint) posteriorBuffer() (ps, marginals []float64) {
+	m := len(j.worlds)
 	buf := make([]float64, m+j.n)
-	probs := buf[:m:m]
-	marginals := buf[m:]
-	post := &Joint{n: j.n, worlds: j.worlds, probs: probs, marginals: marginals}
-	for i, p := range ps {
-		p /= total
-		probs[i] = p
-		for mm := uint64(j.worlds[i]); mm != 0; mm &= mm - 1 {
-			marginals[bits.TrailingZeros64(mm)] += p
-		}
+	return buf[:m:m], buf[m:]
+}
+
+// posterior finishes a conditioning: ps holds the likelihood-weighted
+// masses parallel to the receiver's support, with their Kahan total and
+// whether any of them is zero. In the common case none is (impossible
+// for accuracies strictly inside (0, 1)) and the posterior shares the
+// receiver's worlds slice (both are immutable; a full support is the
+// shared cube of fullCube). When the evidence rules worlds out, the kept
+// worlds are compacted into a slice of the posterior's own. Either way no
+// allocation is shared with another posterior, so a dropped posterior is
+// garbage at once.
+func (j *Joint) posterior(ps, marginals []float64, total float64, zero bool) (*Joint, error) {
+	var kept []World
+	if zero {
+		kept = make([]World, len(ps))
 	}
-	post.entropy = info.Entropy(probs)
+	post, err := finish(j.n, j.worlds, kept, ps, marginals, total)
+	if err != nil {
+		return nil, ErrImpossibleAnswers
+	}
 	return post, nil
 }
 
@@ -147,16 +122,18 @@ func (j *Joint) checkEvidence(tasks []int, answers []bool, pc float64) error {
 	return nil
 }
 
-// answerPattern packs an answer vector into the bitmask convention of
-// World.Pattern: bit i set exactly when answers[i] is true.
-func answerPattern(answers []bool) uint64 {
-	var p uint64
-	for i, a := range answers {
-		if a {
-			p |= 1 << uint(i)
+// taskBits scatters an evidence set onto the world bits: mask has the bit
+// of every asked fact, ans the bit of every fact answered true. A world w
+// then disagrees with popcount((w ^ ans) & mask) of the answers.
+func taskBits(tasks []int, answers []bool) (mask, ans uint64) {
+	for i, f := range tasks {
+		bit := uint64(1) << uint(f)
+		mask |= bit
+		if answers[i] {
+			ans |= bit
 		}
 	}
-	return p
+	return mask, ans
 }
 
 // AnswerSetProb returns P(e): the probability that a crowd with accuracy
@@ -170,16 +147,12 @@ func (j *Joint) AnswerSetProb(tasks []int, answers []bool, pc float64) (float64,
 	if k == 0 {
 		return 1, nil
 	}
-	weights := channelWeights(k, pc)
-	ans := answerPattern(answers)
+	var wbuf [MaxFacts + 1]float64
+	weights := fillChannelWeights(wbuf[:k+1], pc)
+	mask, ans := taskBits(tasks, answers)
 	var sum, comp float64
 	for i, w := range j.worlds {
-		d := bits.OnesCount64(w.Pattern(tasks) ^ ans)
-		term := j.probs[i] * weights[d]
-		y := term - comp
-		t := sum + y
-		comp = (t - sum) - y
-		sum = t
+		sum, comp = kahan(sum, comp, j.probs[i]*weights[bits.OnesCount64((uint64(w)^ans)&mask)])
 	}
 	return sum, nil
 }
@@ -203,20 +176,22 @@ func (j *Joint) Condition(tasks []int, answers []bool, pc float64) (*Joint, erro
 	if k == 0 {
 		return j.Clone(), nil
 	}
-	s := condPool.Get().(*condScratch)
-	weights := s.weights(k, pc)
-	ans := answerPattern(answers)
-	ps := s.masses(len(j.worlds))
-	for i, w := range j.worlds {
-		d := bits.OnesCount64(w.Pattern(tasks) ^ ans)
-		ps[i] = j.probs[i] * weights[d]
+	var wbuf [MaxFacts + 1]float64
+	weights := fillChannelWeights(wbuf[:k+1], pc)
+	mask, ans := taskBits(tasks, answers)
+	ps, marginals := j.posteriorBuffer()
+	worlds, probs := j.worlds, j.probs[:len(j.worlds)]
+	var total, comp float64
+	zero := false
+	for i, w := range worlds {
+		p := probs[i] * weights[bits.OnesCount64((uint64(w)^ans)&mask)]
+		ps[i] = p
+		if p == 0 {
+			zero = true
+		}
+		total, comp = kahan(total, comp, p)
 	}
-	post, err := j.finishConditioned(ps)
-	condPool.Put(s)
-	if err != nil {
-		return nil, ErrImpossibleAnswers
-	}
-	return post, nil
+	return j.posterior(ps, marginals, total, zero)
 }
 
 // Condition is the package-level form of Joint.Condition, for callers
@@ -286,35 +261,27 @@ func (j *Joint) ConditionWeighted(tasks []int, answers []bool, sens, spec []floa
 	if c, uniform := uniformAccuracy(sens, spec); uniform {
 		return j.Condition(tasks, answers, c)
 	}
-	ans := answerPattern(answers)
-	s := condPool.Get().(*condScratch)
-	ps := s.masses(len(j.worlds))
-	for i, w := range j.worlds {
-		pat := w.Pattern(tasks)
+	var jbuf [MaxFacts]judgment
+	js := fillJudgments(jbuf[:k], tasks, answers, sens, spec)
+	ps, marginals := j.posteriorBuffer()
+	worlds, probs := j.worlds, j.probs[:len(j.worlds)]
+	var total, comp float64
+	zero := false
+	for i, w := range worlds {
 		like := 1.0
-		for b := 0; b < k; b++ {
-			bit := uint64(1) << uint(b)
-			truth := pat&bit != 0
-			agree := (ans&bit != 0) == truth
-			switch {
-			case truth && agree:
-				like *= sens[b]
-			case truth:
-				like *= 1 - sens[b]
-			case agree:
-				like *= spec[b]
-			default:
-				like *= 1 - spec[b]
-			}
+		for b := range js {
+			// shift < 64 always; the mask lets the compiler drop its
+			// over-wide shift handling.
+			like *= js[b].f[uint64(w)>>(js[b].shift&63)&1]
 		}
-		ps[i] = j.probs[i] * like
+		p := probs[i] * like
+		ps[i] = p
+		if p == 0 {
+			zero = true
+		}
+		total, comp = kahan(total, comp, p)
 	}
-	post, err := j.finishConditioned(ps)
-	condPool.Put(s)
-	if err != nil {
-		return nil, ErrImpossibleAnswers
-	}
-	return post, nil
+	return j.posterior(ps, marginals, total, zero)
 }
 
 // ConditionWeighted is the package-level form of Joint.ConditionWeighted.

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -295,6 +296,46 @@ func BenchmarkCondition(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := j.Condition(tasks, answers, 0.8); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkConditionKernel times one Bayesian update — likelihoods,
+// normalization, marginals and entropy — on the shapes the service
+// conditions: an Independent prior over n facts (the full 2^n cube) and
+// k answers, through the scalar (fixed pc) and the weighted (per-worker
+// channel) kernel.
+func BenchmarkConditionKernel(b *testing.B) {
+	for _, kind := range []string{"scalar", "weighted"} {
+		for _, n := range []int{10, 12} {
+			m := make([]float64, n)
+			for i := range m {
+				m[i] = 0.3 + 0.4*float64(i)/float64(n)
+			}
+			prior, err := Independent(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, k := range []int{2, 3} {
+				tasks := []int{1, n / 2, n - 1}[:k]
+				answers := []bool{true, false, true}[:k]
+				sens := []float64{0.9, 0.7, 0.8}[:k]
+				spec := []float64{0.85, 0.6, 0.75}[:k]
+				b.Run(fmt.Sprintf("%s/n=%d/k=%d", kind, n, k), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						var err error
+						if kind == "scalar" {
+							_, err = prior.Condition(tasks, answers, 0.8)
+						} else {
+							_, err = prior.ConditionWeighted(tasks, answers, sens, spec)
+						}
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -84,7 +85,7 @@ func New(n int, worlds []World, probs []float64) (*Joint, error) {
 		ws = append(ws, worlds[i])
 		ps = append(ps, probs[i])
 	}
-	return finish(n, ws, ps)
+	return finish(n, ws, ws, ps, make([]float64, n), info.Sum(ps))
 }
 
 // Dense builds a distribution over the full 2^n world cube, with probs
@@ -98,16 +99,29 @@ func Dense(n int, probs []float64) (*Joint, error) {
 		return nil, fmt.Errorf("dist: dense support over %d facts needs %d probabilities, got %d",
 			n, want, len(probs))
 	}
-	ws := make([]World, len(probs))
-	ps := make([]float64, len(probs))
 	for w, p := range probs {
 		if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
 			return nil, fmt.Errorf("dist: world %d has invalid probability %v", w, p)
 		}
-		ws[w] = World(w)
-		ps[w] = p
 	}
-	return finish(n, ws, ps)
+	return dense(n, append([]float64(nil), probs...))
+}
+
+// dense is Dense on validated weights it takes ownership of. Without a
+// zero weight the support is the shared cube, so no world slice is built
+// and ps becomes the distribution's probabilities in place.
+func dense(n int, ps []float64) (*Joint, error) {
+	var ws, kept []World
+	if slices.Contains(ps, 0) {
+		ws = make([]World, len(ps))
+		for w := range ws {
+			ws[w] = World(w)
+		}
+		kept = ws
+	} else {
+		ws = fullCube(n, nil)
+	}
+	return finish(n, ws, kept, ps, make([]float64, n), info.Sum(ps))
 }
 
 // Uniform builds the uniform prior over all 2^n worlds — the
@@ -122,7 +136,7 @@ func Uniform(n int) (*Joint, error) {
 	for i := range probs {
 		probs[i] = p
 	}
-	return Dense(n, probs)
+	return dense(n, probs)
 }
 
 // Independent builds the product distribution from per-fact marginal
@@ -150,64 +164,83 @@ func Independent(marginals []float64) (*Joint, error) {
 		}
 		size <<= 1
 	}
-	return Dense(n, probs)
+	return dense(n, probs)
 }
 
 // cubes[n] is the full support World(0)…World(2^n−1) over n facts,
 // shared by every Joint whose support is the whole cube.
 var cubes [MaxDenseFacts + 1]atomic.Pointer[[]World]
 
-// fullCube returns the shared full support over n facts. ws must equal
-// it; the first caller's ws becomes the shared slice.
+// fullCube returns the shared full support over n facts. ws is nil or
+// equal to it; the first caller's ws (or, if nil, a fresh cube) becomes
+// the shared slice.
 func fullCube(n int, ws []World) []World {
 	if c := cubes[n].Load(); c != nil {
 		return *c
 	}
-	ws = ws[:len(ws):len(ws)]
-	if cubes[n].CompareAndSwap(nil, &ws) {
-		return ws
+	if ws == nil {
+		ws = make([]World, 1<<uint(n))
+		for w := range ws {
+			ws[w] = World(w)
+		}
+	}
+	// A fresh variable, so the hot path above does not move ws to the heap.
+	c := ws[:len(ws):len(ws)]
+	if cubes[n].CompareAndSwap(nil, &c) {
+		return c
 	}
 	return *cubes[n].Load()
 }
 
-// finish normalizes the sorted, deduplicated support, drops zero-mass
-// worlds, and precomputes the cached marginals and entropy. It takes
-// ownership of ws and ps. A support of all 2^n worlds is swapped for the
-// shared cube, so full-support priors and their posteriors hold one
-// world array between them.
-func finish(n int, ws []World, ps []float64) (*Joint, error) {
-	total := info.Sum(ps)
+// finish turns the masses ps, parallel to the sorted, duplicate-free
+// support ws, into a Joint in place, given their Kahan total. It is the
+// one normalize pass, shared by every constructor and every conditioning:
+// for each nonzero mass, in support order, it stores mass/total as the
+// next probability (ps is compacted over its zeros), adds it to the
+// marginal of every fact its world judges true (marginals arrives zeroed,
+// len n), and adds its -p·log2 p to a Kahan-compensated entropy, clamped
+// at 0. The sums run in info.Entropy's order with its arithmetic, so the
+// bits are its bits. When kept is non-nil the surviving worlds are
+// compacted into it (kept may be ws itself), else ps must hold no zero. A
+// support of all 2^n worlds is the shared cube, so full-support priors
+// and their posteriors hold one world array between them.
+func finish(n int, ws, kept []World, ps, marginals []float64, total float64) (*Joint, error) {
 	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
 		return nil, ErrZeroMass
 	}
+	ws = ws[:len(ps)]
+	var h, comp float64
 	out := 0
 	for i, p := range ps {
 		if p == 0 {
 			continue
 		}
-		ws[out] = ws[i]
-		ps[out] = p / total
+		p /= total
+		w := ws[i]
+		if kept != nil {
+			kept[out] = w
+		}
+		ps[out] = p
 		out++
+		for m := uint64(w); m != 0; m &= m - 1 {
+			marginals[bits.TrailingZeros64(m)] += p
+		}
+		h, comp = kahan(h, comp, -info.PLogP(p))
 	}
-	ws = ws[:out]
-	ps = ps[:out]
 	if out == 0 {
 		return nil, ErrZeroMass
+	}
+	if h < 0 {
+		h = 0
+	}
+	if kept != nil {
+		ws = kept[:out]
 	}
 	if n <= MaxDenseFacts && out == 1<<uint(n) {
 		// Sorted, duplicate-free and in range: exactly the cube.
 		ws = fullCube(n, ws)
 	}
-	j := &Joint{n: n, worlds: ws, probs: ps}
-	j.marginals = make([]float64, n)
-	for i, w := range ws {
-		p := ps[i]
-		for m := uint64(w); m != 0; m &= m - 1 {
-			j.marginals[bits.TrailingZeros64(m)] += p
-		}
-	}
-	j.entropy = info.Entropy(ps)
-	return j, nil
+	return &Joint{n: n, worlds: ws, probs: ps[:out:out], marginals: marginals, entropy: h}, nil
 }
 
 // N returns the number of facts the distribution ranges over.
@@ -295,11 +328,7 @@ func (j *Joint) FactEntropy(facts []int) (float64, error) {
 			mass += pairs[i].mass
 		}
 		// Kahan-compensated -sum p log2 p, matching info.Entropy.
-		term := -info.PLogP(mass)
-		y := term - comp
-		t := sum + y
-		comp = (t - sum) - y
-		sum = t
+		sum, comp = kahan(sum, comp, -info.PLogP(mass))
 	}
 	if sum < 0 {
 		sum = 0
@@ -373,7 +402,7 @@ func (j *Joint) Truncate(m int) *Joint {
 		ws[i] = j.worlds[k]
 		ps[i] = j.probs[k]
 	}
-	t, err := finish(j.n, ws, ps)
+	t, err := finish(j.n, ws, ws, ps, make([]float64, j.n), info.Sum(ps))
 	if err != nil {
 		// Unreachable: the support is non-empty with positive mass.
 		panic(fmt.Sprintf("dist: truncate: %v", err))

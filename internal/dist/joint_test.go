@@ -369,15 +369,6 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func BenchmarkEntropy(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	j := randomJoint(b, rng, 16, 512)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = j.Entropy()
-	}
-}
-
 func BenchmarkProb(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	j := randomJoint(b, rng, 16, 512)

@@ -159,3 +159,33 @@ func TestCubeSharedAcrossGoroutines(t *testing.T) {
 		}
 	}
 }
+
+// TestConstructionAllocations: a conditioning that rules no world out
+// allocates the posterior's header and one buffer for its probabilities
+// and marginals, nothing else; a product prior over the full cube
+// allocates its probability vector, its marginals and its header, with
+// no copy of the vector and no world slice.
+func TestConstructionAllocations(t *testing.T) {
+	prior := memoryPrior(t, 0)
+	marginals := append([]float64(nil), prior.Marginals()...)
+	tasks, answers := []int{1, 6, 11}, []bool{true, false, true}
+	sens, spec := []float64{0.9, 0.7, 0.8}, []float64{0.85, 0.6, 0.75}
+	for _, c := range []struct {
+		name string
+		want float64
+		fn   func() error
+	}{
+		{"Condition", 2, func() error { _, err := prior.Condition(tasks, answers, 0.8); return err }},
+		{"ConditionWeighted", 2, func() error { _, err := prior.ConditionWeighted(tasks, answers, sens, spec); return err }},
+		{"Independent", 3, func() error { _, err := Independent(marginals); return err }},
+		{"Uniform", 3, func() error { _, err := Uniform(12); return err }},
+	} {
+		var err error
+		if got := testing.AllocsPerRun(20, func() { err = c.fn() }); got != c.want {
+			t.Errorf("%s allocates %v times, want %v", c.name, got, c.want)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+	}
+}

@@ -6,6 +6,17 @@
 // All entropies are measured in bits (log base 2), matching the numbers
 // reported in the CrowdFusion paper (Tables III and IV and the utility plots
 // of Section V).
+//
+// PLogP, which every -Σ p·log2 p sum here and in internal/dist goes
+// through, takes log2 from a private log2 that returns math.Log2's bits. On amd64, math.Log2 costs a Frexp, a call
+// into the assembly math.Log and a second Frexp inside it, which made it
+// the largest single cost of a Bayesian update. log2_amd64.go reads the
+// exponent and fraction off the float's bits once and runs the assembly's
+// polynomial inline, in the same operation order and with no fused
+// multiply-adds, so each result is bit-identical to math.Log2: posteriors,
+// selections and journals do not change with it. Zero, subnormal,
+// infinite and NaN inputs, and every other GOARCH, use math.Log2 itself.
+// TestPLogPMatchesLog2 and FuzzPLogP hold the two to the same bits.
 package info
 
 import (
@@ -28,12 +39,13 @@ const NormTolerance = 1e-6
 
 // PLogP returns p*log2(p) with the information-theoretic convention
 // 0*log(0) = 0. Negative inputs (which can arise from floating-point
-// cancellation) are clamped to zero.
+// cancellation) are clamped to zero. The result is bit-identical to
+// p * math.Log2(p) on every architecture.
 func PLogP(p float64) float64 {
 	if p <= 0 {
 		return 0
 	}
-	return p * math.Log2(p)
+	return p * log2(p)
 }
 
 // Entropy returns the Shannon entropy, in bits, of the probability vector p.
