@@ -11,8 +11,9 @@ BENCHTIME ?= 0.3s
 # Benchmarks the JSON artifact (and therefore the perf ratchet) covers:
 # the selection kernel, the conditioning kernel (dist's
 # BenchmarkConditionKernel), the sweep scheduler, the serving-path select
-# and merge, the weighted merge, and the replay that adopts an em session.
-BENCH_PATTERN ?= Kernel|SweepParallelism|ServiceSelect|ServiceMerge|WeightedMerge|ServiceRestore
+# and merge, the weighted merge, the replay that adopts an em session, and
+# the worker-model refit (crowd's BenchmarkEstimateEM).
+BENCH_PATTERN ?= Kernel|SweepParallelism|ServiceSelect|ServiceMerge|WeightedMerge|ServiceRestore|EstimateEM
 
 # Benchmarks bench-diff never fails on: the HTTP and cached-select paths
 # are dominated by the net stack and the allocator, the parallelism sweep
@@ -126,7 +127,7 @@ bench-json:
 	@for i in $$(seq $(BENCH_REPS)); do \
 		echo "bench pass $$i/$(BENCH_REPS)"; \
 		$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem \
-			-benchtime $(BENCHTIME) ./internal/core/ ./internal/dist/ ./internal/service/ . >> bench.out || exit 1; \
+			-benchtime $(BENCHTIME) ./internal/core/ ./internal/dist/ ./internal/crowd/ ./internal/service/ . >> bench.out || exit 1; \
 	done
 	$(GO) run ./cmd/benchjson < bench.out > BENCH_selection.json
 	@rm -f bench.out
@@ -145,7 +146,7 @@ bench-diff:
 	@for i in $$(seq $(BENCH_REPS)); do \
 		echo "bench pass $$i/$(BENCH_REPS)"; \
 		$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem \
-			-benchtime $(BENCHTIME) ./internal/core/ ./internal/dist/ ./internal/service/ . >> bench.out || exit 1; \
+			-benchtime $(BENCHTIME) ./internal/core/ ./internal/dist/ ./internal/crowd/ ./internal/service/ . >> bench.out || exit 1; \
 	done
 	$(GO) run ./cmd/benchjson < bench.out > BENCH_fresh.json
 	@rm -f bench.out

@@ -125,6 +125,7 @@ func EstimateDawidSkene(answers []Answer, opts EMOptions) (*ConfusionEstimate, e
 		return x
 	}
 
+	logs := make([]workerLogs, nW)
 	iters := 0
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		iters = iter + 1
@@ -173,7 +174,7 @@ func EstimateDawidSkene(answers []Answer, opts EMOptions) (*ConfusionEstimate, e
 			pi = 0.99
 		}
 		// E-step with the updated parameters.
-		eStep(votes, voteLogs(sens, spec), pi, q)
+		eStep(votes, voteLogs(logs, sens, spec), pi, q)
 		if maxDelta < opts.Tol {
 			break
 		}

@@ -135,6 +135,7 @@ func EstimateEM(answers []Answer, opts EMOptions) (*EMEstimate, error) {
 	var bestPi float64
 	bestIters := 0
 	bestLL := math.Inf(-1)
+	logs := make([]workerLogs, len(workerIDs))
 	for restart := 0; restart < opts.Restarts; restart++ {
 		initAcc := make([]float64, len(workerIDs))
 		for i := range initAcc {
@@ -144,8 +145,8 @@ func EstimateEM(answers []Answer, opts EMOptions) (*EMEstimate, error) {
 				initAcc[i] = 0.52 + 0.46*rng.Float64()
 			}
 		}
-		acc, q, pi, iters := runSymmetricEM(votes, perWorker, initAcc, len(taskIDs), opts, restart == 0)
-		ll := logLikelihood(votes, voteLogs(acc, acc), pi)
+		acc, q, pi, iters := runSymmetricEM(votes, perWorker, initAcc, logs, len(taskIDs), opts, restart == 0)
+		ll := logLikelihood(votes, voteLogs(logs, acc, acc), pi)
 		if ll > bestLL {
 			bestLL = ll
 			bestAcc, bestQ, bestPi, bestIters = acc, q, pi, iters
@@ -199,13 +200,16 @@ func (e *EMEstimate) PoolAccuracy() float64 {
 	return sum / float64(len(e.WorkerAccuracy))
 }
 
-// runSymmetricEM executes one EM run. When majorityInit is true the task
-// posteriors start from smoothed vote shares (the original Dawid & Skene
-// recipe); otherwise they start from the E-step of the given accuracies.
-func runSymmetricEM(votes [][]emVote, perWorker []int, initAcc []float64,
+// runSymmetricEM executes one EM run from the accuracies initAcc, which it
+// takes over, tabulating vote logs in logs (one per worker). When
+// majorityInit is true the task posteriors start from smoothed vote shares
+// (the original Dawid & Skene recipe); otherwise they start from the
+// E-step of the given accuracies.
+func runSymmetricEM(votes [][]emVote, perWorker []int, initAcc []float64, logs []workerLogs,
 	nTasks int, opts EMOptions, majorityInit bool) (acc, q []float64, pi float64, iters int) {
 
-	acc = append([]float64(nil), initAcc...)
+	acc = initAcc
+	next := make([]float64, len(acc))
 	q = make([]float64, nTasks)
 	pi = 0.5
 	if majorityInit {
@@ -219,13 +223,13 @@ func runSymmetricEM(votes [][]emVote, perWorker []int, initAcc []float64,
 			q[fi] = (float64(trues) + 0.5) / (float64(len(vs)) + 1)
 		}
 	} else {
-		eStep(votes, voteLogs(acc, acc), pi, q)
+		eStep(votes, voteLogs(logs, acc, acc), pi, q)
 	}
 
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		iters = iter + 1
 		// M-step: worker accuracies and truth prior from the posteriors.
-		next := make([]float64, len(acc))
+		clear(next)
 		for fi, vs := range votes {
 			for _, v := range vs {
 				if v.value {
@@ -252,7 +256,7 @@ func runSymmetricEM(votes [][]emVote, perWorker []int, initAcc []float64,
 				maxDelta = d
 			}
 		}
-		acc = next
+		acc, next = next, acc
 		var sumQ float64
 		for _, qf := range q {
 			sumQ += qf
@@ -264,7 +268,7 @@ func runSymmetricEM(votes [][]emVote, perWorker []int, initAcc []float64,
 		if pi > 0.99 {
 			pi = 0.99
 		}
-		eStep(votes, voteLogs(acc, acc), pi, q)
+		eStep(votes, voteLogs(logs, acc, acc), pi, q)
 		if maxDelta < opts.Tol {
 			break
 		}
@@ -279,17 +283,20 @@ type voteLog struct{ t, f float64 }
 // workerLogs is one worker's voteLog for each vote value.
 type workerLogs struct{ yes, no voteLog }
 
-// voteLogs tabulates every worker's vote logs for one parameter set —
-// sens[w] = P(yes | true), spec[w] = P(no | false); the symmetric model
-// passes its accuracies as both — so each EM iteration takes the logs
-// once per worker and the per-vote loops only look them up.
-func voteLogs(sens, spec []float64) []workerLogs {
-	logs := make([]workerLogs, len(sens))
+// voteLogs tabulates into logs every worker's vote logs for one parameter
+// set — sens[w] = P(yes | true), spec[w] = P(no | false); the symmetric
+// model passes its accuracies as both — so each EM iteration takes the
+// logs once per worker and the per-vote loops only look them up. A worker
+// whose sens and spec are equal, as every symmetric one is, takes two logs:
+// a "no" vote's logs are then a "yes" vote's, swapped.
+func voteLogs(logs []workerLogs, sens, spec []float64) []workerLogs {
 	for w := range logs {
-		logs[w] = workerLogs{
-			yes: voteLog{t: math.Log(sens[w]), f: math.Log(1 - spec[w])},
-			no:  voteLog{t: math.Log(1 - sens[w]), f: math.Log(spec[w])},
+		yes := voteLog{t: math.Log(sens[w]), f: math.Log(1 - spec[w])}
+		no := voteLog{t: yes.f, f: yes.t}
+		if sens[w] != spec[w] {
+			no = voteLog{t: math.Log(1 - sens[w]), f: math.Log(spec[w])}
 		}
+		logs[w] = workerLogs{yes: yes, no: no}
 	}
 	return logs
 }
@@ -309,13 +316,19 @@ func taskLogs(vs []emVote, logs []workerLogs, logPi, log1mPi float64) (logT, log
 	return logT, logF
 }
 
-// eStep fills q with posterior truth probabilities in log space.
+// eStep fills q with posterior truth probabilities in log space:
+// e^logT / (e^logT + e^logF), both scaled by the larger, whose own term is
+// then e^0, exactly 1. So each task takes one Exp.
 func eStep(votes [][]emVote, logs []workerLogs, pi float64, q []float64) {
 	logPi, log1mPi := math.Log(pi), math.Log(1-pi)
 	for fi, vs := range votes {
 		logT, logF := taskLogs(vs, logs, logPi, log1mPi)
-		m := math.Max(logT, logF)
-		q[fi] = math.Exp(logT-m) / (math.Exp(logT-m) + math.Exp(logF-m))
+		if logT >= logF {
+			q[fi] = 1 / (1 + math.Exp(logF-logT))
+		} else {
+			e := math.Exp(logT - logF)
+			q[fi] = e / (e + 1)
+		}
 	}
 }
 
@@ -326,8 +339,9 @@ func logLikelihood(votes [][]emVote, logs []workerLogs, pi float64) float64 {
 	var total float64
 	for _, vs := range votes {
 		logT, logF := taskLogs(vs, logs, logPi, log1mPi)
+		// The larger's term is e^0, exactly 1, as in eStep.
 		m := math.Max(logT, logF)
-		total += m + math.Log(math.Exp(logT-m)+math.Exp(logF-m))
+		total += m + math.Log(1+math.Exp(math.Min(logT, logF)-m))
 	}
 	return total
 }

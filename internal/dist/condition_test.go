@@ -304,7 +304,8 @@ func BenchmarkCondition(b *testing.B) {
 // normalization, marginals and entropy — on the shapes the service
 // conditions: an Independent prior over n facts (the full 2^n cube) and
 // k answers, through the scalar (fixed pc) and the weighted (per-worker
-// channel) kernel.
+// channel) kernel. The statistics are computed on first read, so each
+// posterior's entropy and marginals are read to time the whole update.
 func BenchmarkConditionKernel(b *testing.B) {
 	for _, kind := range []string{"scalar", "weighted"} {
 		for _, n := range []int{10, 12} {
@@ -324,15 +325,18 @@ func BenchmarkConditionKernel(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/n=%d/k=%d", kind, n, k), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
+						var post *Joint
 						var err error
 						if kind == "scalar" {
-							_, err = prior.Condition(tasks, answers, 0.8)
+							post, err = prior.Condition(tasks, answers, 0.8)
 						} else {
-							_, err = prior.ConditionWeighted(tasks, answers, sens, spec)
+							post, err = prior.ConditionWeighted(tasks, answers, sens, spec)
 						}
 						if err != nil {
 							b.Fatal(err)
 						}
+						post.Entropy()
+						post.Marginals()
 					}
 				})
 			}

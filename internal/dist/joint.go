@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"crowdfusion/internal/info"
@@ -17,14 +18,19 @@ import (
 // ascending and deduplicated, with a parallel probability vector that
 // sums to 1.
 //
-// A Joint is immutable after construction. Entropy and the per-fact
-// marginals are precomputed, so the accessors the selection inner loop
-// leans on (Entropy, Marginal, Prob) do no allocation and no recomputation.
+// A Joint is immutable after construction. Its entropy and per-fact
+// marginals are computed together on the first read of either, once, and
+// cached: a posterior nobody reads the statistics of (an intermediate one
+// of a journal replay) never pays for them, and after the first read the
+// accessors the selection inner loop leans on (Entropy, Marginal, Prob) do
+// no allocation and no recomputation. Concurrent first reads are safe.
 type Joint struct {
-	n         int
-	worlds    []World   // sorted ascending, no duplicates, no zero-mass entries
-	probs     []float64 // parallel to worlds; sums to 1
-	marginals []float64 // marginals[i] = P(fact i is true)
+	n      int
+	worlds []World   // sorted ascending, no duplicates, no zero-mass entries
+	probs  []float64 // parallel to worlds; sums to 1
+
+	stats     sync.Once // guards the two fields below
+	marginals []float64 // marginals[i] = P(fact i is true); arrives zeroed
 	entropy   float64   // H(O) in bits
 }
 
@@ -196,42 +202,30 @@ func fullCube(n int, ws []World) []World {
 // support ws, into a Joint in place, given their Kahan total. It is the
 // one normalize pass, shared by every constructor and every conditioning:
 // for each nonzero mass, in support order, it stores mass/total as the
-// next probability (ps is compacted over its zeros), adds it to the
-// marginal of every fact its world judges true (marginals arrives zeroed,
-// len n), and adds its -p·log2 p to a Kahan-compensated entropy, clamped
-// at 0. The sums run in info.Entropy's order with its arithmetic, so the
-// bits are its bits. When kept is non-nil the surviving worlds are
-// compacted into it (kept may be ws itself), else ps must hold no zero. A
-// support of all 2^n worlds is the shared cube, so full-support priors
-// and their posteriors hold one world array between them.
+// next probability (ps is compacted over its zeros). When kept is non-nil
+// the surviving worlds are compacted into it (kept may be ws itself), else
+// ps must hold no zero. A support of all 2^n worlds is the shared cube, so
+// full-support priors and their posteriors hold one world array between
+// them. marginals (zeroed, len n) becomes the Joint's, filled by
+// computeStats on first read.
 func finish(n int, ws, kept []World, ps, marginals []float64, total float64) (*Joint, error) {
 	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
 		return nil, ErrZeroMass
 	}
 	ws = ws[:len(ps)]
-	var h, comp float64
 	out := 0
 	for i, p := range ps {
 		if p == 0 {
 			continue
 		}
-		p /= total
-		w := ws[i]
 		if kept != nil {
-			kept[out] = w
+			kept[out] = ws[i]
 		}
-		ps[out] = p
+		ps[out] = p / total
 		out++
-		for m := uint64(w); m != 0; m &= m - 1 {
-			marginals[bits.TrailingZeros64(m)] += p
-		}
-		h, comp = kahan(h, comp, -info.PLogP(p))
 	}
 	if out == 0 {
 		return nil, ErrZeroMass
-	}
-	if h < 0 {
-		h = 0
 	}
 	if kept != nil {
 		ws = kept[:out]
@@ -240,7 +234,29 @@ func finish(n int, ws, kept []World, ps, marginals []float64, total float64) (*J
 		// Sorted, duplicate-free and in range: exactly the cube.
 		ws = fullCube(n, ws)
 	}
-	return &Joint{n: n, worlds: ws, probs: ps[:out:out], marginals: marginals, entropy: h}, nil
+	return &Joint{n: n, worlds: ws, probs: ps[:out:out], marginals: marginals}, nil
+}
+
+// computeStats fills the marginals and the entropy, once. For each world,
+// in support order, it adds the world's probability to the marginal of
+// every fact the world judges true and its -p·log2 p to a
+// Kahan-compensated entropy, clamped at 0. The sums run in info.Entropy's
+// order with its arithmetic, so the bits are its bits.
+func (j *Joint) computeStats() {
+	j.stats.Do(func() {
+		var h, comp float64
+		worlds, probs, marginals := j.worlds, j.probs[:len(j.worlds)], j.marginals
+		for i, p := range probs {
+			for m := uint64(worlds[i]); m != 0; m &= m - 1 {
+				marginals[bits.TrailingZeros64(m)] += p
+			}
+			h, comp = kahan(h, comp, -info.PLogP(p))
+		}
+		if h < 0 {
+			h = 0
+		}
+		j.entropy = h
+	})
 }
 
 // N returns the number of facts the distribution ranges over.
@@ -277,26 +293,33 @@ func (j *Joint) Prob(w World) float64 {
 }
 
 // Marginal returns P(fact i is true): the total mass of worlds judging
-// fact i true. Served from the construction-time cache.
+// fact i true. Served from the statistics cache.
 func (j *Joint) Marginal(i int) (float64, error) {
 	if i < 0 || i >= j.n {
 		return 0, fmt.Errorf("dist: fact %d out of range [0, %d)", i, j.n)
 	}
+	j.computeStats()
 	return j.marginals[i], nil
 }
 
 // Marginals returns the per-fact marginal correctness probabilities. The
 // slice is shared with the Joint and must not be modified.
-func (j *Joint) Marginals() []float64 { return j.marginals }
+func (j *Joint) Marginals() []float64 {
+	j.computeStats()
+	return j.marginals
+}
 
 // Entropy returns H(O), the Shannon entropy of the distribution in bits
-// (Definition 4's uncertainty measure). Served from the construction-time
-// cache: no allocation, no recomputation.
-func (j *Joint) Entropy() float64 { return j.entropy }
+// (Definition 4's uncertainty measure). Served from the statistics cache:
+// after the first read, no allocation and no recomputation.
+func (j *Joint) Entropy() float64 {
+	j.computeStats()
+	return j.entropy
+}
 
 // Utility returns the paper's quality measure Q = -H(O) (Definition 4): 0
 // for a certain output, increasingly negative with uncertainty.
-func (j *Joint) Utility() float64 { return -j.entropy }
+func (j *Joint) Utility() float64 { return -j.Entropy() }
 
 // FactEntropy returns H({f_i | i in facts}): the entropy of the joint
 // judgment distribution of the given facts — the Pc = 1 degenerate case of
@@ -363,13 +386,15 @@ func (j *Joint) Validate() error {
 }
 
 // Clone returns an independent copy of the distribution. Joints are
-// immutable, so this is only needed to decouple lifetimes.
+// immutable, so this is only needed to decouple lifetimes. The copy
+// computes its statistics on its own first read, to the same bits.
 func (j *Joint) Clone() *Joint {
-	c := *j
-	c.worlds = append([]World(nil), j.worlds...)
-	c.probs = append([]float64(nil), j.probs...)
-	c.marginals = append([]float64(nil), j.marginals...)
-	return &c
+	return &Joint{
+		n:         j.n,
+		worlds:    append([]World(nil), j.worlds...),
+		probs:     append([]float64(nil), j.probs...),
+		marginals: make([]float64, j.n),
+	}
 }
 
 // Truncate returns a distribution keeping only the m highest-probability

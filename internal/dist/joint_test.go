@@ -3,6 +3,8 @@ package dist
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -346,6 +348,66 @@ func TestTruncate(t *testing.T) {
 	// The original is untouched.
 	if j.SupportSize() != 4 {
 		t.Errorf("Truncate modified the receiver (support %d)", j.SupportSize())
+	}
+}
+
+// TestJointStatsLazy: a posterior's marginals and entropy are not
+// computed by the conditioning but on their first read, and that read —
+// by any accessor, or by many goroutines at once (run under -race) —
+// yields the bits of the eager reference loops, as does a clone's.
+func TestJointStatsLazy(t *testing.T) {
+	readers := []func(j *Joint){
+		func(j *Joint) { j.Entropy() },
+		func(j *Joint) { j.Utility() },
+		func(j *Joint) { j.Marginal(j.N() - 1) },
+		func(j *Joint) { j.Marginals() },
+		func(j *Joint) { j.Clone() },
+	}
+	rng := rand.New(rand.NewSource(23))
+	checked := 0
+	for n := 1; n <= 12; n++ {
+		for _, prior := range refPriors(t, rng, n) {
+			k := min(n, 3)
+			tasks := rng.Perm(n)[:k]
+			answers := make([]bool, k)
+			for i := range answers {
+				answers[i] = rng.Intn(2) == 0
+			}
+			want, wantErr := prior.want.refCondition(tasks, answers, 0.8)
+			if wantErr != nil {
+				t.Fatalf("%s: reference: %v", prior.name, wantErr)
+			}
+			for r := range readers {
+				got, err := prior.got.Condition(tasks, answers, 0.8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if slices.ContainsFunc(want.Marginals(), func(m float64) bool { return m != 0 }) &&
+					!slices.ContainsFunc(got.marginals, func(m float64) bool { return m != 0 }) {
+					checked++
+				} else if slices.ContainsFunc(got.marginals, func(m float64) bool { return m != 0 }) {
+					t.Fatalf("%s n=%d: marginals computed before their first read", prior.name, n)
+				}
+				clones := make([]*Joint, 8)
+				var wg sync.WaitGroup
+				for g := range clones {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						readers[(r+g)%len(readers)](got)
+						clones[g] = got.Clone()
+					}()
+				}
+				wg.Wait()
+				requireSameBits(t, prior.name+" lazy", got, want, nil, nil)
+				for _, c := range clones {
+					requireSameBits(t, prior.name+" clone", c, want, nil, nil)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no posterior with a nonzero marginal was checked")
 	}
 }
 

@@ -64,14 +64,16 @@ func refFinish(n int, ws []World, ps []float64) (*Joint, error) {
 		return nil, ErrZeroMass
 	}
 	j := &Joint{n: n, worlds: ws, probs: ps}
-	j.marginals = make([]float64, n)
-	for i, w := range ws {
-		p := ps[i]
-		for m := uint64(w); m != 0; m &= m - 1 {
-			j.marginals[bits.TrailingZeros64(m)] += p
+	j.stats.Do(func() {
+		j.marginals = make([]float64, n)
+		for i, w := range ws {
+			p := ps[i]
+			for m := uint64(w); m != 0; m &= m - 1 {
+				j.marginals[bits.TrailingZeros64(m)] += p
+			}
 		}
-	}
-	j.entropy = refEntropy(ps)
+		j.entropy = refEntropy(ps)
+	})
 	return j, nil
 }
 
@@ -97,14 +99,16 @@ func (j *Joint) refFinishConditioned(ps []float64) (*Joint, error) {
 	probs := buf[:m:m]
 	marginals := buf[m:]
 	post := &Joint{n: j.n, worlds: j.worlds, probs: probs, marginals: marginals}
-	for i, p := range ps {
-		p /= total
-		probs[i] = p
-		for mm := uint64(j.worlds[i]); mm != 0; mm &= mm - 1 {
-			marginals[bits.TrailingZeros64(mm)] += p
+	post.stats.Do(func() {
+		for i, p := range ps {
+			p /= total
+			probs[i] = p
+			for mm := uint64(j.worlds[i]); mm != 0; mm &= mm - 1 {
+				marginals[bits.TrailingZeros64(mm)] += p
+			}
 		}
-	}
-	post.entropy = refEntropy(probs)
+		post.entropy = refEntropy(probs)
+	})
 	return post, nil
 }
 
@@ -235,13 +239,13 @@ func requireSameBits(t *testing.T, what string, got, want *Joint, gotErr, wantEr
 			t.Fatalf("%s: prob %d = %v, reference %v", what, i, got.probs[i], want.probs[i])
 		}
 	}
-	for i := range want.marginals {
-		if math.Float64bits(got.marginals[i]) != math.Float64bits(want.marginals[i]) {
-			t.Fatalf("%s: marginal %d = %v, reference %v", what, i, got.marginals[i], want.marginals[i])
+	for i, m := range want.Marginals() {
+		if math.Float64bits(got.Marginals()[i]) != math.Float64bits(m) {
+			t.Fatalf("%s: marginal %d = %v, reference %v", what, i, got.Marginals()[i], m)
 		}
 	}
-	if math.Float64bits(got.entropy) != math.Float64bits(want.entropy) {
-		t.Fatalf("%s: entropy %v, reference %v", what, got.entropy, want.entropy)
+	if math.Float64bits(got.Entropy()) != math.Float64bits(want.Entropy()) {
+		t.Fatalf("%s: entropy %v, reference %v", what, got.Entropy(), want.Entropy())
 	}
 }
 

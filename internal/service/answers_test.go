@@ -256,7 +256,7 @@ func FuzzAnswersRequest(f *testing.F) {
 				if _, err := s.Merge(context.Background(), now, &req); err != nil {
 					t.Logf("%s: %v", rec.WorkerModel, err)
 				}
-				info := s.Info(now, true)
+				info := s.Info(context.Background(), now, true)
 				committed := 0
 				for _, r := range info.Rounds {
 					committed += len(r.Tasks)

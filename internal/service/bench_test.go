@@ -124,7 +124,9 @@ func BenchmarkServiceSelectHTTP(b *testing.B) {
 // BenchmarkServiceMerge measures the scalar conditioning path — the
 // fixed-pc Bayesian update every merge on a fixed-model session pays —
 // against the same 4096-world posterior the selection benchmarks use.
-// No channels, so this is exactly conditionLocked's scalar path.
+// No channels, so this is exactly conditionLocked's scalar path. A live
+// merge reports the posterior's entropy and marginals, which are computed
+// on first read, so each iteration reads them.
 func BenchmarkServiceMerge(b *testing.B) {
 	s := newSession("bench", benchJoint(b), core.NewGreedyPrunePre(),
 		"Approx+Prune+Pre", 0.8, 3, 1<<30, time.Unix(0, 0))
@@ -133,9 +135,12 @@ func BenchmarkServiceMerge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.conditionLocked(tasks, answers, nil, nil); err != nil {
+		post, err := s.conditionLocked(tasks, answers, nil, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
+		post.Entropy()
+		post.Marginals()
 	}
 }
 
@@ -144,7 +149,8 @@ func BenchmarkServiceMerge(b *testing.B) {
 // against the same 4096-world posterior the selection benchmarks use.
 // Three distinct worker channels defeat the uniform-case delegation, so
 // this is the genuinely weighted arithmetic an em/dawid-skene session pays
-// on every post-refit merge.
+// on every post-refit merge, with the entropy and marginals the merge
+// reports read as in BenchmarkServiceMerge.
 func BenchmarkWeightedMerge(b *testing.B) {
 	s := newSession("bench", benchJoint(b), core.NewGreedyPrunePre(),
 		"Approx+Prune+Pre", 0.8, 3, 1<<30, time.Unix(0, 0))
@@ -159,18 +165,22 @@ func BenchmarkWeightedMerge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sens, spec := s.channelsLocked(store.Op{}, tasks, workers)
-		if _, err := s.conditionLocked(tasks, answers, sens, spec); err != nil {
+		post, err := s.conditionLocked(tasks, answers, sens, spec)
+		if err != nil {
 			b.Fatal(err)
 		}
+		post.Entropy()
+		post.Marginals()
 	}
 }
 
 // BenchmarkServiceRestore measures adopting an em session: restoreSession
 // of a 64-round record on the benchJoint prior, k=3 Random selections
-// answered by 12 workers of planted accuracies 0.6–0.95. Each merge's
-// journaled op records the channels it was conditioned on, so replay
-// conditions on them and fits the worker model once, at the end, instead
-// of refitting the growing observation log after every merge.
+// answered by 12 workers of planted accuracies 0.6–0.95, and the Info the
+// adopting GET reads. Each merge's journaled op records the channels it
+// was conditioned on, so replay conditions on them and fits the worker
+// model once, at the end, instead of refitting the growing observation log
+// after every merge.
 func BenchmarkServiceRestore(b *testing.B) {
 	m := newManager(Config{})
 	defer m.Close()
@@ -206,8 +216,10 @@ func BenchmarkServiceRestore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := restoreSession(rec, DefaultAnonWorker, now); err != nil {
+		s, err := restoreSession(rec, DefaultAnonWorker, now)
+		if err != nil {
 			b.Fatal(err)
 		}
+		s.Info(ctx, now, false)
 	}
 }

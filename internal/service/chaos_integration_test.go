@@ -30,7 +30,7 @@ func TestInjectedPersistFailureIsAtomic(t *testing.T) {
 	}
 	id := s.ID()
 	runRounds(t, s, m.Now(), 1)
-	beforeInfo := s.Info(m.Now(), false)
+	beforeInfo := s.Info(context.Background(), m.Now(), false)
 
 	sel, _, err := s.Select(context.Background(), m.Now(), 0)
 	if err != nil {
@@ -43,7 +43,7 @@ func TestInjectedPersistFailureIsAtomic(t *testing.T) {
 	if _, err := s.Merge(context.Background(), m.Now(), req); !errors.Is(err, ErrStore) {
 		t.Fatalf("merge under injected fault = %v, want ErrStore", err)
 	}
-	if got := s.Info(m.Now(), false); got.Version != beforeInfo.Version || got.Spent != beforeInfo.Spent {
+	if got := s.Info(context.Background(), m.Now(), false); got.Version != beforeInfo.Version || got.Spent != beforeInfo.Spent {
 		t.Fatalf("refused merge mutated state: %+v vs %+v", got, beforeInfo)
 	}
 	// The fault budget is spent: the retry commits exactly once.

@@ -90,7 +90,7 @@ func FuzzSelectRequest(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := s.Info(now, false)
+			before := s.Info(context.Background(), now, false)
 			resp, cached, err := s.Select(ctx, now, req.K)
 			if err != nil {
 				t.Fatalf("%s: select k=%d: %v", name, req.K, err)

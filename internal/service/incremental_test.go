@@ -229,7 +229,7 @@ func TestPartialSequenceSurvivesCrashMidLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdentical(t, fingerprint(s2, m2.Now()), mid)
-	info := s2.Info(m2.Now(), false)
+	info := s2.Info(context.Background(), m2.Now(), false)
 	if info.Pending == nil || len(info.Pending.Answered) != half {
 		t.Fatalf("recovered pending %+v, want %d answered", info.Pending, half)
 	}
@@ -392,7 +392,7 @@ func TestWorkerModelSurvivesCrashMidLedger(t *testing.T) {
 	}
 	same("recovered mid-ledger")
 	answer([]*Session{recovered, twin}, sel.Tasks[1:], true, 4)
-	if info := twin.Info(now, false); info.Version != 5 || info.Pending != nil {
+	if info := twin.Info(context.Background(), now, false); info.Version != 5 || info.Pending != nil {
 		t.Fatalf("completing the ledger did not commit: version %d, pending %+v", info.Version, info.Pending)
 	}
 	same("after the completing merge")

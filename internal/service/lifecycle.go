@@ -397,7 +397,7 @@ func (m *Manager) load(ctx context.Context, id string, sh *shard) (*Session, err
 	if err != nil {
 		return nil, err
 	}
-	info := s.Info(m.cfg.Clock(), false)
+	info := s.Info(ctx, m.cfg.Clock(), false)
 	m.cfg.Logger.Info("session recovered from store", "session", id,
 		"version", info.Version, "spent", info.Spent, "budget", info.Budget,
 		"trace_id", trace.TraceIDFromContext(ctx))

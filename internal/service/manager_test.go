@@ -151,7 +151,7 @@ func TestManagerTTLEviction(t *testing.T) {
 
 	// Touch only the busy session past the idle cutoff.
 	clk.advance(50 * time.Second)
-	busy.Info(clk.now(), false)
+	busy.Info(context.Background(), clk.now(), false)
 	clk.advance(30 * time.Second) // idle is now 80s stale, busy 30s
 
 	if n := m.Sweep(clk.now()); n != 1 {
@@ -177,7 +177,7 @@ func TestManagerTTLEviction(t *testing.T) {
 	// survives: Sweep re-checks under the write lock, so a fresh access
 	// always wins. (Directly exercised by touching after the cutoff.)
 	clk.advance(2 * time.Minute)
-	busy.Info(clk.now(), false)
+	busy.Info(context.Background(), clk.now(), false)
 	if n := m.Sweep(clk.now()); n != 0 {
 		t.Fatalf("Sweep evicted %d just-touched sessions", n)
 	}

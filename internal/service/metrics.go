@@ -139,6 +139,12 @@ type Metrics struct {
 	WorkerRefits   atomic.Int64
 	WeightedMerges atomic.Int64
 
+	// HistoryRebuilds counts adopted sessions that replayed their journal
+	// a second time to build the round history they deferred at adoption:
+	// on the first GET ?rounds=true, or the first merge retry naming an
+	// older version or none.
+	HistoryRebuilds atomic.Int64
+
 	// Event streaming. SubscribersLive is a gauge (subscribes minus
 	// detaches); EventsDropped counts events a slow subscriber missed at
 	// its drop point, SubscribersDropped the drop-and-mark detachments.
@@ -208,6 +214,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, sessionsLive, leasesHeld, workers
 		gauge("crowdfusion_workers_tracked", "Distinct workers observed across resident sessions.", float64(workersTracked)) +
 		counter("crowdfusion_worker_refits_total", "Worker-accuracy re-estimations (EM/Dawid-Skene refits).", m.WorkerRefits.Load()) +
 		counter("crowdfusion_weighted_merges_total", "Posterior conditionings using per-worker accuracy estimates.", m.WeightedMerges.Load()) +
+		counter("crowdfusion_session_history_rebuilds_total", "Adopted sessions whose deferred round history was rebuilt by a journal replay.", m.HistoryRebuilds.Load()) +
 		counter("crowdfusion_requests_rejected_total", "Requests rejected by backpressure.", m.RequestsRejected.Load()) +
 		gauge("crowdfusion_subscribers_live", "Event-stream subscribers currently attached.", float64(m.SubscribersLive.Load())) +
 		counter("crowdfusion_streams_served_total", "Event streams accepted.", m.StreamsServed.Load()) +

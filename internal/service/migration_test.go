@@ -72,7 +72,7 @@ func TestMigrateLegacyDataDir(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := json.Marshal(migrationFingerprint{Name: want.Name, Info: s.Info(now, true), Workers: s.WorkerStats(), Calibration: cal})
+			got, err := json.Marshal(migrationFingerprint{Name: want.Name, Info: s.Info(context.Background(), now, true), Workers: s.WorkerStats(), Calibration: cal})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -41,7 +41,7 @@ type sessionFingerprint struct {
 func fingerprint(s *Session, now time.Time) sessionFingerprint {
 	p := s.Posterior()
 	return sessionFingerprint{
-		info:    s.Info(now, true),
+		info:    s.Info(context.Background(), now, true),
 		worlds:  append([]dist.World(nil), p.Worlds()...),
 		probs:   append([]float64(nil), p.Probs()...),
 		entropy: p.Entropy(),
@@ -220,7 +220,7 @@ func TestManagerDoneLatchSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info := s2.Info(now, false); !info.Done {
+	if info := s2.Info(context.Background(), now, false); !info.Done {
 		t.Fatalf("done latch lost across restart: %+v", info)
 	}
 }

@@ -199,7 +199,7 @@ func runLiveReplayModel(t *testing.T, model string, seed int64) {
 
 	twin := recoverTwin()
 	for step := 0; step < 40; step++ {
-		info := live.Info(now, false)
+		info := live.Info(context.Background(), now, false)
 		var req *AnswersRequest
 		fault := ""
 		switch op := rng.Intn(20); {
@@ -276,7 +276,7 @@ func runLiveReplayModel(t *testing.T, model string, seed int64) {
 		// above stay what they were: a versionless resubmission of any
 		// committed answer set — also while the next round's ledger is open
 		// — is a retry, and a retry never commits.
-		if state := live.Info(now, true); len(state.Rounds) > 0 && retryRng.Intn(3) == 0 {
+		if state := live.Info(context.Background(), now, true); len(state.Rounds) > 0 && retryRng.Intn(3) == 0 {
 			r := state.Rounds[retryRng.Intn(len(state.Rounds))]
 			retry := &AnswersRequest{Tasks: r.Tasks, Answers: r.Answers}
 			got, err := live.Merge(ctx, now, retry)
@@ -302,7 +302,7 @@ func runLiveReplayModel(t *testing.T, model string, seed int64) {
 		if !reflect.DeepEqual(gotCal, wantCal) {
 			t.Fatalf("step %d (fault %q): calibration diverged:\n twin %+v\n live %+v", step, fault, gotCal, wantCal)
 		}
-		full := live.Info(now, true)
+		full := live.Info(context.Background(), now, true)
 		committed := 0
 		for _, r := range full.Rounds {
 			committed += len(r.Tasks)

@@ -171,7 +171,7 @@ func TestRestoreRejectsMalformedRecords(t *testing.T) {
 			rec := base.Clone()
 			mutate(rec)
 			if s, err := restoreSession(rec, DefaultAnonWorker, time.Unix(1000, 0)); err == nil {
-				t.Fatalf("malformed record restored: %+v", s.Info(time.Unix(1000, 0), true))
+				t.Fatalf("malformed record restored: %+v", s.Info(context.Background(), time.Unix(1000, 0), true))
 			}
 		})
 	}
@@ -182,7 +182,7 @@ func TestRestoreRejectsMalformedRecords(t *testing.T) {
 // every float in its exact shortest form, so equal strings mean equal bits.
 func restoreFingerprint(t *testing.T, s *Session, now time.Time) string {
 	t.Helper()
-	info := s.Info(now, true)
+	info := s.Info(context.Background(), now, true)
 	var pending PendingInfo
 	if info.Pending != nil {
 		pending = *info.Pending
@@ -225,7 +225,7 @@ func FuzzRestoreRecord(f *testing.F) {
 		fixedPoint()
 		// Exhaustive selectors grow combinatorially in n and k; a small
 		// override keeps every input's selection cheap.
-		if s.Info(now, false).N <= 12 {
+		if s.Info(context.Background(), now, false).N <= 12 {
 			if _, _, err := s.Select(context.Background(), now, min(rec.K, 4)); err != nil {
 				t.Logf("select: %v", err)
 			}

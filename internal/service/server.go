@@ -606,7 +606,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mgr.metrics.SessionsCreated.Add(1)
-	writeJSON(w, http.StatusCreated, sess.Info(s.mgr.Now(), false))
+	writeJSON(w, http.StatusCreated, sess.Info(r.Context(), s.mgr.Now(), false))
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -617,7 +617,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 	withRounds := strings.EqualFold(r.URL.Query().Get("rounds"), "true") ||
 		r.URL.Query().Get("rounds") == "1"
-	writeJSON(w, http.StatusOK, sess.Info(s.mgr.Now(), withRounds))
+	writeJSON(w, http.StatusOK, sess.Info(r.Context(), s.mgr.Now(), withRounds))
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {

@@ -83,7 +83,6 @@ type Session struct {
 	version   int  // number of merges applied
 	spent     int  // tasks asked (accounted at merge time)
 	done      bool // latched when a selection finds nothing uncertain
-	rounds    []RoundInfo
 
 	// sel caches the last selection; valid while its Version is the
 	// current version and selK is the requested k, so clients that retry
@@ -92,9 +91,16 @@ type Session struct {
 	sel  *SelectResponse
 	selK int
 
-	// merges holds the response each commit recorded, indexed by the
-	// version it committed from, for idempotent replay of retried merges.
-	merges []*AnswersResponse
+	// The session's history, indexed by the version each round committed
+	// from: rounds is the per-round trace (GET ?rounds=true), merges the
+	// response each commit recorded, for idempotent replay of retried
+	// merges. A session adopted with committed rounds defers both
+	// (historyDeferred): its replay rebuilds only the state the current
+	// posterior needs, and historyLocked rebuilds the history from the
+	// journal on first read. Until then a live merge records no history.
+	rounds          []RoundInfo
+	merges          []*AnswersResponse
+	historyDeferred bool
 
 	// journal is every op the session applied, in order, less the
 	// partial and done ops a later merge superseded (store.Extend): the
@@ -332,11 +338,15 @@ func (s *Session) peekInfo() SessionInfo {
 }
 
 // Info returns the session state, with the per-round trace when withRounds
-// is set.
-func (s *Session) Info(now time.Time, withRounds bool) SessionInfo {
+// is set. On an adopted session the first such read rebuilds the history
+// (historyLocked).
+func (s *Session) Info(ctx context.Context, now time.Time, withRounds bool) SessionInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.touch(now)
+	if withRounds {
+		s.historyLocked(ctx)
+	}
 	return s.infoLocked(withRounds)
 }
 
@@ -527,7 +537,7 @@ func (s *Session) Merge(ctx context.Context, now time.Time, req *AnswersRequest)
 		}
 	}
 
-	if resp, ok, err := s.replayLocked(req, js, attributed); ok {
+	if resp, ok, err := s.replayLocked(ctx, req, js, attributed); ok {
 		return resp, err
 	}
 
@@ -581,28 +591,29 @@ func (s *Session) Merge(ctx context.Context, now time.Time, req *AnswersRequest)
 	if op.Kind == store.OpPartial {
 		return &AnswersResponse{SessionInfo: s.infoLocked(false), Partial: true}, nil
 	}
-	committed := *s.merges[op.Version]
-	committed.Partial = joins
-	return &committed, nil
+	return &AnswersResponse{SessionInfo: s.infoLocked(false), Merged: true, Partial: joins}, nil
 }
 
 // replayLocked applies the retry rules, in the order Merge lists them,
 // before any ledger or batch logic runs. ok reports that a rule decided the
 // request, as a replay or a refusal; otherwise it is new work at the
-// current version.
-func (s *Session) replayLocked(req *AnswersRequest, js []Judgment, attributed bool) (resp *AnswersResponse, ok bool, err error) {
+// current version. A request at the current version, or a partial without
+// one, names no committed round, so only the others read the history.
+func (s *Session) replayLocked(ctx context.Context, req *AnswersRequest, js []Judgment, attributed bool) (resp *AnswersResponse, ok bool, err error) {
+	if req.Version == nil && req.Partial || req.Version != nil && *req.Version == s.version {
+		return nil, false, nil
+	}
+	s.historyLocked(ctx)
 	if req.Version != nil {
 		if resp, ok, err := s.replayRoundLocked(*req.Version, req.Partial, js, attributed); ok {
 			return resp, ok, err
 		}
-	} else if !req.Partial {
+	} else {
 		for v := range s.version {
 			if resp, ok, err := s.replayRoundLocked(v, req.Partial, js, attributed); ok {
 				return resp, ok, err
 			}
 		}
-	}
-	if req.Version == nil || *req.Version == s.version {
 		return nil, false, nil
 	}
 	if v := *req.Version; v >= 0 && v < s.version && (req.Partial || s.pendBatch != nil) {
@@ -948,7 +959,7 @@ func (s *Session) fitWorkersLocked(ops []store.Op) bool {
 type transition struct {
 	op    store.Op    // the op to journal: a live conditioning op gains its channels
 	post  *dist.Joint // a merge's next posterior, a partial's provisional one
-	taskH float64     // H(T) of a merge's answer set or a partial's batch
+	taskH float64     // H(T) of a partial's batch, or of a merge's answer set while rounds are recorded
 }
 
 // stepLocked computes op's transition against the current state, changing
@@ -1017,8 +1028,11 @@ func (s *Session) stepLocked(op store.Op, extra []store.Op) (transition, error) 
 				ErrBudgetExhausted, s.spent, s.budget, len(op.Tasks))
 		}
 		var err error
-		if t.taskH, err = s.taskEntropyLocked(batch); err != nil {
-			return t, err
+		if op.Kind == store.OpPartial || !s.historyDeferred {
+			// A merge's H(T) is read only by the round it records.
+			if t.taskH, err = s.taskEntropyLocked(batch); err != nil {
+				return t, err
+			}
 		}
 		sens, spec := s.channelsLocked(op, tasks, s.attributionLocked(op.Version, tasks, answers, extra))
 		if t.post, err = s.conditionLocked(tasks, answers, sens, spec); err != nil {
@@ -1070,15 +1084,17 @@ func (s *Session) applyLocked(ctx context.Context, t transition) {
 		s.sel = nil    // selection cache is bound to the previous posterior
 		s.done = false // the new posterior may be uncertain again; re-derive
 		s.pendBatch, s.pendAns, s.pendPost, s.pendTaskH = nil, nil, nil, 0
-		s.rounds = append(s.rounds, RoundInfo{
-			Round:   s.version,
-			Tasks:   op.Tasks,
-			Answers: op.Answers,
-			CumCost: s.spent,
-			Entropy: t.post.Entropy(),
-			TaskH:   t.taskH,
-		})
-		s.merges = append(s.merges, &AnswersResponse{SessionInfo: s.infoLocked(false), Merged: true})
+		if !s.historyDeferred {
+			s.rounds = append(s.rounds, RoundInfo{
+				Round:   s.version,
+				Tasks:   op.Tasks,
+				Answers: op.Answers,
+				CumCost: s.spent,
+				Entropy: t.post.Entropy(),
+				TaskH:   t.taskH,
+			})
+			s.merges = append(s.merges, &AnswersResponse{SessionInfo: s.infoLocked(false), Merged: true})
+		}
 		s.emitLocked(ctx, EventMerge, nil)
 	case store.OpDone:
 		s.done = true
@@ -1345,8 +1361,37 @@ func (s *Session) retireAndFlush(st store.SessionStore) error {
 // function live requests run, so the restored state matches the pre-crash
 // session bit for bit. Random selectors restart at the recorded seed. The
 // session comes back without persist, tracer or event hooks, crediting
-// unattributed judgments to anonWorker.
+// unattributed judgments to anonWorker. A record with committed rounds
+// comes back with its history deferred.
 func restoreSession(rec *store.Record, anonWorker string, now time.Time) (*Session, error) {
+	return replayRecord(rec, anonWorker, now, false)
+}
+
+// historyLocked builds the history an adopted session deferred, once:
+// it replays the journal into a scratch session that records history and
+// keeps the scratch's rounds and merges. Replay is deterministic, so they
+// are the ones the live session recorded, its live merges since adoption
+// included. Callers hold mu.
+func (s *Session) historyLocked(ctx context.Context) {
+	if !s.historyDeferred {
+		return
+	}
+	_, sp := s.tracer.Start(ctx, "session.history")
+	sp.SetAttr("session", s.id)
+	sp.SetAttr("rounds", s.version)
+	defer sp.End()
+	r, err := replayRecord(s.recordLocked(), s.anonWorker, s.lastAccess, true)
+	if err != nil {
+		// Unreachable: the journal is the one this session applied.
+		panic(fmt.Sprintf("service: rebuilding the history of session %s: %v", s.id, err))
+	}
+	s.rounds, s.merges, s.historyDeferred = r.rounds, r.merges, false
+	s.metrics.HistoryRebuilds.Add(1)
+}
+
+// replayRecord is restoreSession, recording the history as the ops apply
+// when history is set and deferring it otherwise.
+func replayRecord(rec *store.Record, anonWorker string, now time.Time, history bool) (*Session, error) {
 	fail := func(err error) (*Session, error) {
 		return nil, fmt.Errorf("service: session %s: %w", rec.ID, err)
 	}
@@ -1372,6 +1417,7 @@ func restoreSession(rec *store.Record, anonWorker string, now time.Time) (*Sessi
 		s.workerModel = rec.WorkerModel
 	}
 	s.anonWorker = anonWorker
+	s.historyDeferred = !history && slices.ContainsFunc(rec.Ops, func(op store.Op) bool { return op.Kind == store.OpMerge })
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Conditioning ops that record their channels replay on them, so the

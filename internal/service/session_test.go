@@ -164,7 +164,7 @@ func TestVersionlessRetryWhileLedgerOpen(t *testing.T) {
 				t.Fatalf("fixture: batches %v then %v, want re-picked=%v", first.Tasks, next.Tasks, tc.repick)
 			}
 			submitOne(t, s, now, next.Tasks[0], true, next.Version)
-			before := s.Info(now, true)
+			before := s.Info(context.Background(), now, true)
 
 			resp, err := s.Merge(ctx, now, cloneAnswers(committed))
 			if err != nil {
@@ -173,7 +173,7 @@ func TestVersionlessRetryWhileLedgerOpen(t *testing.T) {
 			if resp.Merged || resp.Partial {
 				t.Fatalf("versionless retry was applied: merged=%v partial=%v", resp.Merged, resp.Partial)
 			}
-			after := s.Info(now, true)
+			after := s.Info(context.Background(), now, true)
 			if after.Spent != before.Spent || after.Version != before.Version {
 				t.Fatalf("retry moved spent %d→%d, version %d→%d",
 					before.Spent, after.Spent, before.Version, after.Version)
@@ -224,7 +224,7 @@ func TestSessionBudgetEnforcement(t *testing.T) {
 	if !final.Done || len(final.Tasks) != 0 {
 		t.Fatalf("exhausted session still selecting: %+v", final)
 	}
-	info := s.Info(now, true)
+	info := s.Info(context.Background(), now, true)
 	if !info.Done || info.Spent > info.Budget {
 		t.Fatalf("final info %+v", info)
 	}
@@ -249,7 +249,7 @@ func TestSessionDoneLatchOnCertainPosterior(t *testing.T) {
 	if len(sel.Tasks) != 0 || !sel.Done {
 		t.Fatalf("certain posterior selected %+v", sel)
 	}
-	info := s.Info(time.Unix(1, 0), false)
+	info := s.Info(context.Background(), time.Unix(1, 0), false)
 	if !info.Done || info.Spent != 0 {
 		t.Fatalf("info %+v", info)
 	}
@@ -301,7 +301,7 @@ func TestSessionMergeValidatesEvidence(t *testing.T) {
 		}
 	}
 	// Failed merges must not advance state.
-	if info := s.Info(now, false); info.Version != 0 || info.Spent != 0 {
+	if info := s.Info(context.Background(), now, false); info.Version != 0 || info.Spent != 0 {
 		t.Fatalf("failed merges mutated state: %+v", info)
 	}
 }
@@ -362,7 +362,7 @@ func TestSessionMatchesEngine(t *testing.T) {
 			t.Fatalf("prob %d: %v != %v", i, got.Probs()[i], want.Final.Probs()[i])
 		}
 	}
-	if info := s.Info(now, false); info.Spent != want.Cost {
+	if info := s.Info(context.Background(), now, false); info.Spent != want.Cost {
 		t.Fatalf("spent %d != engine cost %d", info.Spent, want.Cost)
 	}
 }

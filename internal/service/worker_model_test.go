@@ -57,7 +57,7 @@ func TestCreateRejectsUnknownWorkerModel(t *testing.T) {
 		if want == "" {
 			want = WorkerModelFixed
 		}
-		if got := s.Info(time.Now(), false).WorkerModel; got != want {
+		if got := s.Info(context.Background(), time.Now(), false).WorkerModel; got != want {
 			t.Fatalf("model %q: info reports %q", model, got)
 		}
 	}
@@ -474,7 +474,7 @@ func TestGoldenAdversarialWorkerDownWeighted(t *testing.T) {
 
 	meanErr := func(s *Session) float64 {
 		var sum float64
-		marg := s.Info(now, false).Marginals
+		marg := s.Info(context.Background(), now, false).Marginals
 		for f, p := range marg {
 			want := 0.0
 			if truth(f) {
