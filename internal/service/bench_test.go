@@ -182,6 +182,18 @@ func BenchmarkWeightedMerge(b *testing.B) {
 // model once, at the end, instead of refitting the growing observation log
 // after every merge.
 func BenchmarkServiceRestore(b *testing.B) {
+	benchRestore(b, false)
+}
+
+// BenchmarkServiceRestoreHistory measures the adoption a history reader
+// pays: the same restore, then a GET ?rounds=true, whose first read
+// replays the journal again to rebuild the deferred round history. A
+// merge retry naming an older version pays the same rebuild.
+func BenchmarkServiceRestoreHistory(b *testing.B) {
+	benchRestore(b, true)
+}
+
+func benchRestore(b *testing.B, withRounds bool) {
 	m := newManager(Config{})
 	defer m.Close()
 	ctx, now := context.Background(), m.Now()
@@ -220,6 +232,8 @@ func BenchmarkServiceRestore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.Info(ctx, now, false)
+		if info := s.Info(ctx, now, withRounds); withRounds && len(info.Rounds) != 64 {
+			b.Fatalf("%d rounds, want 64", len(info.Rounds))
+		}
 	}
 }

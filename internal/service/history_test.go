@@ -152,18 +152,54 @@ func runAdoptedHistory(t *testing.T, model string) {
 		rebuilt(a, fmt.Sprintf("retry %d", i))
 	}
 
-	// A merge on the adopted session at the current version needs no
-	// history: it completes the open ledger without building it, and the
-	// rebuild that follows includes it. A round after the rebuild extends
-	// the history live.
+	// Requests that replay no committed set read no history: a retried
+	// prefix of a committed ledger, an attribution conflict, and versions
+	// that name no round.
+	prefix := &AnswersRequest{Version: committed[1].Version, Partial: true, Judgments: committed[1].Judgments[:1]}
 	a = adopt()
-	got, gotErr := merge(a, rest)
-	want, wantErr := merge(live, rest)
-	if gotErr != nil || wantErr != nil || !got.Merged {
-		t.Fatalf("completing the ledger: adopted %+v, %v; live %v", got, gotErr, wantErr)
+	got, gotErr := merge(a, prefix)
+	want, wantErr := merge(live, prefix)
+	if gotErr != nil || wantErr != nil || !got.Partial || got.Merged {
+		t.Fatalf("retried ledger prefix: adopted %+v, %v; live %v", got, gotErr, wantErr)
 	}
-	requireSameJSON(t, "ledger-completing merge", got, want)
-	deferred(a, "a merge at the current version")
+	requireSameJSON(t, "retried ledger prefix", got, want)
+	deferred(a, "a retried ledger prefix")
+	reattributed := cloneAnswers(committed[0])
+	reattributed.Judgments[0].Worker = "someone-else"
+	before, beyond := -1, len(committed)+5
+	for i, req := range []*AnswersRequest{
+		reattributed,
+		{Version: &before, Judgments: committed[0].Judgments},
+		{Version: &beyond, Judgments: committed[0].Judgments},
+	} {
+		_, gotErr := merge(a, req)
+		_, wantErr := merge(live, req)
+		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Fatalf("refused request %d: adopted %v, live %v", i, gotErr, wantErr)
+		}
+		deferred(a, fmt.Sprintf("refused request %d", i))
+	}
+
+	// A merge on the adopted session that commits new work needs no
+	// history, at the current version or without one: each completes the
+	// open ledger without building it, and the rebuild that follows
+	// includes it. A round after the rebuild extends the history live.
+	unversioned := &AnswersRequest{Judgments: rest.Judgments}
+	a = adopt()
+	got, gotErr = merge(a, unversioned)
+	b := adopt()
+	gotB, gotErrB := merge(b, rest)
+	want, wantErr = merge(live, rest)
+	if gotErr != nil || gotErrB != nil || wantErr != nil || !got.Merged || !gotB.Merged {
+		t.Fatalf("completing the ledger: adopted %+v, %v and %+v, %v; live %v", got, gotErr, gotB, gotErrB, wantErr)
+	}
+	requireSameJSON(t, "ledger-completing versionless merge", got, want)
+	requireSameJSON(t, "ledger-completing merge", gotB, want)
+	deferred(a, "a new versionless set")
+	deferred(b, "a merge at the current version")
+	requireSameJSON(t, "GET ?rounds=true after a versionless merge", a.Info(ctx, now, true), live.Info(ctx, now, true))
+	rebuilt(a, "GET ?rounds=true after a versionless merge")
+	a = b
 	requireSameJSON(t, "GET ?rounds=true after a merge", a.Info(ctx, now, true), live.Info(ctx, now, true))
 	rebuilt(a, "GET ?rounds=true after a merge")
 	req := round(live)

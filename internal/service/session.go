@@ -597,33 +597,43 @@ func (s *Session) Merge(ctx context.Context, now time.Time, req *AnswersRequest)
 // replayLocked applies the retry rules, in the order Merge lists them,
 // before any ledger or batch logic runs. ok reports that a rule decided the
 // request, as a replay or a refusal; otherwise it is new work at the
-// current version. A request at the current version, or a partial without
-// one, names no committed round, so only the others read the history.
+// current version. The rules match against the journal's merge ops, the
+// answer sets the rounds committed; only a replay of a committed set reads
+// the history, for the response its commit recorded.
 func (s *Session) replayLocked(ctx context.Context, req *AnswersRequest, js []Judgment, attributed bool) (resp *AnswersResponse, ok bool, err error) {
-	if req.Version == nil && req.Partial || req.Version != nil && *req.Version == s.version {
-		return nil, false, nil
-	}
-	s.historyLocked(ctx)
-	if req.Version != nil {
-		if resp, ok, err := s.replayRoundLocked(*req.Version, req.Partial, js, attributed); ok {
-			return resp, ok, err
+	if req.Version == nil {
+		if req.Partial {
+			return nil, false, nil
 		}
-	} else {
-		for v := range s.version {
-			if resp, ok, err := s.replayRoundLocked(v, req.Partial, js, attributed); ok {
+		for _, op := range s.journal {
+			if op.Kind != store.OpMerge {
+				continue
+			}
+			if resp, ok, err := s.replayRoundLocked(ctx, op, req.Partial, js, attributed); ok {
 				return resp, ok, err
 			}
 		}
 		return nil, false, nil
 	}
-	if v := *req.Version; v >= 0 && v < s.version && (req.Partial || s.pendBatch != nil) {
+	v := *req.Version
+	if v == s.version {
+		return nil, false, nil
+	}
+	i := slices.IndexFunc(s.journal, func(op store.Op) bool { return op.Kind == store.OpMerge && op.Version == v })
+	if i < 0 {
+		return nil, true, ErrVersionConflict
+	}
+	op := s.journal[i]
+	if resp, ok, err := s.replayRoundLocked(ctx, op, req.Partial, js, attributed); ok {
+		return resp, ok, err
+	}
+	if req.Partial || s.pendBatch != nil {
 		// A retried prefix of a ledger that has since committed. The
 		// response carries the current state: the prefix's provisional
 		// posterior is gone once its batch commits.
-		r := s.rounds[v]
 		if !slices.ContainsFunc(js, func(j Judgment) bool {
-			i := slices.Index(r.Tasks, j.Task)
-			return i < 0 || r.Answers[i] != j.Answer
+			i := slices.Index(op.Tasks, j.Task)
+			return i < 0 || op.Answers[i] != j.Answer
 		}) {
 			return &AnswersResponse{SessionInfo: s.infoLocked(false), Partial: true}, true, nil
 		}
@@ -631,34 +641,31 @@ func (s *Session) replayLocked(ctx context.Context, req *AnswersRequest, js []Ju
 	return nil, true, ErrVersionConflict
 }
 
-// replayRoundLocked serves a retry of the answer set committed from
-// version v; ok=false unless js is that set, task for task. The replay is
+// replayRoundLocked serves a retry of the answer set the merge op m
+// committed; ok=false unless js is that set, task for task. The replay is
 // the response the commit recorded, with Merged=false and Partial as the
 // retrying request set it: the flag says whether this request joined an
 // incremental sequence, which the commit cannot know. A retry carrying
 // explicit judgments must keep the attribution the commit derived; the log
-// at v is frozen once v commits, so deriving it again gives the committed
-// one. Legacy-form retries carry no attribution to contradict.
-func (s *Session) replayRoundLocked(v int, partial bool, js []Judgment, attributed bool) (*AnswersResponse, bool, error) {
-	if v < 0 || v >= len(s.rounds) {
-		return nil, false, nil
-	}
-	r := s.rounds[v]
-	if len(r.Tasks) != len(js) {
+// at m's version is frozen once it commits, so deriving it again gives the
+// committed one. Legacy-form retries carry no attribution to contradict.
+func (s *Session) replayRoundLocked(ctx context.Context, m store.Op, partial bool, js []Judgment, attributed bool) (*AnswersResponse, bool, error) {
+	if len(m.Tasks) != len(js) {
 		return nil, false, nil
 	}
 	for i, j := range js {
-		if r.Tasks[i] != j.Task || r.Answers[i] != j.Answer {
+		if m.Tasks[i] != j.Task || m.Answers[i] != j.Answer {
 			return nil, false, nil
 		}
 	}
 	if attributed {
-		rec := s.attributionLocked(v, r.Tasks, r.Answers, nil)
+		rec := s.attributionLocked(m.Version, m.Tasks, m.Answers, nil)
 		if rec != nil && !slices.EqualFunc(rec, js, func(w string, j Judgment) bool { return w == j.Worker }) {
 			return nil, true, fmt.Errorf("%w: committed attribution %q", ErrAttributionConflict, strings.Join(rec, ","))
 		}
 	}
-	replay := *s.merges[v]
+	s.historyLocked(ctx)
+	replay := *s.merges[m.Version]
 	replay.Merged, replay.Partial = false, partial
 	return &replay, true, nil
 }
@@ -1447,7 +1454,10 @@ func replayRecord(rec *store.Record, anonWorker string, now time.Time, history b
 			fitted = len(s.journal)
 		}
 	}
-	if fitted > 0 {
+	// A history rebuild keeps only the rounds and the responses, which
+	// read no worker estimate, so it skips the final fit. The per-merge
+	// refits stay: those merges condition on them.
+	if fitted > 0 && !history {
 		s.fitWorkersLocked(s.journal[:fitted])
 	}
 	return s, nil
