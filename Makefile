@@ -95,6 +95,10 @@ fuzz-smoke:
 loadgen-test:
 	$(GO) -C cmd/loadgen test -race ./...
 
+# Besides vet, gofmt, staticcheck and tidy, lint enforces a dependency
+# rule: the daemon serves sessions over priors its clients send, so
+# cmd/crowdfusiond must not depend on the offline evaluation stack (the
+# paper's experiments and their synthetic book data).
 lint:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \
@@ -109,6 +113,12 @@ lint:
 		echo "staticcheck not on PATH; skipping (CI runs it pinned at $(STATICCHECK_VERSION))"; \
 	fi
 	$(GO) mod tidy -diff
+	@offline=$$($(GO) list -deps ./cmd/crowdfusiond | grep -E '^crowdfusion/internal/(eval|worlds|bookdata|fusion)$$'); \
+	if [ -n "$$offline" ]; then \
+		echo "cmd/crowdfusiond must not depend on the offline evaluation stack:" >&2; \
+		echo "$$offline" >&2; \
+		exit 1; \
+	fi
 
 cover: test-cover
 

@@ -95,19 +95,19 @@ func BenchmarkTable5(b *testing.B) {
 	}
 	selectors := []struct {
 		name string
-		kind eval.SelectorKind
+		kind core.SelectorKind
 		maxK int
 	}{
-		{"OPT", eval.SelOPT, 3}, // the paper's OPT never finished k = 4
-		{"Approx", eval.SelApprox, 10},
-		{"ApproxPrune", eval.SelApproxPrune, 10},
-		{"ApproxPre", eval.SelApproxPre, 10},
-		{"ApproxPrunePre", eval.SelApproxFull, 10},
+		{"OPT", core.SelOPT, 3}, // the paper's OPT never finished k = 4
+		{"Approx", core.SelApprox, 10},
+		{"ApproxPrune", core.SelApproxPrune, 10},
+		{"ApproxPre", core.SelApproxPre, 10},
+		{"ApproxPrunePre", core.SelApproxFull, 10},
 	}
 	for _, sc := range selectors {
 		for k := 1; k <= sc.maxK; k++ {
 			b.Run(fmt.Sprintf("%s/k=%d", sc.name, k), func(b *testing.B) {
-				sel, err := eval.NewSelector(sc.kind, 1)
+				sel, err := core.NewSelector(sc.kind, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -167,7 +167,7 @@ const figSeed = 0
 func BenchmarkFig2(b *testing.B) {
 	_, _, small := benchInstances(b)
 	for _, pc := range []float64{0.7, 0.8, 0.9} {
-		for _, kind := range []eval.SelectorKind{eval.SelOPT, eval.SelApprox, eval.SelRandom} {
+		for _, kind := range []core.SelectorKind{core.SelOPT, core.SelApprox, core.SelRandom} {
 			b.Run(fmt.Sprintf("pc=%.1f/%s", pc, kind), func(b *testing.B) {
 				var f1 float64
 				for i := 0; i < b.N; i++ {
@@ -195,7 +195,7 @@ func BenchmarkFig2(b *testing.B) {
 func BenchmarkFig3(b *testing.B) {
 	ins, _, _ := benchInstances(b)
 	for k := 1; k <= 6; k++ {
-		for _, kind := range []eval.SelectorKind{eval.SelApproxPrune, eval.SelRandom} {
+		for _, kind := range []core.SelectorKind{core.SelApproxPrune, core.SelRandom} {
 			b.Run(fmt.Sprintf("k=%d/%s", k, kind), func(b *testing.B) {
 				var f1 float64
 				for i := 0; i < b.N; i++ {
@@ -223,7 +223,7 @@ func BenchmarkFig3(b *testing.B) {
 func BenchmarkFig4(b *testing.B) {
 	ins, _, _ := benchInstances(b)
 	for _, pc := range []float64{0.7, 0.8, 0.9} {
-		for _, kind := range []eval.SelectorKind{eval.SelApproxPrune, eval.SelRandom} {
+		for _, kind := range []core.SelectorKind{core.SelApproxPrune, core.SelRandom} {
 			b.Run(fmt.Sprintf("pc=%.1f/%s", pc, kind), func(b *testing.B) {
 				var f1, u float64
 				for i := 0; i < b.N; i++ {
@@ -367,7 +367,7 @@ func BenchmarkSweepParallelism(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := eval.RunSweep(eval.SweepConfig{
 					Instances:   small,
-					Selector:    eval.SelApproxFull,
+					Selector:    core.SelApproxFull,
 					K:           2,
 					Budget:      10,
 					Pc:          0.8,

@@ -48,7 +48,7 @@ import (
 	"time"
 
 	"crowdfusion/internal/cluster"
-	"crowdfusion/internal/crowd"
+	"crowdfusion/internal/quality"
 	"crowdfusion/internal/service"
 	"crowdfusion/internal/trace"
 )
@@ -86,7 +86,7 @@ type (
 	// per-worker accuracy estimates.
 	CalibrationResponse = service.CalibrationResponse
 	// CalibrationBinInfo is one reliability-diagram bin.
-	CalibrationBinInfo = service.CalibrationBinInfo
+	CalibrationBinInfo = quality.Bin
 	// WorkerInfo is one worker's per-session accuracy estimate.
 	WorkerInfo = service.WorkerInfo
 	// WorkersResponse is the per-node worker fleet view.
@@ -702,11 +702,7 @@ func (c *Client) Calibration(ctx context.Context, id string, bins int) (*Calibra
 // the rows merged (support-weighted accuracy, pooled counts), so a down
 // node makes the call fail rather than silently shrink the roster.
 func (c *Client) Workers(ctx context.Context) (*WorkersResponse, error) {
-	type agg struct {
-		sessions, support, correct int
-		weighted                   float64
-	}
-	aggs := make(map[string]*agg)
+	var rows []WorkerFleetInfo
 	sessions := 0
 	for _, p := range c.peers {
 		var page WorkersResponse
@@ -714,29 +710,9 @@ func (c *Client) Workers(ctx context.Context) (*WorkersResponse, error) {
 			return nil, err
 		}
 		sessions += page.Sessions
-		for _, wi := range page.Workers {
-			a := aggs[wi.Worker]
-			if a == nil {
-				a = &agg{}
-				aggs[wi.Worker] = a
-			}
-			a.sessions += wi.Sessions
-			a.support += wi.Support
-			a.correct += wi.Correct
-			a.weighted += float64(wi.Support) * wi.Accuracy
-		}
+		rows = append(rows, page.Workers...)
 	}
-	resp := &WorkersResponse{Workers: make([]WorkerFleetInfo, 0, len(aggs)), Sessions: sessions}
-	for w, a := range aggs {
-		fi := WorkerFleetInfo{Worker: w, Sessions: a.sessions, Support: a.support, Correct: a.correct}
-		if a.support > 0 {
-			fi.Accuracy = a.weighted / float64(a.support)
-		}
-		fi.WilsonLo, fi.WilsonHi = crowd.WilsonInterval(a.correct, a.support)
-		resp.Workers = append(resp.Workers, fi)
-	}
-	sort.Slice(resp.Workers, func(i, j int) bool { return resp.Workers[i].Worker < resp.Workers[j].Worker })
-	return resp, nil
+	return &WorkersResponse{Workers: service.PoolWorkers(rows), Sessions: sessions}, nil
 }
 
 // ListSessions returns one page of the deployment's sessions in ID order,

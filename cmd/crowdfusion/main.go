@@ -70,7 +70,7 @@ func main() {
 
 	res, err := eval.RunSweep(eval.SweepConfig{
 		Instances:     instances,
-		Selector:      eval.SelectorKind(*selector),
+		Selector:      core.SelectorKind(*selector),
 		K:             *k,
 		Budget:        *budget,
 		Pc:            *pc,

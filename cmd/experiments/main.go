@@ -220,8 +220,8 @@ func runTable5(opt options) error {
 	res, err := eval.RunTimings(eval.TimingConfig{
 		Instances: large,
 		Ks:        []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
-		Selectors: []eval.SelectorKind{eval.SelOPT, eval.SelApprox, eval.SelApproxPrune,
-			eval.SelApproxPre, eval.SelApproxFull},
+		Selectors: []core.SelectorKind{core.SelOPT, core.SelApprox, core.SelApproxPrune,
+			core.SelApproxPre, core.SelApproxFull},
 		Pc:      opt.pc,
 		MaxOptK: 3,
 		Repeats: opt.repeats,
@@ -256,7 +256,7 @@ func runFig2(opt options) error {
 	fmt.Printf("== Figure 2: OPT vs Approx vs Random (k=2, B=10, %d smallest books) ==\n", len(small))
 	curves := make(map[string][]eval.TracePoint)
 	for _, pc := range []float64{0.7, 0.8, 0.9} {
-		for _, kind := range []eval.SelectorKind{eval.SelOPT, eval.SelApprox, eval.SelRandom} {
+		for _, kind := range []core.SelectorKind{core.SelOPT, core.SelApprox, core.SelRandom} {
 			res, err := eval.RunSweep(eval.SweepConfig{
 				Instances: small,
 				Selector:  kind,
@@ -288,7 +288,7 @@ func runFig3(opt options) error {
 	curves := make(map[string][]eval.TracePoint)
 	for _, pc := range []float64{0.7, 0.8, 0.9} {
 		for k := 1; k <= 6; k++ {
-			for _, kind := range []eval.SelectorKind{eval.SelApproxPrune, eval.SelRandom} {
+			for _, kind := range []core.SelectorKind{core.SelApproxPrune, core.SelRandom} {
 				res, err := eval.RunSweep(eval.SweepConfig{
 					Instances: ins,
 					Selector:  kind,
@@ -320,7 +320,7 @@ func runFig4(opt options) error {
 	fmt.Printf("== Figure 4: Pc settings (k=3, B=%d, %d books) ==\n", opt.budget, len(ins))
 	curves := make(map[string][]eval.TracePoint)
 	for _, pc := range []float64{0.7, 0.8, 0.9} {
-		for _, kind := range []eval.SelectorKind{eval.SelApproxPrune, eval.SelRandom} {
+		for _, kind := range []core.SelectorKind{core.SelApproxPrune, core.SelRandom} {
 			res, err := eval.RunSweep(eval.SweepConfig{
 				Instances: ins,
 				Selector:  kind,
@@ -352,7 +352,7 @@ func runErrors(opt options) error {
 	fmt.Printf("== Section V-D: residual errors by statement class (%d books) ==\n", len(ins))
 	res, err := eval.RunSweep(eval.SweepConfig{
 		Instances:     ins,
-		Selector:      eval.SelApproxPrune,
+		Selector:      core.SelApproxPrune,
 		K:             3,
 		Budget:        opt.budget,
 		Pc:            opt.pc,
@@ -438,7 +438,7 @@ func runAllocation(opt options) error {
 		total, len(ins))
 	uniform, err := eval.RunSweep(eval.SweepConfig{
 		Instances: ins,
-		Selector:  eval.SelApproxPrune,
+		Selector:  core.SelApproxPrune,
 		K:         1,
 		Budget:    perBook,
 		Pc:        opt.pc,
@@ -492,7 +492,7 @@ func runCalibration(opt options) error {
 	}
 	res, err := eval.RunSweep(eval.SweepConfig{
 		Instances: ins,
-		Selector:  eval.SelApproxPrune,
+		Selector:  core.SelApproxPrune,
 		K:         3,
 		Budget:    opt.budget,
 		Pc:        opt.pc,

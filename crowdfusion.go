@@ -43,6 +43,7 @@ import (
 	"crowdfusion/internal/eval"
 	"crowdfusion/internal/fusion"
 	"crowdfusion/internal/platform"
+	"crowdfusion/internal/quality"
 	"crowdfusion/internal/worlds"
 )
 
@@ -98,6 +99,18 @@ type (
 	// Preprocessed is the precomputed answer joint distribution used by
 	// the accelerated selector (Section III-F).
 	Preprocessed = core.Preprocessed
+	// SelectorKind names the selection strategies in experiment configs.
+	SelectorKind = core.SelectorKind
+)
+
+// Selector kinds for experiment configs.
+const (
+	SelOPT         = core.SelOPT
+	SelApprox      = core.SelApprox
+	SelApproxPrune = core.SelApproxPrune
+	SelApproxPre   = core.SelApproxPre
+	SelApproxFull  = core.SelApproxFull
+	SelRandom      = core.SelRandom
 )
 
 // NewOptSelector returns the exact brute-force selector (exponential in k).
@@ -271,20 +284,8 @@ type (
 	TimingConfig = eval.TimingConfig
 	// TimingResult is the Table V grid.
 	TimingResult = eval.TimingResult
-	// SelectorKind names the selection strategies in experiment configs.
-	SelectorKind = eval.SelectorKind
 	// ErrorBreakdown is the Section V-D residual-error taxonomy.
 	ErrorBreakdown = eval.ErrorBreakdown
-)
-
-// Selector kinds for experiment configs.
-const (
-	SelOPT         = eval.SelOPT
-	SelApprox      = eval.SelApprox
-	SelApproxPrune = eval.SelApproxPrune
-	SelApproxPre   = eval.SelApproxPre
-	SelApproxFull  = eval.SelApproxFull
-	SelRandom      = eval.SelRandom
 )
 
 // RunSweep executes a quality-vs-budget experiment.
@@ -320,7 +321,7 @@ func RunQuerySweep(cfg QuerySweepConfig) (*QuerySweepResult, error) {
 }
 
 // Calibration is a reliability report over posterior marginals.
-type Calibration = eval.Calibration
+type Calibration = quality.Calibration
 
 // CalibrationReport bins posterior marginals against gold labels and
 // reports expected calibration error and Brier score.

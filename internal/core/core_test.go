@@ -795,3 +795,19 @@ func TestOptRefusesExplosion(t *testing.T) {
 		t.Error("OPT attempted an astronomically large enumeration")
 	}
 }
+
+func TestNewSelector(t *testing.T) {
+	kinds := []SelectorKind{SelOPT, SelApprox, SelApproxPrune, SelApproxPre, SelApproxFull, SelRandom}
+	for _, k := range kinds {
+		s, err := NewSelector(k, 1)
+		if err != nil {
+			t.Errorf("%s: %v", k, err)
+		}
+		if s == nil {
+			t.Errorf("%s: nil selector", k)
+		}
+	}
+	if _, err := NewSelector("nope", 1); err == nil {
+		t.Error("unknown kind accepted")
+	}
+}

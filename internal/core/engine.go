@@ -88,16 +88,32 @@ func (e *Engine) Validate() error {
 	return nil
 }
 
-// Run executes rounds until the budget is exhausted, the selector returns
-// no tasks (all facts certain), or merging fails.
+// Run executes rounds of K tasks until the budget is exhausted, the
+// selector returns no tasks (all facts certain), or merging fails.
 func (e *Engine) Run() (*Result, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
+	return e.run(FixedK(e.K))
+}
+
+// run is the round loop of Run and RunWithPolicy on a validated engine:
+// policy sizes each round, clamped to [1, remaining budget] and the fact
+// count.
+func (e *Engine) run(policy KPolicy) (*Result, error) {
 	current := e.Prior.Clone()
+	initialH := current.Entropy()
 	res := &Result{}
 	for round := 1; res.Cost < e.Budget; round++ {
-		k := e.K
+		k := policy.NextK(PolicyStats{
+			Round:           round,
+			Entropy:         current.Entropy(),
+			InitialEntropy:  initialH,
+			RemainingBudget: e.Budget - res.Cost,
+		})
+		if k < 1 {
+			k = 1
+		}
 		if remaining := e.Budget - res.Cost; k > remaining {
 			k = remaining
 		}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Round-size policies. The paper's Section V-C2 concludes that k trades
 // latency against quality: each round is one platform round-trip, so large
@@ -109,58 +106,5 @@ func (e *Engine) RunWithPolicy(policy KPolicy) (*Result, error) {
 	if err := probe.Validate(); err != nil {
 		return nil, err
 	}
-	current := e.Prior.Clone()
-	initialH := current.Entropy()
-	res := &Result{}
-	for round := 1; res.Cost < e.Budget; round++ {
-		k := policy.NextK(PolicyStats{
-			Round:           round,
-			Entropy:         current.Entropy(),
-			InitialEntropy:  initialH,
-			RemainingBudget: e.Budget - res.Cost,
-		})
-		if k < 1 {
-			k = 1
-		}
-		if remaining := e.Budget - res.Cost; k > remaining {
-			k = remaining
-		}
-		if n := current.N(); k > n {
-			k = n
-		}
-		tasks, err := e.Selector.Select(current, k, e.Pc)
-		if err != nil {
-			return nil, err
-		}
-		if len(tasks) == 0 {
-			break
-		}
-		answers := e.Crowd.Answers(tasks)
-		if len(answers) != len(tasks) {
-			return nil, fmt.Errorf("core: round %d: %d tasks but %d answers",
-				round, len(tasks), len(answers))
-		}
-		taskH, err := TaskEntropy(current, tasks, e.Pc)
-		if err != nil {
-			return nil, err
-		}
-		updated, err := current.Condition(tasks, answers, e.Pc)
-		if err != nil {
-			return nil, err
-		}
-		current = updated
-		res.Cost += len(tasks)
-		res.Rounds = append(res.Rounds, RoundStats{
-			Round:    round,
-			Tasks:    append([]int(nil), tasks...),
-			Answers:  append([]bool(nil), answers...),
-			CumCost:  res.Cost,
-			Entropy:  current.Entropy(),
-			Utility:  -current.Entropy(),
-			TaskH:    taskH,
-			Selected: e.Selector.Name(),
-		})
-	}
-	res.Final = current
-	return res, nil
+	return e.run(policy)
 }

@@ -518,3 +518,39 @@ func (r *RandomSelector) Select(j *dist.Joint, k int, pc float64) ([]int, error)
 	sort.Ints(picked)
 	return picked, nil
 }
+
+// SelectorKind names a task-selection strategy: the strategies compared in
+// the paper's figures, and the names sessions record.
+type SelectorKind string
+
+// The selection strategies.
+const (
+	SelOPT         SelectorKind = "OPT"
+	SelApprox      SelectorKind = "Approx"
+	SelApproxPrune SelectorKind = "Approx+Prune"
+	SelApproxPre   SelectorKind = "Approx+Pre"
+	SelApproxFull  SelectorKind = "Approx+Prune+Pre"
+	SelRandom      SelectorKind = "Random"
+)
+
+// NewSelector instantiates the selector a kind names. Random selectors
+// draw from a stream seeded by seed, so callers give each instance its own
+// seed when instances must not share a random stream.
+func NewSelector(kind SelectorKind, seed int64) (Selector, error) {
+	switch kind {
+	case SelOPT:
+		return OptSelector{}, nil
+	case SelApprox:
+		return NewGreedy(), nil
+	case SelApproxPrune:
+		return NewGreedyPrune(), nil
+	case SelApproxPre:
+		return NewGreedyPre(), nil
+	case SelApproxFull:
+		return NewGreedyPrunePre(), nil
+	case SelRandom:
+		return NewRandom(seed), nil
+	default:
+		return nil, fmt.Errorf("core: unknown selector kind %q", kind)
+	}
+}

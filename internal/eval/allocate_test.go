@@ -2,6 +2,8 @@ package eval
 
 import (
 	"testing"
+
+	"crowdfusion/internal/core"
 )
 
 func TestRunAllocationValidation(t *testing.T) {
@@ -143,7 +145,7 @@ func TestRunAllocationVsUniform(t *testing.T) {
 		}
 		u, err := RunSweep(SweepConfig{
 			Instances: ins,
-			Selector:  SelApproxPrune,
+			Selector:  core.SelApproxPrune,
 			K:         1,
 			Budget:    perBook,
 			Pc:        0.8,

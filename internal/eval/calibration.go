@@ -3,97 +3,36 @@ package eval
 import (
 	"fmt"
 	"io"
-	"math"
 	"text/tabwriter"
 
 	"crowdfusion/internal/dist"
+	"crowdfusion/internal/quality"
 	"crowdfusion/internal/worlds"
 )
 
-// Calibration analysis: the engine's output is a probability per
-// statement, and downstream consumers (the paper's "confidence of any
-// query answers") rely on those probabilities being honest. A reliability
-// diagram bins statements by predicted probability and compares each bin's
-// mean prediction with its empirical gold rate; the expected calibration
-// error (ECE) summarizes the gap.
-
-// CalibrationBin is one reliability-diagram bin.
-type CalibrationBin struct {
-	Lo, Hi        float64 // predicted-probability range [Lo, Hi)
-	Count         int     // statements in the bin
-	MeanPredicted float64 // average predicted P(true)
-	EmpiricalRate float64 // fraction actually gold-true
-}
-
-// Calibration is a full reliability report.
-type Calibration struct {
-	Bins []CalibrationBin
-	// ECE is the expected calibration error: the count-weighted mean
-	// |MeanPredicted - EmpiricalRate| over bins.
-	ECE float64
-	// Brier is the mean squared error of the probabilistic predictions.
-	Brier float64
-	Total int
-}
-
-// CalibrationReport bins the marginal probabilities of the given joints
-// (parallel to instances) against gold labels. nBins must be at least 2.
-func CalibrationReport(instances []*worlds.Instance, joints []*dist.Joint, nBins int) (*Calibration, error) {
+// CalibrationReport scores the marginal probabilities of the given joints
+// (parallel to instances) against the instances' gold labels: the
+// instances are concatenated in order and binned into nBins reliability
+// bins by quality.Calibrate. nBins must be at least 2.
+func CalibrationReport(instances []*worlds.Instance, joints []*dist.Joint, nBins int) (*quality.Calibration, error) {
 	if len(instances) == 0 || len(instances) != len(joints) {
 		return nil, ErrInstanceCount
 	}
-	if nBins < 2 {
-		return nil, fmt.Errorf("eval: nBins must be >= 2, got %d", nBins)
-	}
-	sumPred := make([]float64, nBins)
-	sumTrue := make([]float64, nBins)
-	count := make([]int, nBins)
-	var brier float64
-	total := 0
+	var marginals []float64
+	var gold []bool
 	for idx, in := range instances {
 		if joints[idx].N() != in.N() {
 			return nil, fmt.Errorf("eval: joint %d has %d facts, instance has %d",
 				idx, joints[idx].N(), in.N())
 		}
-		for i, p := range joints[idx].Marginals() {
-			b := int(p * float64(nBins))
-			if b >= nBins {
-				b = nBins - 1
-			}
-			sumPred[b] += p
-			if in.Gold[i] {
-				sumTrue[b]++
-				brier += (1 - p) * (1 - p)
-			} else {
-				brier += p * p
-			}
-			count[b]++
-			total++
-		}
+		marginals = append(marginals, joints[idx].Marginals()...)
+		gold = append(gold, in.Gold...)
 	}
-	cal := &Calibration{Total: total}
-	var ece float64
-	for b := 0; b < nBins; b++ {
-		bin := CalibrationBin{
-			Lo: float64(b) / float64(nBins),
-			Hi: float64(b+1) / float64(nBins),
-		}
-		if count[b] > 0 {
-			bin.Count = count[b]
-			bin.MeanPredicted = sumPred[b] / float64(count[b])
-			bin.EmpiricalRate = sumTrue[b] / float64(count[b])
-			ece += float64(count[b]) / float64(total) *
-				math.Abs(bin.MeanPredicted-bin.EmpiricalRate)
-		}
-		cal.Bins = append(cal.Bins, bin)
-	}
-	cal.ECE = ece
-	cal.Brier = brier / float64(total)
-	return cal, nil
+	return quality.Calibrate(marginals, gold, nBins)
 }
 
 // RenderCalibration writes the reliability table.
-func RenderCalibration(w io.Writer, c *Calibration) error {
+func RenderCalibration(w io.Writer, c *quality.Calibration) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "bin\tcount\tmean predicted\tempirical rate")
 	for _, b := range c.Bins {

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"crowdfusion/internal/core"
 	"crowdfusion/internal/dist"
+	"crowdfusion/internal/quality"
 )
 
 func TestCalibrationReportValidation(t *testing.T) {
@@ -65,6 +67,49 @@ func TestCalibrationReportCounts(t *testing.T) {
 	}
 }
 
+// TestCalibrationReportMatchesQuality: scoring several instances at once
+// equals quality.Calibrate over their concatenated marginals and gold
+// labels, bit for bit.
+func TestCalibrationReportMatchesQuality(t *testing.T) {
+	ins := testInstances(t, 5, 9, 55)
+	joints := make([]*dist.Joint, len(ins))
+	var marginals []float64
+	var gold []bool
+	for i, in := range ins {
+		joints[i] = in.Joint
+		marginals = append(marginals, in.Joint.Marginals()...)
+		gold = append(gold, in.Gold...)
+	}
+	got, err := CalibrationReport(ins, joints, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := quality.Calibrate(marginals, gold, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(what string, a, b float64) {
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("%s = %v, want %v", what, a, b)
+		}
+	}
+	if got.Total != want.Total || len(got.Bins) != len(want.Bins) {
+		t.Fatalf("total %d over %d bins, want %d over %d", got.Total, len(got.Bins), want.Total, len(want.Bins))
+	}
+	for i, b := range got.Bins {
+		w := want.Bins[i]
+		if b.Count != w.Count {
+			t.Errorf("bin %d count = %d, want %d", i, b.Count, w.Count)
+		}
+		same("Lo", b.Lo, w.Lo)
+		same("Hi", b.Hi, w.Hi)
+		same("MeanPredicted", b.MeanPredicted, w.MeanPredicted)
+		same("EmpiricalRate", b.EmpiricalRate, w.EmpiricalRate)
+	}
+	same("ECE", got.ECE, want.ECE)
+	same("Brier", got.Brier, want.Brier)
+}
+
 // TestCalibrationImprovesWithRefinement: crowd refinement should reduce
 // both ECE and Brier score — the posterior probabilities become sharper
 // and stay honest.
@@ -79,7 +124,7 @@ func TestCalibrationImprovesWithRefinement(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := RunSweep(SweepConfig{
-		Instances: ins, Selector: SelApproxPrune,
+		Instances: ins, Selector: core.SelApproxPrune,
 		K: 2, Budget: 20, Pc: 0.9, Seed: 3,
 	})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"crowdfusion/internal/bookdata"
+	"crowdfusion/internal/core"
 	"crowdfusion/internal/crowd"
 	"crowdfusion/internal/dist"
 	"crowdfusion/internal/fusion"
@@ -72,28 +73,12 @@ func TestMetricsEdgeCases(t *testing.T) {
 	}
 }
 
-func TestNewSelector(t *testing.T) {
-	kinds := []SelectorKind{SelOPT, SelApprox, SelApproxPrune, SelApproxPre, SelApproxFull, SelRandom}
-	for _, k := range kinds {
-		s, err := NewSelector(k, 1)
-		if err != nil {
-			t.Errorf("%s: %v", k, err)
-		}
-		if s == nil {
-			t.Errorf("%s: nil selector", k)
-		}
-	}
-	if _, err := NewSelector("nope", 1); err == nil {
-		t.Error("unknown kind accepted")
-	}
-}
-
 func TestRunSweepValidation(t *testing.T) {
 	if _, err := RunSweep(SweepConfig{}); err != ErrInstanceCount {
 		t.Errorf("empty sweep err = %v", err)
 	}
 	ins := testInstances(t, 3, 8, 1)
-	if _, err := RunSweep(SweepConfig{Instances: ins, Selector: SelApprox, Pc: 0.8}); err == nil {
+	if _, err := RunSweep(SweepConfig{Instances: ins, Selector: core.SelApprox, Pc: 0.8}); err == nil {
 		t.Error("zero K/Budget accepted")
 	}
 }
@@ -102,7 +87,7 @@ func TestRunSweepShape(t *testing.T) {
 	ins := testInstances(t, 6, 10, 2)
 	res, err := RunSweep(SweepConfig{
 		Instances: ins,
-		Selector:  SelApproxFull,
+		Selector:  core.SelApproxFull,
 		K:         2,
 		Budget:    8,
 		Pc:        0.8,
@@ -145,7 +130,7 @@ func TestSweepImprovesOverPrior(t *testing.T) {
 	}
 	res, err := RunSweep(SweepConfig{
 		Instances: ins,
-		Selector:  SelApproxPrune,
+		Selector:  core.SelApproxPrune,
 		K:         2,
 		Budget:    30,
 		Pc:        0.9,
@@ -169,14 +154,14 @@ func TestSweepGreedyBeatsRandom(t *testing.T) {
 	const seeds = 12
 	for s := int64(0); s < seeds; s++ {
 		g, err := RunSweep(SweepConfig{
-			Instances: ins, Selector: SelApproxPrune,
+			Instances: ins, Selector: core.SelApproxPrune,
 			K: 2, Budget: 16, Pc: 0.8, Seed: 100 + 31*s,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		r, err := RunSweep(SweepConfig{
-			Instances: ins, Selector: SelRandom,
+			Instances: ins, Selector: core.SelRandom,
 			K: 2, Budget: 16, Pc: 0.8, Seed: 100 + 31*s,
 		})
 		if err != nil {
@@ -201,14 +186,14 @@ func TestPreprocessingQualityAblation(t *testing.T) {
 	const seeds = 8
 	for s := int64(0); s < seeds; s++ {
 		ex, err := RunSweep(SweepConfig{
-			Instances: ins, Selector: SelApproxPrune,
+			Instances: ins, Selector: core.SelApproxPrune,
 			K: 2, Budget: 16, Pc: 0.8, Seed: 500 + 17*s,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		pr, err := RunSweep(SweepConfig{
-			Instances: ins, Selector: SelApproxFull,
+			Instances: ins, Selector: core.SelApproxFull,
 			K: 2, Budget: 16, Pc: 0.8, Seed: 500 + 17*s,
 		})
 		if err != nil {
@@ -238,14 +223,14 @@ func TestSweepHigherPcHigherUtility(t *testing.T) {
 	const seeds = 5
 	for s := int64(0); s < seeds; s++ {
 		lo, err := RunSweep(SweepConfig{
-			Instances: ins, Selector: SelApproxPrune,
+			Instances: ins, Selector: core.SelApproxPrune,
 			K: 2, Budget: 20, Pc: 0.7, Seed: 200 + s,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		hi, err := RunSweep(SweepConfig{
-			Instances: ins, Selector: SelApproxPrune,
+			Instances: ins, Selector: core.SelApproxPrune,
 			K: 2, Budget: 20, Pc: 0.9, Seed: 200 + s,
 		})
 		if err != nil {
@@ -261,7 +246,7 @@ func TestSweepHigherPcHigherUtility(t *testing.T) {
 
 func TestSweepDeterministic(t *testing.T) {
 	ins := testInstances(t, 4, 8, 10)
-	cfg := SweepConfig{Instances: ins, Selector: SelApproxFull, K: 2, Budget: 10, Pc: 0.8, Seed: 7}
+	cfg := SweepConfig{Instances: ins, Selector: core.SelApproxFull, K: 2, Budget: 10, Pc: 0.8, Seed: 7}
 	a, err := RunSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +270,7 @@ func TestSweepDeterministic(t *testing.T) {
 func TestSweepMisestimatedPc(t *testing.T) {
 	ins := testInstances(t, 4, 8, 12)
 	res, err := RunSweep(SweepConfig{
-		Instances: ins, Selector: SelApproxFull,
+		Instances: ins, Selector: core.SelApproxFull,
 		K: 2, Budget: 10, Pc: 0.7, CrowdPc: 0.9, Seed: 9,
 	})
 	if err != nil {
@@ -301,7 +286,7 @@ func TestSweepMisestimatedPc(t *testing.T) {
 func TestSweepParallelMatchesSequential(t *testing.T) {
 	ins := testInstances(t, 10, 12, 13)
 	base := SweepConfig{
-		Instances: ins, Selector: SelApproxPrune,
+		Instances: ins, Selector: core.SelApproxPrune,
 		K: 2, Budget: 12, Pc: 0.8, Seed: 21,
 		Parallelism: 1, // force sequential (0 now means GOMAXPROCS)
 	}
@@ -351,7 +336,7 @@ func TestRunTimings(t *testing.T) {
 	res, err := RunTimings(TimingConfig{
 		Instances: ins,
 		Ks:        []int{1, 2, 3},
-		Selectors: []SelectorKind{SelOPT, SelApprox, SelApproxFull},
+		Selectors: []core.SelectorKind{core.SelOPT, core.SelApprox, core.SelApproxFull},
 		Pc:        0.8,
 		MaxOptK:   2,
 	})
@@ -362,7 +347,7 @@ func TestRunTimings(t *testing.T) {
 		t.Fatalf("cells = %d, want 9", len(res.Cells))
 	}
 	// OPT at k=3 must be skipped.
-	cell, ok := res.Cell(3, SelOPT)
+	cell, ok := res.Cell(3, core.SelOPT)
 	if !ok || !cell.Skipped {
 		t.Errorf("OPT at k=3 not skipped: %+v", cell)
 	}
@@ -420,7 +405,7 @@ func TestRenderers(t *testing.T) {
 	timings, err := RunTimings(TimingConfig{
 		Instances: ins,
 		Ks:        []int{1, 2},
-		Selectors: []SelectorKind{SelApprox, SelApproxFull},
+		Selectors: []core.SelectorKind{core.SelApprox, core.SelApproxFull},
 		Pc:        0.8,
 	})
 	if err != nil {

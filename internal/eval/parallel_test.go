@@ -3,6 +3,8 @@ package eval
 import (
 	"reflect"
 	"testing"
+
+	"crowdfusion/internal/core"
 )
 
 // Tests that the parallelized evaluation loops are observationally
@@ -15,7 +17,7 @@ import (
 func TestSweepParallelismLevelsIdentical(t *testing.T) {
 	ins := testInstances(t, 8, 10, 17)
 	base := SweepConfig{
-		Instances: ins, Selector: SelApproxFull,
+		Instances: ins, Selector: core.SelApproxFull,
 		K: 2, Budget: 10, Pc: 0.8, Seed: 5,
 		Parallelism: 1,
 	}
@@ -54,7 +56,7 @@ func TestSweepParallelismLevelsIdentical(t *testing.T) {
 func TestSweepRandomSelectorParallelIdentical(t *testing.T) {
 	ins := testInstances(t, 8, 10, 19)
 	base := SweepConfig{
-		Instances: ins, Selector: SelRandom,
+		Instances: ins, Selector: core.SelRandom,
 		K: 2, Budget: 8, Pc: 0.8, Seed: 11,
 		Parallelism: 1,
 	}
@@ -101,7 +103,7 @@ func TestTimingsParallel(t *testing.T) {
 	res, err := RunTimings(TimingConfig{
 		Instances:   ins,
 		Ks:          []int{1, 2},
-		Selectors:   []SelectorKind{SelApprox, SelApproxFull},
+		Selectors:   []core.SelectorKind{core.SelApprox, core.SelApproxFull},
 		Pc:          0.8,
 		Parallelism: 4,
 	})

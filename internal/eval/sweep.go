@@ -10,47 +10,11 @@ import (
 	"crowdfusion/internal/worlds"
 )
 
-// SelectorKind names the task-selection strategies compared in the paper's
-// figures.
-type SelectorKind string
-
-// The selector strategies of the evaluation.
-const (
-	SelOPT         SelectorKind = "OPT"
-	SelApprox      SelectorKind = "Approx"
-	SelApproxPrune SelectorKind = "Approx+Prune"
-	SelApproxPre   SelectorKind = "Approx+Pre"
-	SelApproxFull  SelectorKind = "Approx+Prune+Pre"
-	SelRandom      SelectorKind = "Random"
-	SelQuery       SelectorKind = "QueryApprox"
-)
-
-// NewSelector instantiates a selector for one instance. Random selectors
-// get a per-instance seed so books do not share a random stream.
-func NewSelector(kind SelectorKind, seed int64) (core.Selector, error) {
-	switch kind {
-	case SelOPT:
-		return core.OptSelector{}, nil
-	case SelApprox:
-		return core.NewGreedy(), nil
-	case SelApproxPrune:
-		return core.NewGreedyPrune(), nil
-	case SelApproxPre:
-		return core.NewGreedyPre(), nil
-	case SelApproxFull:
-		return core.NewGreedyPrunePre(), nil
-	case SelRandom:
-		return core.NewRandom(seed), nil
-	default:
-		return nil, fmt.Errorf("eval: unknown selector kind %q", kind)
-	}
-}
-
 // SweepConfig describes one quality-vs-budget run over a set of book
 // instances, the configuration behind each curve in Figures 2-4.
 type SweepConfig struct {
 	Instances []*worlds.Instance
-	Selector  SelectorKind
+	Selector  core.SelectorKind
 	// K is the number of tasks selected per round and book.
 	K int
 	// Budget is the per-book task budget (the paper uses 60).
@@ -122,7 +86,7 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 	runs := make([]*bookRun, len(cfg.Instances))
 	for i, in := range cfg.Instances {
 		seed := cfg.Seed + int64(i)*1009
-		sel, err := NewSelector(cfg.Selector, seed)
+		sel, err := core.NewSelector(cfg.Selector, seed)
 		if err != nil {
 			return nil, err
 		}

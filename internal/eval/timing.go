@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"crowdfusion/internal/core"
 	"crowdfusion/internal/parallel"
 	"crowdfusion/internal/worlds"
 )
@@ -17,7 +18,7 @@ type TimingConfig struct {
 	// Ks are the task-set sizes to sweep (the paper uses 1..10).
 	Ks []int
 	// Selectors are the approaches to compare.
-	Selectors []SelectorKind
+	Selectors []core.SelectorKind
 	// Pc is the crowd accuracy assumed during selection.
 	Pc float64
 	// MaxOptK caps the brute-force selector (the paper stopped at 3;
@@ -37,7 +38,7 @@ type TimingConfig struct {
 // TimingCell is one measured average.
 type TimingCell struct {
 	K        int
-	Selector SelectorKind
+	Selector core.SelectorKind
 	Seconds  float64
 	Skipped  bool // true when the configuration was excluded (e.g. OPT at large k)
 }
@@ -49,7 +50,7 @@ type TimingResult struct {
 }
 
 // Cell returns the measurement for (k, selector).
-func (r *TimingResult) Cell(k int, sel SelectorKind) (TimingCell, bool) {
+func (r *TimingResult) Cell(k int, sel core.SelectorKind) (TimingCell, bool) {
 	for _, c := range r.Cells {
 		if c.K == k && c.Selector == sel {
 			return c, true
@@ -82,7 +83,7 @@ func RunTimings(cfg TimingConfig) (*TimingResult, error) {
 	res := &TimingResult{Config: cfg}
 	for _, k := range cfg.Ks {
 		for _, kind := range cfg.Selectors {
-			if kind == SelOPT && (cfg.MaxOptK == 0 || k > cfg.MaxOptK) {
+			if kind == core.SelOPT && (cfg.MaxOptK == 0 || k > cfg.MaxOptK) {
 				res.Cells = append(res.Cells, TimingCell{K: k, Selector: kind, Skipped: true})
 				continue
 			}
@@ -92,7 +93,7 @@ func RunTimings(cfg TimingConfig) (*TimingResult, error) {
 				durations := make([]time.Duration, len(cfg.Instances))
 				errs := make([]error, len(cfg.Instances))
 				parallel.For(workers, len(cfg.Instances), func(i int) {
-					sel, err := NewSelector(kind, int64(1+i))
+					sel, err := core.NewSelector(kind, int64(1+i))
 					if err != nil {
 						errs[i] = err
 						return

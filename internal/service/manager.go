@@ -11,8 +11,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"crowdfusion/internal/core"
 	"crowdfusion/internal/crowd"
-	"crowdfusion/internal/eval"
 	"crowdfusion/internal/store"
 	"crowdfusion/internal/trace"
 )
@@ -312,7 +312,7 @@ func (m *Manager) Create(ctx context.Context, req *CreateSessionRequest) (*Sessi
 		WorkerModel: req.WorkerModel,
 	}
 	if rec.Selector == "" {
-		rec.Selector = string(eval.SelApproxFull)
+		rec.Selector = string(core.SelApproxFull)
 	}
 	// Random selectors get a per-session stream derived from the store
 	// seed and the creation sequence number, so sessions never share a
@@ -511,50 +511,62 @@ func (m *Manager) Len() int {
 // this node — the fleet view behind GET /v1/workers. Unloaded sessions are
 // deliberately not replayed for it: the endpoint is an operator dashboard,
 // and forcing a full-store replay per scrape would turn a read into a
-// recovery storm. Accuracy is the support-weighted mean of each session's
-// smoothed estimate; the Wilson interval pools agreement counts across
-// sessions.
+// recovery storm. Each session contributes one row per worker to
+// PoolWorkers.
 func (m *Manager) Workers() *WorkersResponse {
-	type agg struct {
-		sessions, support, correct int
-		weighted                   float64 // sum of support·accuracy
-	}
-	aggs := make(map[string]*agg)
+	var rows []WorkerFleetInfo
 	sessions := 0
 	for _, s := range m.resident() {
 		infos := s.WorkerStats()
-		if len(infos) == 0 {
-			continue
+		if len(infos) > 0 {
+			sessions++
 		}
-		sessions++
 		for _, wi := range infos {
-			a := aggs[wi.Worker]
-			if a == nil {
-				a = &agg{}
-				aggs[wi.Worker] = a
-			}
-			a.sessions++
-			a.support += wi.Support
-			a.correct += wi.Correct
-			a.weighted += float64(wi.Support) * wi.Accuracy
+			rows = append(rows, WorkerFleetInfo{
+				Worker:   wi.Worker,
+				Sessions: 1,
+				Support:  wi.Support,
+				Correct:  wi.Correct,
+				Accuracy: wi.Accuracy,
+			})
 		}
 	}
-	resp := &WorkersResponse{Workers: make([]WorkerFleetInfo, 0, len(aggs)), Sessions: sessions}
-	for w, a := range aggs {
-		fi := WorkerFleetInfo{
-			Worker:   w,
-			Sessions: a.sessions,
-			Support:  a.support,
-			Correct:  a.correct,
-		}
-		if a.support > 0 {
-			fi.Accuracy = a.weighted / float64(a.support)
-		}
-		fi.WilsonLo, fi.WilsonHi = crowd.WilsonInterval(a.correct, a.support)
-		resp.Workers = append(resp.Workers, fi)
+	return &WorkersResponse{Workers: PoolWorkers(rows), Sessions: sessions}
+}
+
+// PoolWorkers merges per-session or per-node worker rows into one row per
+// worker, sorted by worker ID: Sessions, Support and Correct add up,
+// Accuracy becomes the support-weighted mean of the rows' accuracies, and
+// the Wilson interval bounds the pooled agreement rate. Rows are summed in
+// the order given, so the same rows always pool to the same bits.
+func PoolWorkers(rows []WorkerFleetInfo) []WorkerFleetInfo {
+	type agg struct {
+		row      WorkerFleetInfo
+		weighted float64 // sum of support·accuracy
 	}
-	sort.Slice(resp.Workers, func(i, j int) bool { return resp.Workers[i].Worker < resp.Workers[j].Worker })
-	return resp
+	aggs := make(map[string]*agg)
+	for _, r := range rows {
+		a := aggs[r.Worker]
+		if a == nil {
+			a = &agg{row: WorkerFleetInfo{Worker: r.Worker}}
+			aggs[r.Worker] = a
+		}
+		a.row.Sessions += r.Sessions
+		a.row.Support += r.Support
+		a.row.Correct += r.Correct
+		a.weighted += float64(r.Support) * r.Accuracy
+	}
+	pooled := make([]WorkerFleetInfo, 0, len(aggs))
+	for _, a := range aggs {
+		fi := a.row
+		if fi.Support > 0 {
+			fi.Accuracy = a.weighted / float64(fi.Support)
+		}
+		fi.WilsonLo, fi.WilsonHi = crowd.WilsonInterval(fi.Correct, fi.Support)
+		pooled = append(pooled, fi)
+	}
+	sort.Slice(pooled, func(i, j int) bool { return pooled[i].Worker < pooled[j].Worker })
+	return pooled
 }
 
 // LeasesHeld returns the number of resident sessions holding a write

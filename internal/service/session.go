@@ -11,14 +11,12 @@ import (
 	"sync"
 	"time"
 
-	"crowdfusion/internal/bookdata"
 	"crowdfusion/internal/core"
 	"crowdfusion/internal/crowd"
 	"crowdfusion/internal/dist"
-	"crowdfusion/internal/eval"
+	"crowdfusion/internal/quality"
 	"crowdfusion/internal/store"
 	"crowdfusion/internal/trace"
-	"crowdfusion/internal/worlds"
 )
 
 // State machine errors, mapped to HTTP statuses by the server layer.
@@ -1198,39 +1196,24 @@ func (s *Session) Calibration(now time.Time, nBins int) (*CalibrationResponse, e
 		return nil, errSessionRetired
 	}
 	s.touch(now)
-	marginals := s.posterior.Marginals()
-	gold := make([]bool, len(marginals))
-	for i, p := range marginals {
-		gold[i] = p >= 0.5
-	}
+	marginals, gold := s.pseudoGoldLocked()
 	observed := 0
 	for range observations(s.journal) {
 		observed++
 	}
-	inst := &worlds.Instance{Statements: make([]bookdata.Statement, len(marginals)), Gold: gold}
-	cal, err := eval.CalibrationReport([]*worlds.Instance{inst}, []*dist.Joint{s.posterior}, nBins)
+	cal, err := quality.Calibrate(marginals, gold, nBins)
 	if err != nil {
 		return nil, fmt.Errorf("service: calibration: %w", err)
 	}
-	resp := &CalibrationResponse{
+	return &CalibrationResponse{
 		ID:           s.id,
 		Version:      s.version,
 		WorkerModel:  s.workerModel,
 		Refits:       s.refits,
 		Observations: observed,
-		Bins:         make([]CalibrationBinInfo, len(cal.Bins)),
-		ECE:          cal.ECE,
-		Brier:        cal.Brier,
-		Total:        cal.Total,
+		Calibration:  *cal,
 		Workers:      s.workerInfosLocked(gold),
-	}
-	for i, b := range cal.Bins {
-		resp.Bins[i] = CalibrationBinInfo{
-			Lo: b.Lo, Hi: b.Hi, Count: b.Count,
-			MeanPredicted: b.MeanPredicted, EmpiricalRate: b.EmpiricalRate,
-		}
-	}
-	return resp, nil
+	}, nil
 }
 
 // workerInfosLocked builds the per-worker view: support and consensus
@@ -1285,12 +1268,20 @@ func (s *Session) workerInfosLocked(gold []bool) []WorkerInfo {
 func (s *Session) WorkerStats() []WorkerInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	_, gold := s.pseudoGoldLocked()
+	return s.workerInfosLocked(gold)
+}
+
+// pseudoGoldLocked returns the committed posterior's marginals and the
+// pseudo-gold labeling they induce: each fact's MAP label, true when its
+// marginal is at least 0.5. Callers hold mu.
+func (s *Session) pseudoGoldLocked() ([]float64, []bool) {
 	marginals := s.posterior.Marginals()
 	gold := make([]bool, len(marginals))
 	for i, p := range marginals {
 		gold[i] = p >= 0.5
 	}
-	return s.workerInfosLocked(gold)
+	return marginals, gold
 }
 
 // record snapshots the session's full durable state: creation parameters
@@ -1409,7 +1400,7 @@ func replayRecord(rec *store.Record, anonWorker string, now time.Time, history b
 	if err != nil {
 		return fail(err)
 	}
-	selector, err := eval.NewSelector(eval.SelectorKind(rec.Selector), rec.Seed)
+	selector, err := core.NewSelector(core.SelectorKind(rec.Selector), rec.Seed)
 	if err != nil {
 		return fail(err)
 	}

@@ -47,6 +47,7 @@ import (
 
 	"crowdfusion/internal/core"
 	"crowdfusion/internal/dist"
+	"crowdfusion/internal/quality"
 )
 
 // Worker-model names accepted by CreateSessionRequest.WorkerModel. The
@@ -580,17 +581,6 @@ type WorkerInfo struct {
 	WilsonHi float64 `json:"wilson_hi"`
 }
 
-// CalibrationBinInfo is one reliability bin of a session's calibration
-// report: predicted-probability range, how many fact predictions landed
-// in it, and how the mean prediction compares to the empirical rate.
-type CalibrationBinInfo struct {
-	Lo            float64 `json:"lo"`
-	Hi            float64 `json:"hi"`
-	Count         int     `json:"count"`
-	MeanPredicted float64 `json:"mean_predicted"`
-	EmpiricalRate float64 `json:"empirical_rate"`
-}
-
 // CalibrationResponse is the body of GET /v1/sessions/{id}/calibration:
 // a reliability diagram of the session posterior against its own
 // pseudo-gold (each fact's current majority judgment), plus the
@@ -606,14 +596,10 @@ type CalibrationResponse struct {
 	Refits int `json:"refits"`
 	// Observations counts attributed judgments accumulated so far.
 	Observations int `json:"observations"`
-	// Bins is the reliability diagram over per-fact marginals; ECE is the
-	// expected calibration error (bin-weighted |predicted − empirical|),
-	// Brier the mean squared error against pseudo-gold, Total the number
-	// of fact predictions binned.
-	Bins  []CalibrationBinInfo `json:"bins"`
-	ECE   float64              `json:"ece"`
-	Brier float64              `json:"brier"`
-	Total int                  `json:"total"`
+	// Calibration is the reliability diagram over per-fact marginals
+	// against pseudo-gold; its fields (bins, ece, brier, total) sit at
+	// the top level of the JSON body.
+	quality.Calibration
 	// Workers lists per-worker estimates sorted by worker ID.
 	Workers []WorkerInfo `json:"workers"`
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdfusion/internal/crowd"
 	"crowdfusion/internal/store"
 )
 
@@ -526,5 +527,28 @@ func TestLegacyFixedJournalUnchanged(t *testing.T) {
 	requireIdentical(t, fingerprint(s2, now), want)
 	if resp, err := s2.Merge(context.Background(), now, last); err != nil || resp.Merged {
 		t.Fatalf("legacy idempotent retry after recovery: %+v, %v", resp, err)
+	}
+}
+
+// TestPoolWorkers: rows of one worker from several sessions or nodes pool
+// into one row with summed counts, the support-weighted mean accuracy and
+// the Wilson interval of the pooled counts; a worker with no support keeps
+// accuracy 0 and the [0, 1] interval, and no rows pool to an empty list.
+func TestPoolWorkers(t *testing.T) {
+	got := PoolWorkers([]WorkerFleetInfo{
+		{Worker: "b", Sessions: 1, Support: 4, Correct: 3, Accuracy: 0.75},
+		{Worker: "a", Sessions: 2, Accuracy: 0.9},
+		{Worker: "b", Sessions: 2, Support: 12, Correct: 6, Accuracy: 0.5},
+	})
+	lo, hi := crowd.WilsonInterval(9, 16)
+	want := []WorkerFleetInfo{
+		{Worker: "a", Sessions: 2, WilsonLo: 0, WilsonHi: 1},
+		{Worker: "b", Sessions: 3, Support: 16, Correct: 9, Accuracy: 0.5625, WilsonLo: lo, WilsonHi: hi},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pooled = %+v\nwant %+v", got, want)
+	}
+	if empty := PoolWorkers(nil); empty == nil || len(empty) != 0 {
+		t.Fatalf("no rows pooled to %#v, want an empty list", empty)
 	}
 }
