@@ -3,7 +3,7 @@
 
 GO ?= go
 
-# Benchtime for the bench-json artifact: long enough for stable ns/op,
+# Benchtime for the benchmark passes: long enough for stable ns/op,
 # short enough for CI. Override for local measurement, e.g.
 #   make bench-json BENCHTIME=2s
 BENCHTIME ?= 0.3s
@@ -23,7 +23,7 @@ BENCH_PATTERN ?= Kernel|SweepParallelism|ServiceSelect|ServiceMerge|WeightedMerg
 # all stay gated.
 BENCH_ALLOW ?= ServiceSelectCached|ServiceSelectHTTP|SweepParallelism|/Reference/
 
-# Whole-suite passes for the JSON artifact and the ratchet. benchdiff
+# Whole-suite passes for the baseline and the ratchet. benchdiff
 # gates on the minimum ns/op per benchmark across all passes, which
 # filters the one-sided noise (preemption, cache pollution) a single
 # 0.3s shot is exposed to. The repeats are spread as full-suite passes
@@ -38,7 +38,7 @@ BENCH_REPS ?= 3
 STATICCHECK ?= staticcheck
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test test-cover fuzz-smoke loadgen-test lint cover bench bench-json bench-diff smoke smoke-restart smoke-cluster smoke-chaos ci
+.PHONY: build test test-cover fuzz-smoke loadgen-test lint cover bench bench-fresh bench-json bench-diff smoke smoke-restart smoke-cluster smoke-chaos ci
 
 # The load generator is its own module, so `./...` does not reach it; it is
 # built too (its binary discarded) so an API change it compiles against
@@ -127,20 +127,25 @@ cover: test-cover
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Run the selection-kernel benchmarks (butterfly vs reference, preprocess
-# strategies, greedy selector, sweep parallelism) and emit a
-# machine-readable BENCH_selection.json — the artifact CI uploads. Fails if
-# the benchmarks stop compiling or running.
+# Run BENCH_REPS whole-suite passes of the BENCH_PATTERN benchmarks (the
+# selection and conditioning kernels, sweep parallelism, the service paths)
+# and write their machine-readable form to BENCH_fresh.json. Fails if the
+# benchmarks stop compiling or running. bench-json and bench-diff both read
+# this one run, so `make bench-json bench-diff` measures once.
 # (Two steps, not a pipeline, so a benchmark failure fails the target.)
-bench-json:
+bench-fresh:
 	@rm -f bench.out
 	@for i in $$(seq $(BENCH_REPS)); do \
 		echo "bench pass $$i/$(BENCH_REPS)"; \
 		$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem \
 			-benchtime $(BENCHTIME) ./internal/core/ ./internal/dist/ ./internal/crowd/ ./internal/service/ . >> bench.out || exit 1; \
 	done
-	$(GO) run ./cmd/benchjson < bench.out > BENCH_selection.json
+	$(GO) run ./cmd/benchjson < bench.out > BENCH_fresh.json
 	@rm -f bench.out
+
+# Refresh the committed baseline BENCH_selection.json from a fresh run.
+bench-json: bench-fresh
+	cp BENCH_fresh.json BENCH_selection.json
 	@echo "wrote BENCH_selection.json"
 
 # Perf ratchet: run the benchmarks fresh, diff against the committed
@@ -151,15 +156,7 @@ bench-json:
 # machines: a committed baseline measured on different hardware warns
 # rather than fails. To refresh the baseline after a deliberate change:
 #   make bench-json && git add BENCH_selection.json
-bench-diff:
-	@rm -f bench.out
-	@for i in $$(seq $(BENCH_REPS)); do \
-		echo "bench pass $$i/$(BENCH_REPS)"; \
-		$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem \
-			-benchtime $(BENCHTIME) ./internal/core/ ./internal/dist/ ./internal/crowd/ ./internal/service/ . >> bench.out || exit 1; \
-	done
-	$(GO) run ./cmd/benchjson < bench.out > BENCH_fresh.json
-	@rm -f bench.out
+bench-diff: bench-fresh
 	@git show HEAD:BENCH_selection.json > BENCH_baseline.json 2>/dev/null \
 		|| cp BENCH_selection.json BENCH_baseline.json
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_fresh.json \
@@ -199,4 +196,4 @@ smoke-chaos:
 	$(GO) build -o bin/chaosproxy ./cmd/chaosproxy
 	./scripts/chaos_smoke.sh ./bin/crowdfusiond ./bin/chaosproxy
 
-ci: build lint test-cover fuzz-smoke loadgen-test bench bench-json bench-diff smoke smoke-restart smoke-cluster smoke-chaos
+ci: build lint test-cover fuzz-smoke loadgen-test bench bench-diff smoke smoke-restart smoke-cluster smoke-chaos

@@ -1,7 +1,8 @@
-// Command crowdfusion runs the end-to-end CrowdFusion pipeline: generate
-// (or load) a Book dataset, initialize with a machine-only fusion method,
-// refine with a simulated crowd under a budget, and report quality before
-// and after, with the Section V-D residual-error breakdown.
+// Command crowdfusion runs the end-to-end CrowdFusion pipeline
+// (crowdfusion.Pipeline): generate (or load) a Book dataset, initialize
+// with a machine-only fusion method, refine with a simulated crowd under a
+// budget, and report quality before and after, with the Section V-D
+// residual-error breakdown.
 //
 // Usage:
 //
@@ -16,11 +17,11 @@ import (
 	"math"
 	"os"
 
+	"crowdfusion"
 	"crowdfusion/internal/bookdata"
 	"crowdfusion/internal/core"
 	"crowdfusion/internal/eval"
 	"crowdfusion/internal/fusion"
-	"crowdfusion/internal/worlds"
 )
 
 func main() {
@@ -55,28 +56,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	truths, err := method.Fuse(d.Claims)
-	if err != nil {
-		log.Fatal(err)
-	}
-	instances, err := worlds.BuildAll(d, truths, worlds.DefaultOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
-	priorU, prior, err := eval.PriorQuality(instances)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	res, err := eval.RunSweep(eval.SweepConfig{
-		Instances:     instances,
-		Selector:      core.SelectorKind(*selector),
+	out, err := crowdfusion.Pipeline{
+		Dataset:       d,
+		Fusion:        method,
+		Options:       crowdfusion.DefaultWorldOptions(),
+		Selector:      crowdfusion.SelectorKind(*selector),
 		K:             *k,
 		Budget:        *budget,
 		Pc:            *pc,
 		UseDifficulty: *difficulty,
 		Seed:          *seed,
-	})
+	}.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,13 +77,13 @@ func main() {
 		method.Name(), *selector, *pc, *k, *budget)
 	fmt.Printf("%-22s %10s %10s %10s %12s\n", "", "precision", "recall", "F1", "utility")
 	fmt.Printf("%-22s %10.4f %10.4f %10.4f %12.2f\n",
-		"machine-only prior", prior.Precision(), prior.Recall(), prior.F1(), priorU)
-	last := res.Trace[len(res.Trace)-1]
+		"machine-only prior", out.Prior.Precision(), out.Prior.Recall(), out.Prior.F1(), out.PriorU)
+	final, last := out.Sweep.Final, out.Sweep.Trace[len(out.Sweep.Trace)-1]
 	fmt.Printf("%-22s %10.4f %10.4f %10.4f %12.2f   (cost %d tasks)\n\n",
-		"after CrowdFusion", res.Final.Precision(), res.Final.Recall(), res.Final.F1(),
+		"after CrowdFusion", final.Precision(), final.Recall(), final.F1(),
 		last.Utility, last.Cost)
 
-	breakdown, err := eval.AnalyzeErrors(instances, res.Joints)
+	breakdown, err := eval.AnalyzeErrors(out.Instances, out.Sweep.Joints)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -254,28 +254,14 @@ func runFig2(opt options) error {
 	}
 	small := subset(ins, d.SmallestBooks(nSmall))
 	fmt.Printf("== Figure 2: OPT vs Approx vs Random (k=2, B=10, %d smallest books) ==\n", len(small))
-	curves := make(map[string][]eval.TracePoint)
-	for _, pc := range []float64{0.7, 0.8, 0.9} {
-		for _, kind := range []core.SelectorKind{core.SelOPT, core.SelApprox, core.SelRandom} {
-			res, err := eval.RunSweep(eval.SweepConfig{
-				Instances: small,
-				Selector:  kind,
-				K:         2,
-				Budget:    10,
-				Pc:        pc,
-				Seed:      opt.seed,
-			})
-			if err != nil {
-				return err
-			}
-			label := fmt.Sprintf("pc=%.1f/%s", pc, kind)
-			curves[label] = res.Trace
-			last := res.Trace[len(res.Trace)-1]
-			fmt.Printf("  %-22s final: cost=%-5d F1=%.4f utility=%.2f\n",
-				label, last.Cost, last.F1, last.Utility)
-		}
-	}
-	return writeCurves(opt, "fig2.csv", curves)
+	return runFigure(opt, figure{
+		csv:       "fig2.csv",
+		instances: small,
+		ks:        []int{2},
+		kinds:     []core.SelectorKind{core.SelOPT, core.SelApprox, core.SelRandom},
+		budget:    10,
+		line:      "  %-22s final: cost=%-5d F1=%.4f utility=%.2f\n",
+	})
 }
 
 // runFig3 sweeps k = 1..6 for Approx and Random at each Pc.
@@ -285,30 +271,14 @@ func runFig3(opt options) error {
 		return err
 	}
 	fmt.Printf("== Figure 3: k settings (B=%d, %d books) ==\n", opt.budget, len(ins))
-	curves := make(map[string][]eval.TracePoint)
-	for _, pc := range []float64{0.7, 0.8, 0.9} {
-		for k := 1; k <= 6; k++ {
-			for _, kind := range []core.SelectorKind{core.SelApproxPrune, core.SelRandom} {
-				res, err := eval.RunSweep(eval.SweepConfig{
-					Instances: ins,
-					Selector:  kind,
-					K:         k,
-					Budget:    opt.budget,
-					Pc:        pc,
-					Seed:      opt.seed,
-				})
-				if err != nil {
-					return err
-				}
-				label := fmt.Sprintf("pc=%.1f/k=%d/%s", pc, k, kind)
-				curves[label] = res.Trace
-				last := res.Trace[len(res.Trace)-1]
-				fmt.Printf("  %-30s final: cost=%-6d F1=%.4f utility=%.2f\n",
-					label, last.Cost, last.F1, last.Utility)
-			}
-		}
-	}
-	return writeCurves(opt, "fig3.csv", curves)
+	return runFigure(opt, figure{
+		csv:       "fig3.csv",
+		instances: ins,
+		ks:        []int{1, 2, 3, 4, 5, 6},
+		kinds:     []core.SelectorKind{core.SelApproxPrune, core.SelRandom},
+		budget:    opt.budget,
+		line:      "  %-30s final: cost=%-6d F1=%.4f utility=%.2f\n",
+	})
 }
 
 // runFig4 sweeps Pc in {0.7, 0.8, 0.9} at fixed k = 3.
@@ -318,28 +288,65 @@ func runFig4(opt options) error {
 		return err
 	}
 	fmt.Printf("== Figure 4: Pc settings (k=3, B=%d, %d books) ==\n", opt.budget, len(ins))
+	return runFigure(opt, figure{
+		csv:       "fig4.csv",
+		instances: ins,
+		ks:        []int{3},
+		kinds:     []core.SelectorKind{core.SelApproxPrune, core.SelRandom},
+		budget:    opt.budget,
+		line:      "  %-22s final: cost=%-6d F1=%.4f utility=%.2f\n",
+	})
+}
+
+// figure is one quality-vs-budget figure: a sweep per (pc, k, selector)
+// cell over Pc in {0.7, 0.8, 0.9}.
+type figure struct {
+	csv       string
+	instances []*worlds.Instance
+	ks        []int
+	kinds     []core.SelectorKind
+	budget    int
+	// line formats a cell's final point from its label, cost, F1 and
+	// utility.
+	line string
+}
+
+// runFigure sweeps every cell of f, prints each cell's final point and
+// writes the curves to f.csv. A cell is labelled by its pc, its k when the
+// figure sweeps k, and its selector.
+func runFigure(opt options, f figure) error {
 	curves := make(map[string][]eval.TracePoint)
 	for _, pc := range []float64{0.7, 0.8, 0.9} {
-		for _, kind := range []core.SelectorKind{core.SelApproxPrune, core.SelRandom} {
-			res, err := eval.RunSweep(eval.SweepConfig{
-				Instances: ins,
-				Selector:  kind,
-				K:         3,
-				Budget:    opt.budget,
-				Pc:        pc,
-				Seed:      opt.seed,
-			})
-			if err != nil {
-				return err
+		for _, k := range f.ks {
+			for _, kind := range f.kinds {
+				res, err := eval.RunSweep(eval.SweepConfig{
+					Instances: f.instances,
+					Selector:  kind,
+					K:         k,
+					Budget:    f.budget,
+					Pc:        pc,
+					Seed:      opt.seed,
+				})
+				if err != nil {
+					return err
+				}
+				label := fmt.Sprintf("pc=%.1f/", pc)
+				if len(f.ks) > 1 {
+					label += fmt.Sprintf("k=%d/", k)
+				}
+				label += string(kind)
+				curves[label] = res.Trace
+				last := res.Trace[len(res.Trace)-1]
+				fmt.Printf(f.line, label, last.Cost, last.F1, last.Utility)
 			}
-			label := fmt.Sprintf("pc=%.1f/%s", pc, kind)
-			curves[label] = res.Trace
-			last := res.Trace[len(res.Trace)-1]
-			fmt.Printf("  %-22s final: cost=%-6d F1=%.4f utility=%.2f\n",
-				label, last.Cost, last.F1, last.Utility)
 		}
 	}
-	return writeCurves(opt, "fig4.csv", curves)
+	w, err := csvFile(opt, f.csv)
+	if err != nil || w == nil {
+		return err
+	}
+	defer w.Close()
+	return eval.WriteTraceCSV(w, curves)
 }
 
 // runErrors reproduces the Section V-D analysis: refine with statement
@@ -512,16 +519,4 @@ func runCalibration(opt options) error {
 	}
 	fmt.Println("\nafter CrowdFusion:")
 	return eval.RenderCalibration(os.Stdout, after)
-}
-
-func writeCurves(opt options, name string, curves map[string][]eval.TracePoint) error {
-	w, err := csvFile(opt, name)
-	if err != nil {
-		return err
-	}
-	if w == nil {
-		return nil
-	}
-	defer w.Close()
-	return eval.WriteTraceCSV(w, curves)
 }

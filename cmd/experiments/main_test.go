@@ -70,8 +70,15 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s differs from the golden file:\n--- got ---\n%s\n--- want ---\n%s",
-			name, got, want)
+	if bytes.Equal(got, want) {
+		return
 	}
+	g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := range min(len(g), len(w)) {
+		if !bytes.Equal(g[i], w[i]) {
+			t.Errorf("%s line %d differs from the golden file:\n got: %s\nwant: %s", name, i+1, g[i], w[i])
+			return
+		}
+	}
+	t.Errorf("%s has %d lines, the golden file %d", name, len(g), len(w))
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"crowdfusion/internal/dist"
+	"crowdfusion/internal/quality"
 )
 
 // AnswerProvider supplies crowd answers for a batch of tasks. Each element
@@ -37,12 +38,7 @@ type Result struct {
 // Judgments returns the refined true/false decision for every fact: true
 // when the posterior marginal correctness probability is at least 0.5.
 func (r *Result) Judgments() []bool {
-	m := r.Final.Marginals()
-	out := make([]bool, len(m))
-	for i, p := range m {
-		out[i] = p >= 0.5
-	}
-	return out
+	return quality.Labels(r.Final.Marginals())
 }
 
 // Engine runs the CrowdFusion improvement loop of Figure 1: while budget

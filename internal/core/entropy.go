@@ -38,27 +38,6 @@ var (
 	ErrNoTasks = errors.New("core: requested task count must be positive")
 )
 
-// bscWeights returns the per-disagreement-count channel weights
-// w[d] = pc^(k-d) * (1-pc)^d for d = 0..k: the probability that a crowd with
-// accuracy pc produces an answer vector at Hamming distance d from the true
-// judgments of k independent tasks (Equation 2's Pc^#Same (1-Pc)^#Diff).
-//
-// Invariant: pc ∈ [0.5, 1]. Every caller sits behind a validation gate
-// (checkTasks or the Preprocess accuracy check) that enforces it, so the
-// pc = 0 degenerate case cannot arise and the ratio below is well-defined.
-func bscWeights(k int, pc float64) []float64 {
-	w := make([]float64, k+1)
-	w[0] = 1
-	for i := 0; i < k; i++ {
-		w[0] *= pc
-	}
-	ratio := (1 - pc) / pc
-	for d := 1; d <= k; d++ {
-		w[d] = w[d-1] * ratio
-	}
-	return w
-}
-
 // patMass is one support world's task pattern with its probability mass —
 // the unit of sort-based grouping.
 type patMass struct {
@@ -140,7 +119,7 @@ const butterflyBlockBits = 12
 // O(|O|·2^k) per-pattern popcount loop of the reference implementation.
 // Stages below butterflyBlockBits are fused per cache-resident block.
 //
-// Invariant: pc ∈ [0.5, 1] (see bscWeights); len(dense) == 1<<k.
+// Invariant: pc ∈ [0.5, 1] (see checkAccuracy); len(dense) == 1<<k.
 func bscButterfly(dense []float64, k int, pc float64) {
 	qc := 1 - pc
 	bb := butterflyBlockBits
@@ -268,7 +247,7 @@ func UtilityGain(j *dist.Joint, tasks []int, pc float64) (float64, error) {
 }
 
 // checkAccuracy validates the crowd-accuracy invariant pc ∈ [0.5, 1] that
-// bscWeights and the butterfly kernel rely on.
+// the butterfly kernel relies on.
 func checkAccuracy(pc float64) error {
 	if pc < 0.5 || pc > 1 || math.IsNaN(pc) {
 		return ErrBadAccuracy

@@ -32,8 +32,7 @@ func ExpectedPosteriorEntropy(j *dist.Joint, tasks []int, pc float64) (float64, 
 	}
 	worlds := j.Worlds()
 	probs := j.Probs()
-	// pc ∈ [0.5, 1] here (checkTasks above), as bscWeights requires.
-	weights := bscWeights(k, pc)
+	weights := dist.FillChannelWeights(make([]float64, k+1), pc)
 	patterns := make([]uint64, len(worlds))
 	for i, w := range worlds {
 		patterns[i] = w.Pattern(tasks)

@@ -103,7 +103,7 @@ func preprocessButterfly(j *dist.Joint, pc float64) *Preprocessed {
 func preprocessPairwise(j *dist.Joint, pc float64, workers int) *Preprocessed {
 	worlds := j.Worlds()
 	probs := j.Probs()
-	weights := bscWeights(j.N(), pc)
+	weights := dist.FillChannelWeights(make([]float64, j.N()+1), pc)
 	a := make([]float64, len(worlds))
 	w := parallel.Workers(workers, len(worlds))
 	parallel.Blocks(w, len(worlds), func(lo, hi int) {

@@ -47,8 +47,7 @@ func JointFactAnswerEntropy(j *dist.Joint, foi, tasks []int, pc float64) (float6
 		}
 		return info.Entropy(masses), nil
 	}
-	// pc ∈ [0.5, 1] here (checkTasks above), as bscWeights requires.
-	weights := bscWeights(k, pc)
+	weights := dist.FillChannelWeights(make([]float64, k+1), pc)
 	// P(q, a) = sum_t m[q,t] * w[d(a, t)] — accumulate per (q, a) cell.
 	cells := make(map[uint64][]float64, len(acc))
 	size := 1 << uint(k)

@@ -40,7 +40,7 @@ func patternMassesRef(j *dist.Joint, tasks []int) (patterns []uint64, masses []f
 // answerDistributionRef computes the answer distribution with the direct
 // O(|patterns|·2^k) popcount convolution the butterfly kernel replaces.
 func answerDistributionRef(patterns []uint64, masses []float64, k int, pc float64) []float64 {
-	weights := bscWeights(k, pc)
+	weights := dist.FillChannelWeights(make([]float64, k+1), pc)
 	out := make([]float64, 1<<uint(k))
 	for qi, q := range patterns {
 		m := masses[qi]
@@ -76,7 +76,7 @@ func preprocessRef(j *dist.Joint, pc float64) (*Preprocessed, error) {
 	}
 	worlds := j.Worlds()
 	probs := j.Probs()
-	weights := bscWeights(j.N(), pc)
+	weights := dist.FillChannelWeights(make([]float64, j.N()+1), pc)
 	a := make([]float64, len(worlds))
 	var total float64
 	for r, wr := range worlds {

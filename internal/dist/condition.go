@@ -20,9 +20,12 @@ import (
 // leaving no posterior to normalize.
 var ErrImpossibleAnswers = errors.New("dist: answer set has probability zero")
 
-// fillChannelWeights fills w[d] = pc^(k-d) * (1-pc)^d for d = 0..k,
-// where k = len(w)-1: the per-Hamming-distance likelihoods of Equation 2.
-func fillChannelWeights(w []float64, pc float64) []float64 {
+// FillChannelWeights fills w[d] = pc^(k-d) * (1-pc)^d for d = 0..k,
+// where k = len(w)-1, and returns w: the probability that a crowd with
+// accuracy pc answers k tasks at Hamming distance d from their true
+// judgments (Equation 2's Pc^#Same (1-Pc)^#Diff). Conditioning here and
+// task selection in core both weigh answers with it.
+func FillChannelWeights(w []float64, pc float64) []float64 {
 	k := len(w) - 1
 	w[0] = 1
 	for i := 0; i < k; i++ {
@@ -148,7 +151,7 @@ func (j *Joint) AnswerSetProb(tasks []int, answers []bool, pc float64) (float64,
 		return 1, nil
 	}
 	var wbuf [MaxFacts + 1]float64
-	weights := fillChannelWeights(wbuf[:k+1], pc)
+	weights := FillChannelWeights(wbuf[:k+1], pc)
 	mask, ans := taskBits(tasks, answers)
 	var sum, comp float64
 	for i, w := range j.worlds {
@@ -177,7 +180,7 @@ func (j *Joint) Condition(tasks []int, answers []bool, pc float64) (*Joint, erro
 		return j.Clone(), nil
 	}
 	var wbuf [MaxFacts + 1]float64
-	weights := fillChannelWeights(wbuf[:k+1], pc)
+	weights := FillChannelWeights(wbuf[:k+1], pc)
 	mask, ans := taskBits(tasks, answers)
 	ps, marginals := j.posteriorBuffer()
 	worlds, probs := j.worlds, j.probs[:len(j.worlds)]

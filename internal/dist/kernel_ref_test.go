@@ -125,7 +125,7 @@ func answerPattern(answers []bool) uint64 {
 }
 
 func (j *Joint) refAnswerSetProb(tasks []int, answers []bool, pc float64) float64 {
-	weights := fillChannelWeights(make([]float64, len(tasks)+1), pc)
+	weights := FillChannelWeights(make([]float64, len(tasks)+1), pc)
 	ans := answerPattern(answers)
 	var sum, comp float64
 	for i, w := range j.worlds {
@@ -141,7 +141,7 @@ func (j *Joint) refAnswerSetProb(tasks []int, answers []bool, pc float64) float6
 
 func (j *Joint) refCondition(tasks []int, answers []bool, pc float64) (*Joint, error) {
 	k := len(tasks)
-	weights := fillChannelWeights(make([]float64, k+1), pc)
+	weights := FillChannelWeights(make([]float64, k+1), pc)
 	ans := answerPattern(answers)
 	ps := make([]float64, len(j.worlds))
 	for i, w := range j.worlds {

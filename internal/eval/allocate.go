@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"crowdfusion/internal/core"
-	"crowdfusion/internal/crowd"
 	"crowdfusion/internal/dist"
 	"crowdfusion/internal/info"
 	"crowdfusion/internal/parallel"
@@ -51,10 +50,10 @@ type AllocationResult struct {
 	StopFull bool // true when the budget ran out (vs all books certain)
 }
 
+// allocBook is one book's run (its cost counts the tasks funded for it)
+// plus its current best single task.
 type allocBook struct {
-	idx      int
-	joint    *dist.Joint
-	sim      *crowd.Simulator
+	*bookRun
 	bestFact int
 	bestGain float64
 }
@@ -81,17 +80,11 @@ func RunAllocation(cfg AllocationConfig) (*AllocationResult, error) {
 	if cfg.TotalBudget <= 0 {
 		return nil, fmt.Errorf("eval: TotalBudget must be positive")
 	}
-	crowdPc := cfg.CrowdPc
-	if crowdPc == 0 {
-		crowdPc = cfg.Pc
-	}
 	noise := info.Binary(cfg.Pc)
+	crowdCfg := SweepConfig{Instances: cfg.Instances, Pc: cfg.Pc, CrowdPc: cfg.CrowdPc,
+		UseDifficulty: cfg.UseDifficulty, Seed: cfg.Seed}
 
-	res := &AllocationResult{
-		Config:  cfg,
-		PerBook: make([]int, len(cfg.Instances)),
-		Joints:  make([]*dist.Joint, len(cfg.Instances)),
-	}
+	res := &AllocationResult{Config: cfg}
 	// Per-book setup — simulator construction plus the O(n) first
 	// best-task scan — is independent across books, so it runs on the
 	// bounded worker pool; results land at fixed indices and the heap is
@@ -100,20 +93,12 @@ func RunAllocation(cfg AllocationConfig) (*AllocationResult, error) {
 	books := make([]*allocBook, len(cfg.Instances))
 	errs := make([]error, len(cfg.Instances))
 	parallel.For(0, len(cfg.Instances), func(i int) {
-		in := cfg.Instances[i]
-		seed := cfg.Seed + int64(i)*1009
-		var sim *crowd.Simulator
-		var err error
-		if cfg.UseDifficulty {
-			sim, err = in.Simulator(crowdPc, crowd.DefaultDifficulty(), seed)
-		} else {
-			sim, err = in.UniformSimulator(crowdPc, seed)
-		}
+		r, _, err := newRun(crowdCfg, i)
 		if err != nil {
 			errs[i] = err
 			return
 		}
-		book := &allocBook{idx: i, joint: in.Joint.Clone(), sim: sim}
+		book := &allocBook{bookRun: r}
 		books[i], errs[i] = book, book.refreshBest(cfg.Pc, noise)
 	})
 	h := make(allocHeap, 0, len(cfg.Instances))
@@ -121,10 +106,8 @@ func RunAllocation(cfg AllocationConfig) (*AllocationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		book := books[i]
-		res.Joints[i] = book.joint
-		if book.bestFact >= 0 {
-			h = append(h, book)
+		if books[i].bestFact >= 0 {
+			h = append(h, books[i])
 		}
 	}
 	heap.Init(&h)
@@ -140,8 +123,7 @@ func RunAllocation(cfg AllocationConfig) (*AllocationResult, error) {
 			return nil, err
 		}
 		book.joint = post
-		res.Joints[book.idx] = post
-		res.PerBook[book.idx]++
+		book.cost++
 		res.Cost++
 		if err := book.refreshBest(cfg.Pc, noise); err != nil {
 			return nil, err
@@ -152,20 +134,16 @@ func RunAllocation(cfg AllocationConfig) (*AllocationResult, error) {
 	}
 	res.StopFull = res.Cost >= cfg.TotalBudget
 
-	var total Metrics
-	for i, in := range cfg.Instances {
-		res.Utility += -res.Joints[i].Entropy()
-		judgments := make([]bool, res.Joints[i].N())
-		for fi, m := range res.Joints[i].Marginals() {
-			judgments[fi] = m >= 0.5
-		}
-		m, err := Score(judgments, in.Gold)
-		if err != nil {
-			return nil, err
-		}
-		total = total.Add(m)
+	runs := make([]*bookRun, len(books))
+	res.PerBook, res.Joints = make([]int, len(books)), make([]*dist.Joint, len(books))
+	for i, book := range books {
+		runs[i] = book.bookRun
+		res.PerBook[i], res.Joints[i] = book.cost, book.joint
 	}
-	res.Final = total
+	var err error
+	if res.Utility, res.Final, err = score(runs); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

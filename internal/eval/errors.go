@@ -3,6 +3,7 @@ package eval
 import (
 	"crowdfusion/internal/crowd"
 	"crowdfusion/internal/dist"
+	"crowdfusion/internal/quality"
 	"crowdfusion/internal/worlds"
 )
 
@@ -41,11 +42,10 @@ func AnalyzeErrors(instances []*worlds.Instance, finals []*dist.Joint) (ErrorBre
 		return b, ErrInstanceCount
 	}
 	for idx, in := range instances {
-		marginals := finals[idx].Marginals()
+		labels := quality.Labels(finals[idx].Marginals())
 		for i, s := range in.Statements {
 			b.TotalByClass[s.Class]++
-			judged := marginals[i] >= 0.5
-			if judged != s.Gold {
+			if labels[i] != s.Gold {
 				b.Wrong[s.Class]++
 			}
 		}

@@ -37,25 +37,22 @@ type QuerySweepResult struct {
 }
 
 // RunQuerySweep refines every instance with either the query-based or the
-// general selector and scores only the facts of interest.
+// general selector and scores only the facts of interest. The runs step
+// and are traced through RunSweep's loop, books in parallel.
 func RunQuerySweep(cfg QuerySweepConfig) (*QuerySweepResult, error) {
-	if len(cfg.Instances) == 0 {
-		return nil, ErrInstanceCount
-	}
-	if cfg.K <= 0 || cfg.Budget <= 0 {
-		return nil, fmt.Errorf("eval: K and Budget must be positive")
+	sweepCfg := SweepConfig{Instances: cfg.Instances, K: cfg.K, Budget: cfg.Budget, Pc: cfg.Pc, Seed: cfg.Seed}
+	if err := sweepCfg.check(); err != nil {
+		return nil, err
 	}
 	if cfg.FOIFraction <= 0 || cfg.FOIFraction > 1 {
 		return nil, fmt.Errorf("eval: FOIFraction must be in (0, 1]")
 	}
-
-	type run struct {
-		*bookRun
-		foi []int
-	}
-	runs := make([]*run, len(cfg.Instances))
+	runs := make([]*bookRun, len(cfg.Instances))
 	for i, in := range cfg.Instances {
-		seed := cfg.Seed + int64(i)*1009
+		r, seed, err := newRun(sweepCfg, i)
+		if err != nil {
+			return nil, err
+		}
 		rng := rand.New(rand.NewSource(seed))
 		nFOI := int(cfg.FOIFraction * float64(in.N()))
 		if nFOI < 1 {
@@ -64,83 +61,17 @@ func RunQuerySweep(cfg QuerySweepConfig) (*QuerySweepResult, error) {
 		if max := core.MaxTasksPerRound; nFOI > max {
 			nFOI = max
 		}
-		foi := append([]int(nil), rng.Perm(in.N())[:nFOI]...)
-
-		var sel core.Selector
+		r.foi = rng.Perm(in.N())[:nFOI]
 		if cfg.UseQuerySelector {
-			sel = &core.QueryGreedySelector{FOI: foi}
+			r.sel = &core.QueryGreedySelector{FOI: r.foi}
 		} else {
-			sel = core.NewGreedyPrune()
+			r.sel = core.NewGreedyPrune()
 		}
-		sim, err := in.UniformSimulator(cfg.Pc, seed)
-		if err != nil {
-			return nil, err
-		}
-		runs[i] = &run{
-			bookRun: &bookRun{in: in, joint: in.Joint.Clone(), sel: sel, sim: sim},
-			foi:     foi,
-		}
+		runs[i] = r
 	}
-
-	res := &QuerySweepResult{Config: cfg}
-	sweep := SweepConfig{K: cfg.K, Budget: cfg.Budget, Pc: cfg.Pc}
-	totalCost := 0
-	for round := 1; ; round++ {
-		asked := 0
-		for _, r := range runs {
-			n, err := r.step(sweep)
-			if err != nil {
-				return nil, fmt.Errorf("eval: query sweep book %s: %w", r.in.ISBN, err)
-			}
-			asked += n
-		}
-		if asked == 0 {
-			break
-		}
-		totalCost += asked
-		var utility float64
-		var total Metrics
-		for _, r := range runs {
-			u, m, err := scoreFOI(r.bookRun, r.foi)
-			if err != nil {
-				return nil, err
-			}
-			utility += u
-			total = total.Add(m)
-		}
-		res.Trace = append(res.Trace, TracePoint{
-			Round: round, Cost: totalCost, Utility: utility, F1: total.F1(),
-		})
-	}
-	var total Metrics
-	for _, r := range runs {
-		_, m, err := scoreFOI(r.bookRun, r.foi)
-		if err != nil {
-			return nil, err
-		}
-		total = total.Add(m)
-	}
-	res.Final = total
-	return res, nil
-}
-
-// scoreFOI returns -H(I) and the confusion matrix over the facts of
-// interest only.
-func scoreFOI(r *bookRun, foi []int) (float64, Metrics, error) {
-	h, err := r.joint.FactEntropy(foi)
+	trace, final, err := sweep(runs, sweepCfg)
 	if err != nil {
-		return 0, Metrics{}, err
+		return nil, err
 	}
-	marginals := r.joint.Marginals()
-	judg := make([]bool, len(foi))
-	gold := make([]bool, len(foi))
-	for i, f := range foi {
-		judg[i] = marginals[f] >= 0.5
-		gold[i] = r.in.Gold[f]
-	}
-	m, err := Score(judg, gold)
-	if err != nil {
-		return 0, Metrics{}, err
-	}
-	return -h, m, nil
+	return &QuerySweepResult{Config: cfg, Trace: trace, Final: final}, nil
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strconv"
 	"text/tabwriter"
 
@@ -80,13 +82,7 @@ func WriteTraceCSV(w io.Writer, curves map[string][]TracePoint) error {
 	if err := cw.Write([]string{"series", "round", "cost", "utility", "f1"}); err != nil {
 		return err
 	}
-	// Deterministic order.
-	labels := make([]string, 0, len(curves))
-	for l := range curves {
-		labels = append(labels, l)
-	}
-	sortStrings(labels)
-	for _, l := range labels {
+	for _, l := range slices.Sorted(maps.Keys(curves)) {
 		for _, p := range curves[l] {
 			err := cw.Write([]string{
 				l,
@@ -112,12 +108,4 @@ func RenderErrorBreakdown(w io.Writer, b ErrorBreakdown) error {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%.3f\n", c, b.Wrong[c], b.TotalByClass[c], b.Rate(c))
 	}
 	return tw.Flush()
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

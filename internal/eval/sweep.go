@@ -7,6 +7,7 @@ import (
 	"crowdfusion/internal/crowd"
 	"crowdfusion/internal/dist"
 	"crowdfusion/internal/parallel"
+	"crowdfusion/internal/quality"
 	"crowdfusion/internal/worlds"
 )
 
@@ -58,12 +59,40 @@ type SweepResult struct {
 
 // bookRun tracks one instance's refinement state between global rounds.
 type bookRun struct {
-	in    *worlds.Instance
+	in *worlds.Instance
+	// foi lists the facts of interest the run is scored on; nil scores
+	// all facts.
+	foi   []int
 	joint *dist.Joint
 	sel   core.Selector
 	sim   *crowd.Simulator
 	cost  int
 	done  bool
+}
+
+// newRun starts book i of cfg.Instances from a clone of its prior, with its
+// own simulated crowd: accuracy cfg.CrowdPc (cfg.Pc when 0), statement
+// difficulty when cfg.UseDifficulty is set, and seed cfg.Seed + i*1009.
+// It returns that seed too, for the book's selector and sampling; the run
+// has no selector yet.
+func newRun(cfg SweepConfig, i int) (*bookRun, int64, error) {
+	in := cfg.Instances[i]
+	seed := cfg.Seed + int64(i)*1009
+	crowdPc := cfg.CrowdPc
+	if crowdPc == 0 {
+		crowdPc = cfg.Pc
+	}
+	var sim *crowd.Simulator
+	var err error
+	if cfg.UseDifficulty {
+		sim, err = in.Simulator(crowdPc, crowd.DefaultDifficulty(), seed)
+	} else {
+		sim, err = in.UniformSimulator(crowdPc, seed)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	return &bookRun{in: in, joint: in.Joint.Clone(), sim: sim}, seed, nil
 }
 
 // RunSweep executes the paper's round-interleaved protocol: every round,
@@ -72,61 +101,71 @@ type bookRun struct {
 // x-axis cost is the cumulative number of tasks across all books, exactly
 // as in Figures 2-4.
 func RunSweep(cfg SweepConfig) (*SweepResult, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
+	runs := make([]*bookRun, len(cfg.Instances))
+	for i := range runs {
+		r, seed, err := newRun(cfg, i)
+		if err != nil {
+			return nil, err
+		}
+		if r.sel, err = core.NewSelector(cfg.Selector, seed); err != nil {
+			return nil, err
+		}
+		runs[i] = r
+	}
+	trace, final, err := sweep(runs, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res := &SweepResult{Config: cfg, Trace: trace, Final: final, Joints: make([]*dist.Joint, len(runs))}
+	for i, r := range runs {
+		res.Joints[i] = r.joint
+	}
+	return res, nil
+}
+
+// check rejects a sweep without instances or with a non-positive K or
+// Budget.
+func (cfg SweepConfig) check() error {
 	if len(cfg.Instances) == 0 {
-		return nil, ErrInstanceCount
+		return ErrInstanceCount
 	}
 	if cfg.K <= 0 || cfg.Budget <= 0 {
-		return nil, fmt.Errorf("eval: K and Budget must be positive (got %d, %d)", cfg.K, cfg.Budget)
+		return fmt.Errorf("eval: K and Budget must be positive (got %d, %d)", cfg.K, cfg.Budget)
 	}
-	crowdPc := cfg.CrowdPc
-	if crowdPc == 0 {
-		crowdPc = cfg.Pc
-	}
+	return nil
+}
 
-	runs := make([]*bookRun, len(cfg.Instances))
-	for i, in := range cfg.Instances {
-		seed := cfg.Seed + int64(i)*1009
-		sel, err := core.NewSelector(cfg.Selector, seed)
-		if err != nil {
-			return nil, err
-		}
-		var sim *crowd.Simulator
-		if cfg.UseDifficulty {
-			sim, err = in.Simulator(crowdPc, crowd.DefaultDifficulty(), seed)
-		} else {
-			sim, err = in.UniformSimulator(crowdPc, seed)
-		}
-		if err != nil {
-			return nil, err
-		}
-		runs[i] = &bookRun{in: in, joint: in.Joint.Clone(), sel: sel, sim: sim}
-	}
-
-	res := &SweepResult{Config: cfg}
+// sweep steps the runs round by round until none asks a task, recording
+// after each round the cumulative cost, the summed utility and the overall
+// F1, and scores the final state. Every quality curve is traced here.
+func sweep(runs []*bookRun, cfg SweepConfig) ([]TracePoint, Metrics, error) {
+	var trace []TracePoint
 	totalCost := 0
 	for round := 1; ; round++ {
 		asked, err := stepAll(runs, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("eval: round %d: %w", round, err)
+			return nil, Metrics{}, fmt.Errorf("eval: round %d: %w", round, err)
 		}
 		if asked == 0 {
 			break
 		}
 		totalCost += asked
-		utility, metrics := snapshot(runs)
-		res.Trace = append(res.Trace, TracePoint{
+		utility, metrics, err := score(runs)
+		if err != nil {
+			return nil, Metrics{}, err
+		}
+		trace = append(trace, TracePoint{
 			Round:   round,
 			Cost:    totalCost,
 			Utility: utility,
 			F1:      metrics.F1(),
 		})
 	}
-	_, res.Final = snapshot(runs)
-	res.Joints = make([]*dist.Joint, len(runs))
-	for i, r := range runs {
-		res.Joints[i] = r.joint
-	}
-	return res, nil
+	_, final, err := score(runs)
+	return trace, final, err
 }
 
 // stepAll advances every book by one round across the bounded worker pool
@@ -180,24 +219,39 @@ func (r *bookRun) step(cfg SweepConfig) (int, error) {
 	return len(tasks), nil
 }
 
-// snapshot sums utility and scores all books' current judgments.
-func snapshot(runs []*bookRun) (float64, Metrics) {
+// score is the one scoring rule of every curve: it sums, in run order,
+// each run's utility and the confusion matrix of its joint's labels
+// (quality.Labels) against gold over its facts. Over all facts the utility
+// is -H(F); over facts of interest it is -H(I).
+func score(runs []*bookRun) (float64, Metrics, error) {
 	var utility float64
 	var total Metrics
 	for _, r := range runs {
-		utility += -r.joint.Entropy()
-		judgments := make([]bool, r.joint.N())
-		for i, m := range r.joint.Marginals() {
-			judgments[i] = m >= 0.5
+		u, labels, gold := r.joint.Utility(), quality.Labels(r.joint.Marginals()), r.in.Gold
+		if r.foi != nil {
+			h, err := r.joint.FactEntropy(r.foi)
+			if err != nil {
+				return 0, Metrics{}, err
+			}
+			u, labels, gold = -h, pick(labels, r.foi), pick(gold, r.foi)
 		}
-		m, err := Score(judgments, r.in.Gold)
+		m, err := Score(labels, gold)
 		if err != nil {
-			// Lengths are construction-time invariants; unreachable.
-			panic(err)
+			return 0, Metrics{}, err
 		}
+		utility += u
 		total = total.Add(m)
 	}
-	return utility, total
+	return utility, total, nil
+}
+
+// pick returns xs[i] for each index i in idx.
+func pick(xs []bool, idx []int) []bool {
+	out := make([]bool, len(idx))
+	for i, x := range idx {
+		out[i] = xs[x]
+	}
+	return out
 }
 
 // PriorQuality scores the machine-only prior (before any crowd work) — the
@@ -206,19 +260,9 @@ func PriorQuality(instances []*worlds.Instance) (float64, Metrics, error) {
 	if len(instances) == 0 {
 		return 0, Metrics{}, ErrInstanceCount
 	}
-	var utility float64
-	var total Metrics
-	for _, in := range instances {
-		utility += -in.Joint.Entropy()
-		judgments := make([]bool, in.Joint.N())
-		for i, m := range in.Joint.Marginals() {
-			judgments[i] = m >= 0.5
-		}
-		m, err := Score(judgments, in.Gold)
-		if err != nil {
-			return 0, Metrics{}, err
-		}
-		total = total.Add(m)
+	runs := make([]*bookRun, len(instances))
+	for i, in := range instances {
+		runs[i] = &bookRun{in: in, joint: in.Joint}
 	}
-	return utility, total, nil
+	return score(runs)
 }

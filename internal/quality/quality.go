@@ -5,7 +5,8 @@
 // and compares each bin's mean prediction with its empirical label rate;
 // the expected calibration error (ECE) summarizes the gap. The offline
 // evaluation scores against gold labels, the daemon against the pseudo-gold
-// of its own posterior; both compute it here.
+// of its own posterior; both compute it here, and both turn probabilities
+// into true/false labels with Labels.
 package quality
 
 import (
@@ -91,4 +92,15 @@ func Calibrate(marginals []float64, gold []bool, nBins int) (*Calibration, error
 	}
 	cal.Brier = brier / float64(total)
 	return cal, nil
+}
+
+// Labels returns each fact's MAP label: true when its probability
+// marginals[i] of being true is at least 0.5. It is the engine's judgment,
+// the offline evaluation's prediction and the daemon's pseudo-gold.
+func Labels(marginals []float64) []bool {
+	labels := make([]bool, len(marginals))
+	for i, p := range marginals {
+		labels[i] = p >= 0.5
+	}
+	return labels
 }

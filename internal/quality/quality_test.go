@@ -1,6 +1,9 @@
 package quality
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestCalibrateProbabilityOneLandsInLastBin: p == 1 would index one past
 // the last bin; it is counted in the last one.
@@ -58,5 +61,17 @@ func TestCalibrateEmptyBinsReportZeros(t *testing.T) {
 	// ECE = ½·|0.25−0.5| + ½·|0.75−1|; Brier = (0.0625+0.5625+0.0625+0.0625)/4.
 	if cal.ECE != 0.25 || cal.Brier != 0.1875 || cal.Total != 4 {
 		t.Errorf("ECE = %v, Brier = %v, total = %d; want 0.25, 0.1875, 4", cal.ECE, cal.Brier, cal.Total)
+	}
+}
+
+// TestLabels: a probability of exactly 0.5 labels true, anything below
+// false.
+func TestLabels(t *testing.T) {
+	got := Labels([]float64{0, 0.49, 0.5, 0.51, 1})
+	if want := []bool{false, false, true, true, true}; !slices.Equal(got, want) {
+		t.Fatalf("Labels = %v, want %v", got, want)
+	}
+	if got := Labels(nil); len(got) != 0 {
+		t.Fatalf("Labels(nil) = %v, want empty", got)
 	}
 }

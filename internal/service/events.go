@@ -65,14 +65,7 @@ type subscription struct {
 func (sub *subscription) cancel() {
 	f := sub.feed
 	f.mu.Lock()
-	if _, ok := f.subs[sub]; ok {
-		delete(f.subs, sub)
-		sub.hub.subscriberGone()
-	}
-	if !sub.closed {
-		sub.closed = true
-		close(sub.done)
-	}
+	f.detachLocked(sub)
 	f.mu.Unlock()
 }
 
@@ -86,6 +79,21 @@ type sessionFeed struct {
 	// idle is the last publish/subscribe time; subscriber-less feeds idle
 	// past the session TTL are pruned by the janitor sweep.
 	idle time.Time
+}
+
+// detachLocked is the one way a subscriber leaves its feed — on cancel,
+// on drop, on terminate and on hub shutdown: it removes sub from subs,
+// closes done once and decrements the live gauge. Safe to call more than
+// once. Callers hold f.mu.
+func (f *sessionFeed) detachLocked(sub *subscription) {
+	if _, ok := f.subs[sub]; ok {
+		delete(f.subs, sub)
+		sub.hub.subscriberGone()
+	}
+	if !sub.closed {
+		sub.closed = true
+		close(sub.done)
+	}
 }
 
 // eventHub owns every session feed. Lock order: hub.mu before feed.mu;
@@ -142,12 +150,9 @@ func (h *eventHub) publish(id string, ev SessionEvent, now time.Time) {
 			// stream; the client reconnects with Last-Event-ID and resumes
 			// from the ring (or a fresh snapshot).
 			sub.dropped = true
-			sub.closed = true
-			close(sub.done)
-			delete(f.subs, sub)
 			h.metrics.EventsDropped.Add(1)
 			h.metrics.SubscribersDropped.Add(1)
-			h.subscriberGone()
+			f.detachLocked(sub)
 		}
 	}
 	f.mu.Unlock()
@@ -228,12 +233,7 @@ func (h *eventHub) terminate(id string, final *SessionEvent, now time.Time) {
 	}
 	f.idle = now
 	for sub := range f.subs {
-		delete(f.subs, sub)
-		if !sub.closed {
-			sub.closed = true
-			close(sub.done)
-		}
-		h.subscriberGone()
+		f.detachLocked(sub)
 	}
 	f.mu.Unlock()
 }
@@ -248,12 +248,7 @@ func (h *eventHub) closeAll() {
 	for _, f := range feeds {
 		f.mu.Lock()
 		for sub := range f.subs {
-			delete(f.subs, sub)
-			if !sub.closed {
-				sub.closed = true
-				close(sub.done)
-			}
-			h.subscriberGone()
+			f.detachLocked(sub)
 		}
 		f.mu.Unlock()
 	}

@@ -512,11 +512,15 @@ func (m *Manager) Len() int {
 // deliberately not replayed for it: the endpoint is an operator dashboard,
 // and forcing a full-store replay per scrape would turn a read into a
 // recovery storm. Each session contributes one row per worker to
-// PoolWorkers.
+// PoolWorkers, in session-ID order: the shard maps iterate in random
+// order, and pooling the same rows in another order would move the
+// accuracy's last bits between reads.
 func (m *Manager) Workers() *WorkersResponse {
 	var rows []WorkerFleetInfo
 	sessions := 0
-	for _, s := range m.resident() {
+	resident := m.resident()
+	sort.Slice(resident, func(i, j int) bool { return resident[i].id < resident[j].id })
+	for _, s := range resident {
 		infos := s.WorkerStats()
 		if len(infos) > 0 {
 			sessions++

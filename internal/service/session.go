@@ -1277,11 +1277,7 @@ func (s *Session) WorkerStats() []WorkerInfo {
 // marginal is at least 0.5. Callers hold mu.
 func (s *Session) pseudoGoldLocked() ([]float64, []bool) {
 	marginals := s.posterior.Marginals()
-	gold := make([]bool, len(marginals))
-	for i, p := range marginals {
-		gold[i] = p >= 0.5
-	}
-	return marginals, gold
+	return marginals, quality.Labels(marginals)
 }
 
 // record snapshots the session's full durable state: creation parameters

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -550,5 +552,61 @@ func TestPoolWorkers(t *testing.T) {
 	}
 	if empty := PoolWorkers(nil); empty == nil || len(empty) != 0 {
 		t.Fatalf("no rows pooled to %#v, want an empty list", empty)
+	}
+}
+
+// TestWorkersDeterministic: GET /v1/workers pools one row per worker and
+// session, and the support-weighted accuracy's last bits depend on the
+// order the rows are summed in. Forty em and dawid-skene sessions sharing
+// five workers spread over the resident shards; every read of the fleet
+// view over the same sessions must marshal to the same body.
+func TestWorkersDeterministic(t *testing.T) {
+	const (
+		nSessions = 40
+		nFacts    = 6
+		rounds    = 4
+	)
+	crew := []string{"w1", "w2", "w3", "w4", "w5"}
+	m := newManager(Config{})
+	defer m.Close()
+	now := time.Unix(1000, 0)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < nSessions; i++ {
+		model := WorkerModelEM
+		if i%2 == 1 {
+			model = WorkerModelDawidSkene
+		}
+		s, err := m.Create(context.Background(), workerCreateReq(nFacts, model))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rounds; r++ {
+			tasks := make([]int, nFacts)
+			answers := make([]bool, nFacts)
+			workers := make([]string, nFacts)
+			for f := range tasks {
+				tasks[f] = f
+				answers[f] = rng.Float64() < 0.5
+				workers[f] = crew[rng.Intn(len(crew))]
+			}
+			v := r
+			if resp, err := s.Merge(context.Background(), now,
+				&AnswersRequest{Version: &v, Judgments: judge(tasks, answers, workers)}); err != nil || !resp.Merged {
+				t.Fatalf("session %d round %d: %+v, %v", i, r, resp, err)
+			}
+		}
+	}
+	first, err := json.Marshal(m.Workers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for read := 0; read < 20; read++ {
+		body, err := json.Marshal(m.Workers())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, first) {
+			t.Fatalf("read %d differs from the first:\n%s\nvs\n%s", read+1, body, first)
+		}
 	}
 }
