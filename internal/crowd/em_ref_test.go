@@ -10,8 +10,9 @@ import (
 
 // This file keeps the EM loops as they were before their arithmetic was
 // trimmed: four logs per worker, two Exps per task, and fresh slices every
-// iteration. The tests below require the estimators to reproduce them bit
-// for bit.
+// iteration; and the Dawid–Skene estimator as it was before it shared the
+// symmetric estimator's loop. The tests below require the estimators to
+// reproduce them bit for bit.
 
 func refEstimateEM(answers []Answer, opts EMOptions) (*EMEstimate, error) {
 	if len(answers) == 0 {
@@ -178,6 +179,156 @@ func refRunSymmetricEM(votes [][]emVote, perWorker []int, initAcc []float64,
 	}
 	return acc, q, pi, iters
 }
+func refEstimateDawidSkene(answers []Answer, opts EMOptions) (*ConfusionEstimate, error) {
+	if len(answers) == 0 {
+		return nil, ErrNoAnswers
+	}
+	opts = opts.normalized()
+
+	workerIDs := make([]string, 0)
+	workerIdx := make(map[string]int)
+	taskIDs := make([]int, 0)
+	taskIdx := make(map[int]int)
+	for _, a := range answers {
+		if a.Worker == "" {
+			return nil, fmt.Errorf("crowd: answer for fact %d has no worker ID", a.Fact)
+		}
+		if _, ok := workerIdx[a.Worker]; !ok {
+			workerIdx[a.Worker] = -1
+			workerIDs = append(workerIDs, a.Worker)
+		}
+		if _, ok := taskIdx[a.Fact]; !ok {
+			taskIdx[a.Fact] = -1
+			taskIDs = append(taskIDs, a.Fact)
+		}
+	}
+	sort.Strings(workerIDs)
+	for i, w := range workerIDs {
+		workerIdx[w] = i
+	}
+	sort.Ints(taskIDs)
+	for i, f := range taskIDs {
+		taskIdx[f] = i
+	}
+
+	votes := make([][]emVote, len(taskIDs))
+	for _, a := range answers {
+		fi := taskIdx[a.Fact]
+		votes[fi] = append(votes[fi], emVote{w: workerIdx[a.Worker], value: a.Value})
+	}
+
+	nW := len(workerIDs)
+	sens := make([]float64, nW)
+	spec := make([]float64, nW)
+	for i := range sens {
+		sens[i] = opts.InitAccuracy
+		spec[i] = opts.InitAccuracy
+	}
+	q := make([]float64, len(taskIDs))
+	for fi, vs := range votes {
+		trues := 0
+		for _, v := range vs {
+			if v.value {
+				trues++
+			}
+		}
+		q[fi] = (float64(trues) + 0.5) / (float64(len(vs)) + 1)
+	}
+	pi := 0.5
+
+	clamp := func(x float64) float64 {
+		if x < opts.ClampLo {
+			return opts.ClampLo
+		}
+		if x > opts.ClampHi {
+			return opts.ClampHi
+		}
+		return x
+	}
+
+	iters := 0
+	for iter := 0; iter < opts.MaxIter; iter++ {
+		iters = iter + 1
+		sensNum := make([]float64, nW)
+		sensDen := make([]float64, nW)
+		specNum := make([]float64, nW)
+		specDen := make([]float64, nW)
+		for fi, vs := range votes {
+			for _, v := range vs {
+				sensDen[v.w] += q[fi]
+				specDen[v.w] += 1 - q[fi]
+				if v.value {
+					sensNum[v.w] += q[fi]
+				} else {
+					specNum[v.w] += 1 - q[fi]
+				}
+			}
+		}
+		maxDelta := 0.0
+		for wi := 0; wi < nW; wi++ {
+			if sensDen[wi] > 0 {
+				next := clamp(sensNum[wi] / sensDen[wi])
+				if d := math.Abs(next - sens[wi]); d > maxDelta {
+					maxDelta = d
+				}
+				sens[wi] = next
+			}
+			if specDen[wi] > 0 {
+				next := clamp(specNum[wi] / specDen[wi])
+				if d := math.Abs(next - spec[wi]); d > maxDelta {
+					maxDelta = d
+				}
+				spec[wi] = next
+			}
+		}
+		var sumQ float64
+		for _, qf := range q {
+			sumQ += qf
+		}
+		pi = sumQ / float64(len(q))
+		if pi < 0.01 {
+			pi = 0.01
+		}
+		if pi > 0.99 {
+			pi = 0.99
+		}
+		refEStep(votes, refVoteLogs(sens, spec), pi, q)
+		if maxDelta < opts.Tol {
+			break
+		}
+	}
+
+	var mean float64
+	for i := range sens {
+		mean += (sens[i] + spec[i]) / 2
+	}
+	if mean/float64(nW) < 0.5 {
+		for i := range sens {
+			sens[i] = 1 - sens[i]
+			spec[i] = 1 - spec[i]
+		}
+		for i := range q {
+			q[i] = 1 - q[i]
+		}
+		pi = 1 - pi
+	}
+
+	est := &ConfusionEstimate{
+		Sensitivity:   make(map[string]float64, nW),
+		Specificity:   make(map[string]float64, nW),
+		TaskPosterior: make(map[int]float64, len(taskIDs)),
+		Prior:         pi,
+		Iterations:    iters,
+	}
+	for i, w := range workerIDs {
+		est.Sensitivity[w] = sens[i]
+		est.Specificity[w] = spec[i]
+	}
+	for i, f := range taskIDs {
+		est.TaskPosterior[f] = q[i]
+	}
+	return est, nil
+}
 func refVoteLogs(sens, spec []float64) []workerLogs {
 	logs := make([]workerLogs, len(sens))
 	for w := range logs {
@@ -264,6 +415,45 @@ func TestEstimateEMMatchesReference(t *testing.T) {
 		}
 		for w, a := range want.WorkerAccuracy {
 			requireBits(t, what+" accuracy of "+w, got.WorkerAccuracy[w], a)
+		}
+		for f, q := range want.TaskPosterior {
+			requireBits(t, fmt.Sprintf("%s posterior of fact %d", what, f), got.TaskPosterior[f], q)
+		}
+		requireBits(t, what+" prior", got.Prior, want.Prior)
+	}
+}
+
+// TestEstimateDawidSkeneMatchesReference: the Dawid–Skene estimator
+// reproduces the reference loops bit for bit — every sensitivity,
+// specificity, task posterior and the prior — and runs as many iterations,
+// over random answer logs and options. Restarts and Seed vary although the
+// estimator ignores both.
+func TestEstimateDawidSkeneMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 300; trial++ {
+		log := randomEMLog(rng)
+		opts := EMOptions{Seed: rng.Int63n(100), Restarts: 1 + rng.Intn(6)}
+		if rng.Intn(3) == 0 {
+			opts.MaxIter, opts.Tol = 1+rng.Intn(10), 1e-12
+		}
+		got, err := EstimateDawidSkene(log, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refEstimateDawidSkene(log, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("trial %d", trial)
+		if got.Iterations != want.Iterations || len(got.Sensitivity) != len(want.Sensitivity) ||
+			len(got.Specificity) != len(want.Specificity) || len(got.TaskPosterior) != len(want.TaskPosterior) {
+			t.Fatalf("%s: %d iterations, %d/%d workers, %d tasks; reference %d, %d/%d, %d", what,
+				got.Iterations, len(got.Sensitivity), len(got.Specificity), len(got.TaskPosterior),
+				want.Iterations, len(want.Sensitivity), len(want.Specificity), len(want.TaskPosterior))
+		}
+		for w, sn := range want.Sensitivity {
+			requireBits(t, what+" sensitivity of "+w, got.Sensitivity[w], sn)
+			requireBits(t, what+" specificity of "+w, got.Specificity[w], want.Specificity[w])
 		}
 		for f, q := range want.TaskPosterior {
 			requireBits(t, fmt.Sprintf("%s posterior of fact %d", what, f), got.TaskPosterior[f], q)
