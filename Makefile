@@ -12,8 +12,9 @@ BENCHTIME ?= 0.3s
 # the selection kernel, the conditioning kernel (dist's
 # BenchmarkConditionKernel), the sweep scheduler, the serving-path select
 # and merge, the weighted merge, the replay that adopts an em session, and
-# the worker-model refit (crowd's BenchmarkEstimateEM).
-BENCH_PATTERN ?= Kernel|SweepParallelism|ServiceSelect|ServiceMerge|WeightedMerge|ServiceRestore|EstimateEM
+# the worker-model refits (crowd's BenchmarkEstimateEM and
+# BenchmarkEstimateDawidSkene).
+BENCH_PATTERN ?= Kernel|SweepParallelism|ServiceSelect|ServiceMerge|WeightedMerge|ServiceRestore|EstimateEM|EstimateDawidSkene
 
 # Benchmarks bench-diff never fails on: the HTTP and cached-select paths
 # are dominated by the net stack and the allocator, the parallelism sweep

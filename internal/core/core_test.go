@@ -43,7 +43,7 @@ func paperJoint(tb testing.TB) *dist.Joint {
 
 // bruteTaskEntropy computes H(T) through a completely separate code path:
 // direct enumeration of all answer sets with Equation 2 via
-// dist.AnswerSetProb.
+// Joint.AnswerSetProb.
 func bruteTaskEntropy(tb testing.TB, j *dist.Joint, tasks []int, pc float64) float64 {
 	tb.Helper()
 	k := len(tasks)

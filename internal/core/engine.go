@@ -168,7 +168,7 @@ func MergeAnswers(j *dist.Joint, tasks []int, answers []bool, pc float64) (*dist
 // fact true), spec[i] = P(answer false | fact false) — typically a
 // worker's current accuracy estimate (symmetric EM) or confusion row
 // (Dawid–Skene). Uniform weights sens[i] == spec[i] == pc reproduce
-// MergeAnswers(…, pc) bit-for-bit (dist.ConditionWeighted delegates to
+// MergeAnswers(…, pc) bit-for-bit (Joint.ConditionWeighted delegates to
 // the scalar path in that case).
 //
 // The task-set validation reuses checkTasks with a neutral pc = 1: the

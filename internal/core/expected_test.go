@@ -42,7 +42,7 @@ func TestInformationIdentity(t *testing.T) {
 }
 
 // TestExpectedPosteriorMatchesDirectEnumeration cross-checks against a
-// brute-force computation through dist.Condition.
+// brute-force computation through Joint.Condition.
 func TestExpectedPosteriorMatchesDirectEnumeration(t *testing.T) {
 	j := paperJoint(t)
 	tasks := []int{0, 2}

@@ -1,7 +1,6 @@
 package crowd
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -53,88 +52,49 @@ func (e *ConfusionEstimate) Workers() []string {
 }
 
 // EstimateDawidSkene runs EM with per-worker sensitivity/specificity on a
-// redundant answer log. Options are shared with the symmetric estimator.
+// redundant answer log. Options are shared with the symmetric estimator,
+// but it runs once, from the majority-vote start, and ignores Restarts and
+// Seed.
 func EstimateDawidSkene(answers []Answer, opts EMOptions) (*ConfusionEstimate, error) {
-	if len(answers) == 0 {
-		return nil, ErrNoAnswers
+	x, err := indexAnswers(answers)
+	if err != nil {
+		return nil, err
 	}
 	opts = opts.normalized()
 
-	workerIDs := make([]string, 0)
-	workerIdx := make(map[string]int)
-	taskIDs := make([]int, 0)
-	taskIdx := make(map[int]int)
-	for _, a := range answers {
-		if a.Worker == "" {
-			return nil, fmt.Errorf("crowd: answer for fact %d has no worker ID", a.Fact)
-		}
-		if _, ok := workerIdx[a.Worker]; !ok {
-			workerIdx[a.Worker] = -1
-			workerIDs = append(workerIDs, a.Worker)
-		}
-		if _, ok := taskIdx[a.Fact]; !ok {
-			taskIdx[a.Fact] = -1
-			taskIDs = append(taskIDs, a.Fact)
-		}
-	}
-	sort.Strings(workerIDs)
-	for i, w := range workerIDs {
-		workerIdx[w] = i
-	}
-	sort.Ints(taskIDs)
-	for i, f := range taskIDs {
-		taskIdx[f] = i
-	}
-
-	votes := make([][]emVote, len(taskIDs))
-	for _, a := range answers {
-		fi := taskIdx[a.Fact]
-		votes[fi] = append(votes[fi], emVote{w: workerIdx[a.Worker], value: a.Value})
-	}
-
-	nW := len(workerIDs)
+	nW := len(x.workers)
 	sens := make([]float64, nW)
 	spec := make([]float64, nW)
 	for i := range sens {
 		sens[i] = opts.InitAccuracy
 		spec[i] = opts.InitAccuracy
 	}
-	// Majority-vote initialization of the posteriors — the original
-	// Dawid & Skene recipe. Starting EM from the raw vote shares instead
-	// of flat parameters avoids most of the spurious local optima that
-	// plague confusion-matrix estimation with few workers per task.
-	q := make([]float64, len(taskIDs))
-	for fi, vs := range votes {
-		trues := 0
-		for _, v := range vs {
-			if v.value {
-				trues++
-			}
-		}
-		q[fi] = (float64(trues) + 0.5) / (float64(len(vs)) + 1)
-	}
-	pi := 0.5
+	q := make([]float64, len(x.facts))
+	x.majorityStart(q)
 
-	clamp := func(x float64) float64 {
-		if x < opts.ClampLo {
+	clamp := func(v float64) float64 {
+		if v < opts.ClampLo {
 			return opts.ClampLo
 		}
-		if x > opts.ClampHi {
+		if v > opts.ClampHi {
 			return opts.ClampHi
 		}
-		return x
+		return v
 	}
 
-	logs := make([]workerLogs, nW)
-	iters := 0
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		iters = iter + 1
-		// M-step from the current posteriors.
-		sensNum := make([]float64, nW)
-		sensDen := make([]float64, nW)
-		specNum := make([]float64, nW)
-		specDen := make([]float64, nW)
-		for fi, vs := range votes {
+	// M-step: a worker's sensitivity is the posterior mass of its "true"
+	// votes over that of all its votes on true facts, and its specificity
+	// likewise for "false" votes on false facts.
+	sensNum := make([]float64, nW)
+	sensDen := make([]float64, nW)
+	specNum := make([]float64, nW)
+	specDen := make([]float64, nW)
+	mStep := func() ([]float64, []float64, float64) {
+		clear(sensNum)
+		clear(sensDen)
+		clear(specNum)
+		clear(specDen)
+		for fi, vs := range x.votes {
 			for _, v := range vs {
 				sensDen[v.w] += q[fi]
 				specDen[v.w] += 1 - q[fi]
@@ -162,55 +122,16 @@ func EstimateDawidSkene(answers []Answer, opts EMOptions) (*ConfusionEstimate, e
 				spec[wi] = next
 			}
 		}
-		var sumQ float64
-		for _, qf := range q {
-			sumQ += qf
-		}
-		pi = sumQ / float64(len(q))
-		if pi < 0.01 {
-			pi = 0.01
-		}
-		if pi > 0.99 {
-			pi = 0.99
-		}
-		// E-step with the updated parameters.
-		eStep(votes, voteLogs(logs, sens, spec), pi, q)
-		if maxDelta < opts.Tol {
-			break
-		}
+		return sens, spec, maxDelta
 	}
 
-	// Canonicalize the label-flip symmetry (sens -> 1-sens,
-	// spec -> 1-spec, q -> 1-q): report the branch with mean balanced
-	// accuracy above chance.
-	var mean float64
-	for i := range sens {
-		mean += (sens[i] + spec[i]) / 2
-	}
-	if mean/float64(nW) < 0.5 {
-		for i := range sens {
-			sens[i] = 1 - sens[i]
-			spec[i] = 1 - spec[i]
-		}
-		for i := range q {
-			q[i] = 1 - q[i]
-		}
-		pi = 1 - pi
-	}
-
-	est := &ConfusionEstimate{
-		Sensitivity:   make(map[string]float64, nW),
-		Specificity:   make(map[string]float64, nW),
-		TaskPosterior: make(map[int]float64, len(taskIDs)),
+	pi, iters := x.fitEM(q, make([]workerLogs, nW), opts, mStep)
+	pi = canonicalize(sens, spec, q, pi)
+	return &ConfusionEstimate{
+		Sensitivity:   x.byWorker(sens),
+		Specificity:   x.byWorker(spec),
+		TaskPosterior: x.byFact(q),
 		Prior:         pi,
 		Iterations:    iters,
-	}
-	for i, w := range workerIDs {
-		est.Sensitivity[w] = sens[i]
-		est.Specificity[w] = spec[i]
-	}
-	for i, f := range taskIDs {
-		est.TaskPosterior[f] = q[i]
-	}
-	return est, nil
+	}, nil
 }

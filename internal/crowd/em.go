@@ -55,6 +55,7 @@ type EMOptions struct {
 	// multi-modal (e.g. one expert among coin-flippers has a spurious
 	// fixpoint where everyone looks mediocre). Default 15. The first
 	// restart always uses the clean majority-vote initialization.
+	// EstimateDawidSkene runs once, from that start, and ignores Restarts.
 	Restarts int
 	// Seed drives the restart perturbations (deterministic).
 	Seed int64
@@ -85,105 +86,236 @@ func (o EMOptions) normalized() EMOptions {
 // ErrNoAnswers is returned when the answer log is empty.
 var ErrNoAnswers = errors.New("crowd: no answers to estimate from")
 
-// EstimateEM runs EM on an answer log. Answers must carry worker IDs;
-// anonymous answers (empty Worker) are rejected because the model needs to
-// attribute agreement.
-func EstimateEM(answers []Answer, opts EMOptions) (*EMEstimate, error) {
-	if len(answers) == 0 {
-		return nil, ErrNoAnswers
-	}
-	opts = opts.normalized()
+// answerIndex is an answer log grouped for EM, shared by the symmetric and
+// the Dawid–Skene estimators: workers and facts sorted, each fact's votes
+// in log order, and each worker's vote count.
+type answerIndex struct {
+	workers   []string
+	facts     []int
+	votes     [][]emVote // per fact, parallel to facts
+	perWorker []int      // parallel to workers
+}
 
-	workerIDs := make([]string, 0)
+// indexAnswers groups an answer log. Answers must carry worker IDs;
+// anonymous answers (empty Worker) are rejected because the models need to
+// attribute agreement.
+func indexAnswers(answers []Answer) (answerIndex, error) {
+	if len(answers) == 0 {
+		return answerIndex{}, ErrNoAnswers
+	}
+	var x answerIndex
 	workerIdx := make(map[string]int)
-	taskIDs := make([]int, 0)
 	taskIdx := make(map[int]int)
 	for _, a := range answers {
 		if a.Worker == "" {
-			return nil, fmt.Errorf("crowd: answer for fact %d has no worker ID", a.Fact)
+			return answerIndex{}, fmt.Errorf("crowd: answer for fact %d has no worker ID", a.Fact)
 		}
 		if _, ok := workerIdx[a.Worker]; !ok {
 			workerIdx[a.Worker] = -1
-			workerIDs = append(workerIDs, a.Worker)
+			x.workers = append(x.workers, a.Worker)
 		}
 		if _, ok := taskIdx[a.Fact]; !ok {
 			taskIdx[a.Fact] = -1
-			taskIDs = append(taskIDs, a.Fact)
+			x.facts = append(x.facts, a.Fact)
 		}
 	}
-	sort.Strings(workerIDs)
-	for i, w := range workerIDs {
+	sort.Strings(x.workers)
+	for i, w := range x.workers {
 		workerIdx[w] = i
 	}
-	sort.Ints(taskIDs)
-	for i, f := range taskIDs {
+	sort.Ints(x.facts)
+	for i, f := range x.facts {
 		taskIdx[f] = i
 	}
 
-	votes := make([][]emVote, len(taskIDs))
-	perWorker := make([]int, len(workerIDs))
+	x.votes = make([][]emVote, len(x.facts))
+	x.perWorker = make([]int, len(x.workers))
 	for _, a := range answers {
 		fi := taskIdx[a.Fact]
-		votes[fi] = append(votes[fi], emVote{w: workerIdx[a.Worker], value: a.Value})
-		perWorker[workerIdx[a.Worker]]++
+		x.votes[fi] = append(x.votes[fi], emVote{w: workerIdx[a.Worker], value: a.Value})
+		x.perWorker[workerIdx[a.Worker]]++
 	}
+	return x, nil
+}
 
-	// Run EM from several initializations and keep the solution with the
-	// highest marginal likelihood of the observed answers.
-	rng := rand.New(rand.NewSource(opts.Seed + 777))
-	var bestAcc, bestQ []float64
-	var bestPi float64
-	bestIters := 0
-	bestLL := math.Inf(-1)
-	logs := make([]workerLogs, len(workerIDs))
-	for restart := 0; restart < opts.Restarts; restart++ {
-		initAcc := make([]float64, len(workerIDs))
-		for i := range initAcc {
-			if restart == 0 {
-				initAcc[i] = opts.InitAccuracy
-			} else {
-				initAcc[i] = 0.52 + 0.46*rng.Float64()
+// majorityStart fills q with each fact's smoothed share of "true" votes:
+// the majority-vote initialization of the posteriors, the original
+// Dawid & Skene recipe. Starting EM from the raw vote shares instead of
+// flat parameters avoids most of the spurious local optima that plague
+// confusion-matrix estimation with few workers per task.
+func (x *answerIndex) majorityStart(q []float64) {
+	for fi, vs := range x.votes {
+		trues := 0
+		for _, v := range vs {
+			if v.value {
+				trues++
 			}
 		}
-		acc, q, pi, iters := runSymmetricEM(votes, perWorker, initAcc, logs, len(taskIDs), opts, restart == 0)
-		ll := logLikelihood(votes, voteLogs(logs, acc, acc), pi)
-		if ll > bestLL {
-			bestLL = ll
-			bestAcc, bestQ, bestPi, bestIters = acc, q, pi, iters
+		q[fi] = (float64(trues) + 0.5) / (float64(len(vs)) + 1)
+	}
+}
+
+// fitEM runs EM from the task posteriors q, updating them in place. Each
+// iteration re-estimates the worker channels from q (mStep, which returns
+// sens[w] = P(yes | true), spec[w] = P(no | false) and the largest move of
+// any parameter), the truth prior as the mean of q clamped to
+// [0.01, 0.99], then q from both. It stops after an iteration that moved
+// no parameter by Tol or more, or after MaxIter. logs is scratch for the
+// vote-log table, one entry per worker.
+func (x *answerIndex) fitEM(q []float64, logs []workerLogs, opts EMOptions,
+	mStep func() (sens, spec []float64, maxDelta float64)) (pi float64, iters int) {
+
+	for iter := 0; iter < opts.MaxIter; iter++ {
+		iters = iter + 1
+		sens, spec, maxDelta := mStep()
+		var sumQ float64
+		for _, qf := range q {
+			sumQ += qf
+		}
+		pi = sumQ / float64(len(q))
+		if pi < 0.01 {
+			pi = 0.01
+		}
+		if pi > 0.99 {
+			pi = 0.99
+		}
+		eStep(x.votes, voteLogs(logs, sens, spec), pi, q)
+		if maxDelta < opts.Tol {
+			break
 		}
 	}
-	acc, q, pi := bestAcc, bestQ, bestPi
-	// Canonicalize: the symmetric model is invariant under flipping all
-	// accuracies and truths (a -> 1-a, q -> 1-q, pi -> 1-pi gives the
-	// same likelihood); report the branch where workers are on average
-	// better than chance, per the paper's Pc >= 0.5 assumption.
+	return pi, iters
+}
+
+// canonicalize resolves the label-flip symmetry both models share: flipping
+// every channel and every truth (sens -> 1-sens, spec -> 1-spec,
+// q -> 1-q, pi -> 1-pi) gives the same likelihood. It keeps the branch
+// where workers' mean balanced accuracy is better than chance, per the
+// paper's Pc >= 0.5 assumption, and returns the prior of that branch. The
+// symmetric model passes its accuracies as sens and a nil spec.
+func canonicalize(sens, spec, q []float64, pi float64) float64 {
 	var mean float64
-	for _, a := range acc {
+	for i, a := range sens {
+		if spec != nil {
+			a = (a + spec[i]) / 2
+		}
 		mean += a
 	}
-	if mean/float64(len(acc)) < 0.5 {
-		for i := range acc {
-			acc[i] = 1 - acc[i]
+	if mean/float64(len(sens)) < 0.5 {
+		for i := range sens {
+			sens[i] = 1 - sens[i]
+		}
+		for i := range spec {
+			spec[i] = 1 - spec[i]
 		}
 		for i := range q {
 			q[i] = 1 - q[i]
 		}
 		pi = 1 - pi
 	}
+	return pi
+}
 
-	est := &EMEstimate{
-		WorkerAccuracy: make(map[string]float64, len(workerIDs)),
-		TaskPosterior:  make(map[int]float64, len(taskIDs)),
+// byWorker maps each worker ID to its entry of vals.
+func (x *answerIndex) byWorker(vals []float64) map[string]float64 {
+	m := make(map[string]float64, len(x.workers))
+	for i, w := range x.workers {
+		m[w] = vals[i]
+	}
+	return m
+}
+
+// byFact maps each fact to its posterior in q.
+func (x *answerIndex) byFact(q []float64) map[int]float64 {
+	m := make(map[int]float64, len(x.facts))
+	for i, f := range x.facts {
+		m[f] = q[i]
+	}
+	return m
+}
+
+// EstimateEM runs EM on an answer log. Answers must carry worker IDs;
+// anonymous answers (empty Worker) are rejected because the model needs to
+// attribute agreement.
+func EstimateEM(answers []Answer, opts EMOptions) (*EMEstimate, error) {
+	x, err := indexAnswers(answers)
+	if err != nil {
+		return nil, err
+	}
+	opts = opts.normalized()
+
+	// One restart's state: acc holds the accuracies, next the M-step's
+	// scratch, q the task posteriors.
+	var acc, next, q []float64
+	// M-step: a worker's accuracy is the posterior probability that its
+	// votes are correct, averaged over its votes. Every indexed worker has
+	// at least one vote.
+	mStep := func() (sens, spec []float64, maxDelta float64) {
+		clear(next)
+		for fi, vs := range x.votes {
+			for _, v := range vs {
+				if v.value {
+					next[v.w] += q[fi]
+				} else {
+					next[v.w] += 1 - q[fi]
+				}
+			}
+		}
+		for wi := range next {
+			next[wi] /= float64(x.perWorker[wi])
+			if next[wi] < opts.ClampLo {
+				next[wi] = opts.ClampLo
+			}
+			if next[wi] > opts.ClampHi {
+				next[wi] = opts.ClampHi
+			}
+			if d := math.Abs(next[wi] - acc[wi]); d > maxDelta {
+				maxDelta = d
+			}
+		}
+		acc, next = next, acc
+		return acc, acc, maxDelta
+	}
+
+	// Run EM from several initializations and keep the solution with the
+	// highest marginal likelihood of the observed answers. The first starts
+	// from the majority vote, the others from random accuracies.
+	rng := rand.New(rand.NewSource(opts.Seed + 777))
+	var bestAcc, bestQ []float64
+	var bestPi float64
+	bestIters := 0
+	bestLL := math.Inf(-1)
+	logs := make([]workerLogs, len(x.workers))
+	for restart := 0; restart < opts.Restarts; restart++ {
+		acc = make([]float64, len(x.workers))
+		next = make([]float64, len(x.workers))
+		q = make([]float64, len(x.facts))
+		for i := range acc {
+			if restart == 0 {
+				acc[i] = opts.InitAccuracy
+			} else {
+				acc[i] = 0.52 + 0.46*rng.Float64()
+			}
+		}
+		if restart == 0 {
+			x.majorityStart(q)
+		} else {
+			eStep(x.votes, voteLogs(logs, acc, acc), 0.5, q)
+		}
+		pi, iters := x.fitEM(q, logs, opts, mStep)
+		ll := logLikelihood(x.votes, voteLogs(logs, acc, acc), pi)
+		if ll > bestLL {
+			bestLL = ll
+			bestAcc, bestQ, bestPi, bestIters = acc, q, pi, iters
+		}
+	}
+	pi := canonicalize(bestAcc, nil, bestQ, bestPi)
+	return &EMEstimate{
+		WorkerAccuracy: x.byWorker(bestAcc),
+		TaskPosterior:  x.byFact(bestQ),
 		Prior:          pi,
 		Iterations:     bestIters,
-	}
-	for i, w := range workerIDs {
-		est.WorkerAccuracy[w] = acc[i]
-	}
-	for i, f := range taskIDs {
-		est.TaskPosterior[f] = q[i]
-	}
-	return est, nil
+	}, nil
 }
 
 // PoolAccuracy returns the mean estimated worker accuracy — the effective
@@ -198,82 +330,6 @@ func (e *EMEstimate) PoolAccuracy() float64 {
 		sum += a
 	}
 	return sum / float64(len(e.WorkerAccuracy))
-}
-
-// runSymmetricEM executes one EM run from the accuracies initAcc, which it
-// takes over, tabulating vote logs in logs (one per worker). When
-// majorityInit is true the task posteriors start from smoothed vote shares
-// (the original Dawid & Skene recipe); otherwise they start from the
-// E-step of the given accuracies.
-func runSymmetricEM(votes [][]emVote, perWorker []int, initAcc []float64, logs []workerLogs,
-	nTasks int, opts EMOptions, majorityInit bool) (acc, q []float64, pi float64, iters int) {
-
-	acc = initAcc
-	next := make([]float64, len(acc))
-	q = make([]float64, nTasks)
-	pi = 0.5
-	if majorityInit {
-		for fi, vs := range votes {
-			trues := 0
-			for _, v := range vs {
-				if v.value {
-					trues++
-				}
-			}
-			q[fi] = (float64(trues) + 0.5) / (float64(len(vs)) + 1)
-		}
-	} else {
-		eStep(votes, voteLogs(logs, acc, acc), pi, q)
-	}
-
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		iters = iter + 1
-		// M-step: worker accuracies and truth prior from the posteriors.
-		clear(next)
-		for fi, vs := range votes {
-			for _, v := range vs {
-				if v.value {
-					next[v.w] += q[fi]
-				} else {
-					next[v.w] += 1 - q[fi]
-				}
-			}
-		}
-		maxDelta := 0.0
-		for wi := range next {
-			if perWorker[wi] == 0 {
-				next[wi] = acc[wi]
-				continue
-			}
-			next[wi] /= float64(perWorker[wi])
-			if next[wi] < opts.ClampLo {
-				next[wi] = opts.ClampLo
-			}
-			if next[wi] > opts.ClampHi {
-				next[wi] = opts.ClampHi
-			}
-			if d := math.Abs(next[wi] - acc[wi]); d > maxDelta {
-				maxDelta = d
-			}
-		}
-		acc, next = next, acc
-		var sumQ float64
-		for _, qf := range q {
-			sumQ += qf
-		}
-		pi = sumQ / float64(len(q))
-		if pi < 0.01 {
-			pi = 0.01
-		}
-		if pi > 0.99 {
-			pi = 0.99
-		}
-		eStep(votes, voteLogs(logs, acc, acc), pi, q)
-		if maxDelta < opts.Tol {
-			break
-		}
-	}
-	return acc, q, pi, iters
 }
 
 // voteLog is what one vote adds to a task's two log joints: t to

@@ -197,29 +197,52 @@ func TestEMWithPlatformLog(t *testing.T) {
 	}
 }
 
-// BenchmarkEstimateEM times one refit of an em session's worker model: the
-// observation log of 4, 16 or 64 rounds of three judgments on 12 facts by
+// benchRefitLog is the observation log of an em or dawid-skene session
+// after the given number of rounds: three judgments a round on 12 facts by
 // 12 workers of planted accuracies 0.6–0.95, the shape of the service's
 // restore benchmark.
+func benchRefitLog(rounds int) []Answer {
+	rng := rand.New(rand.NewSource(3))
+	truth := make([]bool, 12)
+	for i := range truth {
+		truth[i] = rng.Intn(2) == 0
+	}
+	var log []Answer
+	for r := 0; r < rounds; r++ {
+		for _, f := range rng.Perm(len(truth))[:3] {
+			w := rng.Intn(12)
+			right := rng.Float64() < 0.6+0.35*float64(w)/11
+			log = append(log, Answer{Fact: f, Value: truth[f] == right, Worker: fmt.Sprintf("w%02d", w)})
+		}
+	}
+	return log
+}
+
+// BenchmarkEstimateEM times one refit of an em session's worker model over
+// the log of 4, 16 or 64 rounds.
 func BenchmarkEstimateEM(b *testing.B) {
 	for _, rounds := range []int{4, 16, 64} {
-		rng := rand.New(rand.NewSource(3))
-		truth := make([]bool, 12)
-		for i := range truth {
-			truth[i] = rng.Intn(2) == 0
-		}
-		var log []Answer
-		for r := 0; r < rounds; r++ {
-			for _, f := range rng.Perm(len(truth))[:3] {
-				w := rng.Intn(12)
-				right := rng.Float64() < 0.6+0.35*float64(w)/11
-				log = append(log, Answer{Fact: f, Value: truth[f] == right, Worker: fmt.Sprintf("w%02d", w)})
-			}
-		}
+		log := benchRefitLog(rounds)
 		b.Run(fmt.Sprintf("rounds=%d", rounds), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := EstimateEM(log, EMOptions{Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEstimateDawidSkene times one refit of a dawid-skene session's
+// worker model, which runs on every merge, over the same logs.
+func BenchmarkEstimateDawidSkene(b *testing.B) {
+	for _, rounds := range []int{4, 16, 64} {
+		log := benchRefitLog(rounds)
+		b.Run(fmt.Sprintf("rounds=%d", rounds), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := EstimateDawidSkene(log, EMOptions{Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -197,12 +197,6 @@ func (j *Joint) Condition(tasks []int, answers []bool, pc float64) (*Joint, erro
 	return j.posterior(ps, marginals, total, zero)
 }
 
-// Condition is the package-level form of Joint.Condition, for callers
-// that hold the evidence first.
-func Condition(j *Joint, tasks []int, answers []bool, pc float64) (*Joint, error) {
-	return j.Condition(tasks, answers, pc)
-}
-
 // checkEvidenceWeighted validates a per-judgment evidence set: one
 // sensitivity (P(answer true | fact true)) and one specificity
 // (P(answer false | fact false)) per judgment, each a probability.
@@ -285,14 +279,4 @@ func (j *Joint) ConditionWeighted(tasks []int, answers []bool, sens, spec []floa
 		total, comp = kahan(total, comp, p)
 	}
 	return j.posterior(ps, marginals, total, zero)
-}
-
-// ConditionWeighted is the package-level form of Joint.ConditionWeighted.
-func ConditionWeighted(j *Joint, tasks []int, answers []bool, sens, spec []float64) (*Joint, error) {
-	return j.ConditionWeighted(tasks, answers, sens, spec)
-}
-
-// AnswerSetProb is the package-level form of Joint.AnswerSetProb.
-func AnswerSetProb(j *Joint, tasks []int, answers []bool, pc float64) (float64, error) {
-	return j.AnswerSetProb(tasks, answers, pc)
 }

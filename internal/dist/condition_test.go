@@ -49,11 +49,6 @@ func TestAnswerSetProbMatchesBruteForce(t *testing.T) {
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("AnswerSetProb = %v, brute force = %v", got, want)
 		}
-		// The package-level helper is the same computation.
-		viaFree, err := AnswerSetProb(j, tasks, answers, pc)
-		if err != nil || viaFree != got {
-			t.Fatalf("package-level AnswerSetProb = %v, %v", viaFree, err)
-		}
 	}
 }
 
@@ -276,14 +271,6 @@ func TestConditionNoEvidence(t *testing.T) {
 	}
 	if post.Entropy() != j.Entropy() || post.Prob(3) != j.Prob(3) {
 		t.Error("Condition(nil) changed the distribution")
-	}
-	// Package-level form.
-	post2, err := Condition(j, []int{0}, []bool{true}, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m, _ := post2.Marginal(0); math.Abs(m-0.8) > 1e-12 {
-		t.Errorf("package-level Condition marginal = %v", m)
 	}
 }
 

@@ -129,14 +129,6 @@ func TestConditionWeightedMatchesBruteForce(t *testing.T) {
 				t.Fatalf("trial %d world %v: prob %v, brute force %v", trial, w, got.Probs()[i], wantP[i])
 			}
 		}
-		// The package-level helper is the same computation.
-		viaFree, err := ConditionWeighted(j, tasks, answers, sens, spec)
-		if err != nil {
-			t.Fatalf("trial %d: package-level: %v", trial, err)
-		}
-		if len(viaFree.Worlds()) != len(got.Worlds()) {
-			t.Fatalf("trial %d: package-level support differs", trial)
-		}
 	}
 }
 

@@ -428,13 +428,6 @@ func TestRenderers(t *testing.T) {
 
 	trace := []TracePoint{{Round: 1, Cost: 10, Utility: -5, F1: 0.7}}
 	buf.Reset()
-	if err := RenderTrace(&buf, "fig2", trace); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "fig2") {
-		t.Error("trace table missing label")
-	}
-	buf.Reset()
 	err = WriteTraceCSV(&buf, map[string][]TracePoint{"b": trace, "a": trace})
 	if err != nil {
 		t.Fatal(err)

@@ -65,16 +65,6 @@ func WriteTimingsCSV(w io.Writer, r *TimingResult) error {
 	return cw.Error()
 }
 
-// RenderTrace writes a quality curve as an aligned text table.
-func RenderTrace(w io.Writer, label string, trace []TracePoint) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "# %s\nround\tcost\tutility\tF1\n", label)
-	for _, p := range trace {
-		fmt.Fprintf(tw, "%d\t%d\t%.3f\t%.4f\n", p.Round, p.Cost, p.Utility, p.F1)
-	}
-	return tw.Flush()
-}
-
 // WriteTraceCSV writes one or more labelled quality curves as long-form
 // CSV: label, round, cost, utility, f1.
 func WriteTraceCSV(w io.Writer, curves map[string][]TracePoint) error {

@@ -1,7 +1,6 @@
 // Package info implements the information-theoretic kernel used throughout
-// CrowdFusion: Shannon entropy, binary entropy, conditional entropy and
-// mutual information over discrete distributions, plus numerically careful
-// accumulation helpers.
+// CrowdFusion: Shannon entropy and binary entropy over discrete
+// distributions, plus numerically careful accumulation helpers.
 //
 // All entropies are measured in bits (log base 2), matching the numbers
 // reported in the CrowdFusion paper (Tables III and IV and the utility plots
@@ -104,13 +103,6 @@ func Binary(p float64) float64 {
 	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
 }
 
-// CrowdEntropy returns H(Crowd) as defined in Definition 2 of the paper:
-// the entropy of a single crowd answer given the ground truth, for a crowd
-// with per-task accuracy pc. It equals the binary entropy of pc.
-func CrowdEntropy(pc float64) float64 {
-	return Binary(pc)
-}
-
 // Sum returns the compensated (Kahan) sum of xs.
 func Sum(xs []float64) float64 {
 	var sum, comp float64
@@ -156,94 +148,4 @@ func Normalize(p []float64) float64 {
 		p[i] *= inv
 	}
 	return total
-}
-
-// JointEntropy returns the entropy of a joint distribution given as a matrix
-// of probabilities (rows × cols), in bits.
-func JointEntropy(joint [][]float64) float64 {
-	var sum, comp float64
-	for _, row := range joint {
-		for _, p := range row {
-			term := -PLogP(p)
-			y := term - comp
-			t := sum + y
-			comp = (t - sum) - y
-			sum = t
-		}
-	}
-	if sum < 0 {
-		return 0
-	}
-	return sum
-}
-
-// MutualInformation returns I(X;Y) in bits for the joint distribution
-// joint[x][y]. Marginals are computed internally. Values are clamped at 0 to
-// absorb floating-point noise.
-func MutualInformation(joint [][]float64) float64 {
-	if len(joint) == 0 {
-		return 0
-	}
-	px := make([]float64, len(joint))
-	py := make([]float64, len(joint[0]))
-	for x, row := range joint {
-		for y, p := range row {
-			px[x] += p
-			py[y] += p
-		}
-	}
-	mi := Entropy(px) + Entropy(py) - JointEntropy(joint)
-	if mi < 0 {
-		return 0
-	}
-	return mi
-}
-
-// ConditionalEntropy returns H(Y|X) in bits for the joint distribution
-// joint[x][y]: H(Y|X) = H(X,Y) - H(X).
-func ConditionalEntropy(joint [][]float64) float64 {
-	if len(joint) == 0 {
-		return 0
-	}
-	px := make([]float64, len(joint))
-	for x, row := range joint {
-		for _, p := range row {
-			px[x] += p
-		}
-	}
-	h := JointEntropy(joint) - Entropy(px)
-	if h < 0 {
-		return 0
-	}
-	return h
-}
-
-// KL returns the Kullback-Leibler divergence D(p||q) in bits. It returns
-// +Inf if p places mass where q does not. Both inputs are assumed
-// normalized.
-func KL(p, q []float64) float64 {
-	if len(p) != len(q) {
-		panic("info: KL requires equal-length distributions")
-	}
-	var d float64
-	for i, pi := range p {
-		if pi <= 0 {
-			continue
-		}
-		if q[i] <= 0 {
-			return math.Inf(1)
-		}
-		d += pi * math.Log2(pi/q[i])
-	}
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

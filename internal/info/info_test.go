@@ -154,21 +154,6 @@ func TestBinarySymmetry(t *testing.T) {
 	}
 }
 
-func TestCrowdEntropy(t *testing.T) {
-	// Definition 2: H(Crowd) = -Pc log Pc - (1-Pc) log (1-Pc).
-	if got := CrowdEntropy(0.8); !almostEqual(got, 0.7219280948873623, 1e-12) {
-		t.Errorf("CrowdEntropy(0.8) = %v", got)
-	}
-	// Perfect crowd carries no noise entropy.
-	if got := CrowdEntropy(1.0); got != 0 {
-		t.Errorf("CrowdEntropy(1.0) = %v, want 0", got)
-	}
-	// Maximally unreliable crowd has a full bit of noise.
-	if got := CrowdEntropy(0.5); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("CrowdEntropy(0.5) = %v, want 1", got)
-	}
-}
-
 func TestSum(t *testing.T) {
 	if got := Sum(nil); got != 0 {
 		t.Errorf("Sum(nil) = %v", got)
@@ -247,123 +232,6 @@ func TestNormalizeThenValidate(t *testing.T) {
 	}
 }
 
-func TestJointEntropyAndMutualInformation(t *testing.T) {
-	// Independent joint: I(X;Y) = 0, H(X,Y) = H(X) + H(Y).
-	indep := [][]float64{
-		{0.25, 0.25},
-		{0.25, 0.25},
-	}
-	if got := MutualInformation(indep); !almostEqual(got, 0, 1e-12) {
-		t.Errorf("MI(independent) = %v, want 0", got)
-	}
-	if got := JointEntropy(indep); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("H(independent joint) = %v, want 2", got)
-	}
-
-	// Perfectly correlated: I(X;Y) = H(X) = 1 bit.
-	corr := [][]float64{
-		{0.5, 0},
-		{0, 0.5},
-	}
-	if got := MutualInformation(corr); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("MI(correlated) = %v, want 1", got)
-	}
-	if got := ConditionalEntropy(corr); !almostEqual(got, 0, 1e-12) {
-		t.Errorf("H(Y|X) correlated = %v, want 0", got)
-	}
-}
-
-func TestConditionalEntropyChainRule(t *testing.T) {
-	// H(X,Y) = H(X) + H(Y|X) on random joints.
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		rows := 2 + rng.Intn(4)
-		cols := 2 + rng.Intn(4)
-		joint := make([][]float64, rows)
-		var total float64
-		for i := range joint {
-			joint[i] = make([]float64, cols)
-			for j := range joint[i] {
-				joint[i][j] = rng.Float64()
-				total += joint[i][j]
-			}
-		}
-		px := make([]float64, rows)
-		for i := range joint {
-			for j := range joint[i] {
-				joint[i][j] /= total
-				px[i] += joint[i][j]
-			}
-		}
-		lhs := JointEntropy(joint)
-		rhs := Entropy(px) + ConditionalEntropy(joint)
-		if !almostEqual(lhs, rhs, 1e-9) {
-			t.Fatalf("chain rule violated: H(X,Y)=%v, H(X)+H(Y|X)=%v", lhs, rhs)
-		}
-	}
-}
-
-func TestMutualInformationNonNegative(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 500; trial++ {
-		rows := 2 + rng.Intn(3)
-		cols := 2 + rng.Intn(3)
-		joint := make([][]float64, rows)
-		var total float64
-		for i := range joint {
-			joint[i] = make([]float64, cols)
-			for j := range joint[i] {
-				joint[i][j] = rng.Float64()
-				total += joint[i][j]
-			}
-		}
-		for i := range joint {
-			for j := range joint[i] {
-				joint[i][j] /= total
-			}
-		}
-		if mi := MutualInformation(joint); mi < 0 {
-			t.Fatalf("negative mutual information: %v", mi)
-		}
-	}
-}
-
-func TestKL(t *testing.T) {
-	p := []float64{0.5, 0.5}
-	q := []float64{0.9, 0.1}
-	if got := KL(p, p); !almostEqual(got, 0, 1e-12) {
-		t.Errorf("KL(p||p) = %v, want 0", got)
-	}
-	if got := KL(p, q); got <= 0 {
-		t.Errorf("KL(p||q) = %v, want > 0", got)
-	}
-	// Support mismatch gives +Inf.
-	if got := KL([]float64{0.5, 0.5}, []float64{1, 0}); !math.IsInf(got, 1) {
-		t.Errorf("KL with support mismatch = %v, want +Inf", got)
-	}
-}
-
-func TestKLPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("KL did not panic on length mismatch")
-		}
-	}()
-	KL([]float64{1}, []float64{0.5, 0.5})
-}
-
-func TestKLNonNegativeProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 500; trial++ {
-		n := 2 + rng.Intn(8)
-		p := randomDist(rng, n)
-		q := randomDist(rng, n)
-		if d := KL(p, q); d < 0 {
-			t.Fatalf("negative KL divergence: %v (p=%v q=%v)", d, p, q)
-		}
-	}
-}
-
 // makeDist converts arbitrary quick-generated floats into a normalized
 // distribution, or nil when impossible.
 func makeDist(raw []float64) []float64 {
@@ -383,15 +251,6 @@ func makeDist(raw []float64) []float64 {
 	}
 	if !anyPos {
 		return nil
-	}
-	Normalize(p)
-	return p
-}
-
-func randomDist(rng *rand.Rand, n int) []float64 {
-	p := make([]float64, n)
-	for i := range p {
-		p[i] = rng.Float64() + 1e-9
 	}
 	Normalize(p)
 	return p

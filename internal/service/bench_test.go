@@ -156,8 +156,11 @@ func BenchmarkWeightedMerge(b *testing.B) {
 		"Approx+Prune+Pre", 0.8, 3, 1<<30, time.Unix(0, 0))
 	s.workerModel = WorkerModelEM
 	s.refits = 1
-	s.workerSens = map[string]float64{"w1": 0.91, "w2": 0.78, "w3": 0.64}
-	s.workerSpec = map[string]float64{"w1": 0.89, "w2": 0.81, "w3": 0.58}
+	s.estimates = map[string]workerEstimate{
+		"w1": {sens: 0.91, spec: 0.89},
+		"w2": {sens: 0.78, spec: 0.81},
+		"w3": {sens: 0.64, spec: 0.58},
+	}
 	tasks := []int{0, 2, 4, 6, 8, 10}
 	answers := []bool{true, false, true, true, false, true}
 	workers := []string{"w1", "w2", "w3", "w1", "w2", "w3"}

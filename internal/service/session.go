@@ -112,16 +112,10 @@ type Session struct {
 	workerModel string
 	anonWorker  string
 
-	// workerSens/workerSpec are the smoothed per-worker channel estimates
-	// from the last refit: the raw estimator output shrunk toward the
-	// configured pc by a Beta prior of strength workerPriorStrength, so a
-	// worker with no evidence sits exactly at pc. workerRaw keeps the
-	// unsmoothed balanced accuracy for reporting. All nil before the
-	// first refit (and always, under the fixed model).
-	workerSens map[string]float64
-	workerSpec map[string]float64
-	workerRaw  map[string]float64
-	refits     int
+	// estimates holds each worker's channel from the last refit. Nil
+	// before the first refit (and always, under the fixed model).
+	estimates map[string]workerEstimate
+	refits    int
 
 	// metrics receives refit latency and the weighted-merge count, updated
 	// while holding mu.
@@ -824,8 +818,8 @@ func (s *Session) attributionLocked(v int, tasks []int, answers []bool, extra []
 // workers the last refit did not cover (including everyone, before the
 // first refit).
 func (s *Session) workerChannelLocked(w string) (sens, spec float64) {
-	if sn, ok := s.workerSens[w]; ok {
-		return sn, s.workerSpec[w]
+	if e, ok := s.estimates[w]; ok {
+		return e.sens, e.spec
 	}
 	return s.pc, s.pc
 }
@@ -944,17 +938,26 @@ func (s *Session) fitWorkersLocked(ops []store.Op) bool {
 		}
 		rawSens, rawSpec = est.Sensitivity, est.Specificity
 	}
-	s.workerSens = make(map[string]float64, len(rawSens))
-	s.workerSpec = make(map[string]float64, len(rawSens))
-	s.workerRaw = make(map[string]float64, len(rawSens))
+	s.estimates = make(map[string]workerEstimate, len(rawSens))
 	for w, sn := range rawSens {
 		n := float64(support[w])
 		sp := rawSpec[w]
-		s.workerSens[w] = (workerPriorStrength*s.pc + n*sn) / (workerPriorStrength + n)
-		s.workerSpec[w] = (workerPriorStrength*s.pc + n*sp) / (workerPriorStrength + n)
-		s.workerRaw[w] = (sn + sp) / 2
+		s.estimates[w] = workerEstimate{
+			sens: (workerPriorStrength*s.pc + n*sn) / (workerPriorStrength + n),
+			spec: (workerPriorStrength*s.pc + n*sp) / (workerPriorStrength + n),
+			raw:  (sn + sp) / 2,
+		}
 	}
 	return true
+}
+
+// workerEstimate is one worker's channel from the last refit. sens and
+// spec are the raw estimator output shrunk toward the configured pc by a
+// Beta prior of strength workerPriorStrength, so a worker with no evidence
+// sits exactly at pc; raw keeps the unsmoothed balanced accuracy for
+// reporting.
+type workerEstimate struct {
+	sens, spec, raw float64
 }
 
 // transition is one op's effect, computed by stepLocked and committed by
@@ -1249,8 +1252,8 @@ func (s *Session) workerInfosLocked(gold []bool) []WorkerInfo {
 			Support:  t.support,
 			Correct:  t.correct,
 		}
-		if raw, ok := s.workerRaw[w]; ok {
-			info.Raw = raw
+		if e, ok := s.estimates[w]; ok {
+			info.Raw = e.raw
 		}
 		if t.support > 0 {
 			info.Bias = float64(t.trues) / float64(t.support)
