@@ -13,8 +13,10 @@ BENCHTIME ?= 0.3s
 # BenchmarkConditionKernel), the sweep scheduler, the serving-path select
 # and merge, the weighted merge, the replay that adopts an em session, and
 # the worker-model refits (crowd's BenchmarkEstimateEM and
-# BenchmarkEstimateDawidSkene).
-BENCH_PATTERN ?= Kernel|SweepParallelism|ServiceSelect|ServiceMerge|WeightedMerge|ServiceRestore|EstimateEM|EstimateDawidSkene
+# BenchmarkEstimateDawidSkene), and the file store's load of an em session
+# (store's BenchmarkFileGet: the snapshot and log decoding adoption pays
+# before replay).
+BENCH_PATTERN ?= Kernel|SweepParallelism|ServiceSelect|ServiceMerge|WeightedMerge|ServiceRestore|EstimateEM|EstimateDawidSkene|FileGet
 
 # Benchmarks bench-diff never fails on: the HTTP and cached-select paths
 # are dominated by the net stack and the allocator, the parallelism sweep
@@ -68,7 +70,8 @@ test-cover:
 # whose record restores to the same state. FuzzFileLoad: any snapshot and
 # log pair must load to an error or a record, leave a line-boundary prefix
 # of the log, and load again to the same record without touching the
-# files. FuzzAnswersRequest: any answers body the handler accepts, submitted
+# files. FuzzJournalDecode: the store's direct decoder and json.Unmarshal
+# agree on any snapshot or log line, on error and on value. FuzzAnswersRequest: any answers body the handler accepts, submitted
 # twice to a session with a committed round and a selection outstanding,
 # must spend exactly its committed batches and leave a session whose record
 # restores to the same state. FuzzSelectRequest: any select body the
@@ -84,6 +87,7 @@ test-cover:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRestoreRecord -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzFileLoad -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzAnswersRequest -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzSelectRequest -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzCreateRequest -fuzztime 10s ./internal/service/
@@ -129,7 +133,8 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Run BENCH_REPS whole-suite passes of the BENCH_PATTERN benchmarks (the
-# selection and conditioning kernels, sweep parallelism, the service paths)
+# selection and conditioning kernels, sweep parallelism, the service paths,
+# the worker-model refits, the file store's load)
 # and write their machine-readable form to BENCH_fresh.json. Fails if the
 # benchmarks stop compiling or running. bench-json and bench-diff both read
 # this one run, so `make bench-json bench-diff` measures once.
@@ -139,7 +144,7 @@ bench-fresh:
 	@for i in $$(seq $(BENCH_REPS)); do \
 		echo "bench pass $$i/$(BENCH_REPS)"; \
 		$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem \
-			-benchtime $(BENCHTIME) ./internal/core/ ./internal/dist/ ./internal/crowd/ ./internal/service/ . >> bench.out || exit 1; \
+			-benchtime $(BENCHTIME) ./internal/core/ ./internal/dist/ ./internal/crowd/ ./internal/service/ ./internal/store/ . >> bench.out || exit 1; \
 	done
 	$(GO) run ./cmd/benchjson < bench.out > BENCH_fresh.json
 	@rm -f bench.out

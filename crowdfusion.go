@@ -201,6 +201,10 @@ type (
 	EMOptions = crowd.EMOptions
 )
 
+// ErrClampOrder is returned by both worker-model estimators for options
+// whose ClampLo exceeds their ClampHi once the defaults are applied.
+var ErrClampOrder = crowd.ErrClampOrder
+
 // EstimateWorkerAccuracies runs EM over a redundant answer log, returning
 // per-worker accuracy estimates and per-task truth posteriors with no gold
 // labels required.

@@ -1,6 +1,7 @@
 package crowdfusion
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -198,5 +199,22 @@ func TestFacadeScoreAndSweep(t *testing.T) {
 	}
 	if _, err := Preprocess(nil, 0.3); err == nil {
 		t.Error("bad accuracy accepted by Preprocess")
+	}
+}
+
+// TestFacadeEstimatorsRefuseCrossedClamps: the facade's worker-model
+// estimators pass EMOptions through unchanged, so both refuse a ClampLo
+// above ClampHi instead of clamping the two models to different ends.
+func TestFacadeEstimatorsRefuseCrossedClamps(t *testing.T) {
+	log := []CrowdAnswer{
+		{Fact: 0, Value: true, Worker: "a"}, {Fact: 0, Value: true, Worker: "b"},
+		{Fact: 1, Value: false, Worker: "a"}, {Fact: 1, Value: true, Worker: "b"},
+	}
+	crossed := EMOptions{ClampLo: 0.995, ClampHi: 0.99}
+	if _, err := EstimateWorkerAccuracies(log, crossed); !errors.Is(err, ErrClampOrder) {
+		t.Errorf("EstimateWorkerAccuracies: err = %v, want ErrClampOrder", err)
+	}
+	if _, err := EstimateWorkerConfusion(log, crossed); !errors.Is(err, ErrClampOrder) {
+		t.Errorf("EstimateWorkerConfusion: err = %v, want ErrClampOrder", err)
 	}
 }

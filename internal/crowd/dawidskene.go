@@ -60,7 +60,9 @@ func EstimateDawidSkene(answers []Answer, opts EMOptions) (*ConfusionEstimate, e
 	if err != nil {
 		return nil, err
 	}
-	opts = opts.normalized()
+	if opts, err = opts.resolve(); err != nil {
+		return nil, err
+	}
 
 	nW := len(x.workers)
 	sens := make([]float64, nW)

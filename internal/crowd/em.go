@@ -48,7 +48,9 @@ type EMOptions struct {
 	// InitAccuracy seeds every worker (default 0.7).
 	InitAccuracy float64
 	// ClampLo/ClampHi keep accuracies away from 0/1 so likelihoods stay
-	// finite (defaults 0.05, 0.99).
+	// finite (defaults 0.05, 0.99). After the defaults are applied,
+	// ClampLo must not exceed ClampHi: the estimators refuse such options
+	// with ErrClampOrder.
 	ClampLo, ClampHi float64
 	// Restarts runs EM that many times from perturbed initializations
 	// and keeps the highest-likelihood solution; EM likelihoods are
@@ -83,8 +85,23 @@ func (o EMOptions) normalized() EMOptions {
 	return o
 }
 
-// ErrNoAnswers is returned when the answer log is empty.
-var ErrNoAnswers = errors.New("crowd: no answers to estimate from")
+// resolve applies the defaults and refuses clamp bounds that cross (or are
+// NaN), for which the two M-steps would clamp to different ends.
+func (o EMOptions) resolve() (EMOptions, error) {
+	o = o.normalized()
+	if !(o.ClampLo <= o.ClampHi) {
+		return o, fmt.Errorf("%w: %v > %v", ErrClampOrder, o.ClampLo, o.ClampHi)
+	}
+	return o, nil
+}
+
+var (
+	// ErrNoAnswers is returned when the answer log is empty.
+	ErrNoAnswers = errors.New("crowd: no answers to estimate from")
+	// ErrClampOrder is returned for options whose ClampLo exceeds their
+	// ClampHi once the defaults are applied.
+	ErrClampOrder = errors.New("crowd: EMOptions.ClampLo exceeds ClampHi")
+)
 
 // answerIndex is an answer log grouped for EM, shared by the symmetric and
 // the Dawid–Skene estimators: workers and facts sorted, each fact's votes
@@ -242,7 +259,9 @@ func EstimateEM(answers []Answer, opts EMOptions) (*EMEstimate, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts = opts.normalized()
+	if opts, err = opts.resolve(); err != nil {
+		return nil, err
+	}
 
 	// One restart's state: acc holds the accuracies, next the M-step's
 	// scratch, q the task posteriors.

@@ -1,6 +1,7 @@
 package crowd
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -247,5 +248,43 @@ func BenchmarkEstimateDawidSkene(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestEstimatorsRefuseCrossedClamps: both worker models refuse clamp
+// bounds that cross once the defaults are applied, where the symmetric
+// M-step would end every accuracy at ClampHi and Dawid–Skene's at
+// ClampLo; bounds that meet, and the defaults, still fit.
+func TestEstimatorsRefuseCrossedClamps(t *testing.T) {
+	log := []Answer{
+		{Fact: 0, Value: true, Worker: "a"}, {Fact: 0, Value: true, Worker: "b"},
+		{Fact: 1, Value: false, Worker: "a"}, {Fact: 1, Value: true, Worker: "b"},
+	}
+	fits := map[string]func(EMOptions) error{
+		"em": func(o EMOptions) error {
+			_, err := EstimateEM(log, o)
+			return err
+		},
+		"dawid-skene": func(o EMOptions) error {
+			_, err := EstimateDawidSkene(log, o)
+			return err
+		},
+	}
+	for name, fit := range fits {
+		for _, o := range []EMOptions{
+			{ClampLo: 0.995, ClampHi: 0.99},
+			{ClampLo: 0.995}, // ClampHi defaults to 0.99
+			{ClampLo: 0.5, ClampHi: 0.2},
+			{ClampLo: math.NaN()},
+		} {
+			if err := fit(o); !errors.Is(err, ErrClampOrder) {
+				t.Errorf("%s, clamps [%v, %v]: err = %v, want ErrClampOrder", name, o.ClampLo, o.ClampHi, err)
+			}
+		}
+		for _, o := range []EMOptions{{}, {ClampLo: 0.9, ClampHi: 0.9}} {
+			if err := fit(o); err != nil {
+				t.Errorf("%s, clamps [%v, %v]: %v", name, o.ClampLo, o.ClampHi, err)
+			}
+		}
 	}
 }

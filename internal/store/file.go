@@ -47,6 +47,12 @@ const fileStripes = 16
 // mid-write — marks a corrupt tail: the session recovers to the last good
 // line and the log is truncated back to it.
 //
+// Both files are written by json.Marshal. A load reads them with a direct
+// decoder (decode.go) that parses exactly the form json.Marshal writes,
+// with no reflection, and passes any other input — hand-edited, written by
+// another encoder, or in the split layout — to encoding/json, so each file
+// decodes as json.Unmarshal would decode it.
+//
 // A snapshot without the format marker was written in the older split
 // layout; its first load converts it and its log into a journal and
 // rewrites the session's files (legacy.go). There is no way back.
@@ -199,8 +205,8 @@ func (s *File) lastLineLocked(id string) (uint64, error) {
 	}
 	var last uint64
 	eachLine(logData, func(line []byte) bool {
-		var l logLine
-		if json.Unmarshal(line, &l) != nil {
+		l, err := decodeLine(line)
+		if err != nil {
 			return false
 		}
 		last = max(last, l.Line)
@@ -418,8 +424,8 @@ func (s *File) getLocked(id string) (*Record, fileSessionState, error) {
 	if err != nil {
 		return nil, st, fmt.Errorf("store: reading snapshot %s: %w", id, err)
 	}
-	snap := snapshot{Record: &Record{}}
-	if err := json.Unmarshal(data, &snap); err != nil {
+	snap, err := decodeSnapshot(data)
+	if err != nil {
 		return nil, st, fmt.Errorf("%w: snapshot %s: %v", ErrCorrupt, id, err)
 	}
 	switch snap.Format {
@@ -444,8 +450,8 @@ func (s *File) getLocked(id string) (*Record, fileSessionState, error) {
 	st.lastLine = snap.Absorbed
 	var prev uint64 // the previous line's number, 0 before the first
 	good := eachLine(logData, func(line []byte) bool {
-		var l logLine
-		if json.Unmarshal(line, &l) != nil {
+		l, err := decodeLine(line)
+		if err != nil {
 			return false
 		}
 		// The first line may predate the snapshot (a compaction crashed

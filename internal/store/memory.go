@@ -67,7 +67,7 @@ func (s *Memory) Append(id string, op Op) error {
 	if err := checkFence(id, op.Epoch, s.leases[id]); err != nil {
 		return err
 	}
-	return rec.fold(op)
+	return rec.fold(op.clone())
 }
 
 // Get returns a deep copy of the record.

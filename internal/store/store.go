@@ -291,12 +291,12 @@ func (r *Record) validate() error {
 }
 
 // fold appends one op to the journal, refusing an op that does not follow
-// it with ErrCorrupt.
+// it with ErrCorrupt. The record takes ownership of the op's slices.
 func (r *Record) fold(op Op) error {
 	if _, err := follows(r.version(), op); err != nil {
 		return err
 	}
-	r.Ops = Extend(r.Ops, op.clone())
+	r.Ops = Extend(r.Ops, op)
 	if op.Time.After(r.LastAccess) {
 		r.LastAccess = op.Time
 	}
