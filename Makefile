@@ -15,8 +15,9 @@ BENCHTIME ?= 0.3s
 # the worker-model refits (crowd's BenchmarkEstimateEM and
 # BenchmarkEstimateDawidSkene), and the file store's load of an em session
 # (store's BenchmarkFileGet: the snapshot and log decoding adoption pays
-# before replay).
-BENCH_PATTERN ?= Kernel|SweepParallelism|ServiceSelect|ServiceMerge|WeightedMerge|ServiceRestore|EstimateEM|EstimateDawidSkene|FileGet
+# before replay), and one round of the simulated crowd platform
+# (platform's BenchmarkPlatformRound, majority and attributed).
+BENCH_PATTERN ?= Kernel|SweepParallelism|ServiceSelect|ServiceMerge|WeightedMerge|ServiceRestore|EstimateEM|EstimateDawidSkene|FileGet|PlatformRound
 
 # Benchmarks bench-diff never fails on: the HTTP and cached-select paths
 # are dominated by the net stack and the allocator, the parallelism sweep
@@ -134,7 +135,7 @@ bench:
 
 # Run BENCH_REPS whole-suite passes of the BENCH_PATTERN benchmarks (the
 # selection and conditioning kernels, sweep parallelism, the service paths,
-# the worker-model refits, the file store's load)
+# the worker-model refits, the file store's load, the platform's round)
 # and write their machine-readable form to BENCH_fresh.json. Fails if the
 # benchmarks stop compiling or running. bench-json and bench-diff both read
 # this one run, so `make bench-json bench-diff` measures once.
@@ -144,7 +145,7 @@ bench-fresh:
 	@for i in $$(seq $(BENCH_REPS)); do \
 		echo "bench pass $$i/$(BENCH_REPS)"; \
 		$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem \
-			-benchtime $(BENCHTIME) ./internal/core/ ./internal/dist/ ./internal/crowd/ ./internal/service/ ./internal/store/ . >> bench.out || exit 1; \
+			-benchtime $(BENCHTIME) ./internal/core/ ./internal/dist/ ./internal/crowd/ ./internal/service/ ./internal/store/ ./internal/platform/ . >> bench.out || exit 1; \
 	done
 	$(GO) run ./cmd/benchjson < bench.out > BENCH_fresh.json
 	@rm -f bench.out

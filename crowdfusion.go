@@ -163,7 +163,9 @@ type (
 	Worker = crowd.Worker
 	// WorkerPool is a set of workers tasks are assigned to.
 	WorkerPool = crowd.Pool
-	// Platform is the gMission-style round-based platform simulator.
+	// Platform is the gMission-style round-based platform simulator. It
+	// answers each round's tasks one after another, each from an RNG
+	// seeded by the platform seed and the task's sequence number.
 	Platform = platform.Platform
 	// PlatformConfig configures the platform simulator.
 	PlatformConfig = platform.Config
@@ -181,7 +183,7 @@ func NewWorkerPool(size int, lo, hi float64, seed int64) (*WorkerPool, error) {
 	return crowd.RandomPool(size, lo, hi, seed)
 }
 
-// NewPlatform starts a simulated crowdsourcing platform.
+// NewPlatform builds a simulated crowdsourcing platform.
 func NewPlatform(cfg PlatformConfig) (*Platform, error) { return platform.New(cfg) }
 
 // EstimateCrowdAccuracy estimates Pc from gold sample tasks, the paper's

@@ -53,8 +53,14 @@ func NewModel(pc float64) (Model, error) {
 
 // Sample returns one crowd judgment of a fact whose ground truth is truth:
 // correct with probability Pc, flipped otherwise.
-func (m Model) Sample(rng *rand.Rand, truth bool) bool {
-	if rng.Float64() < m.Pc {
+func (m Model) Sample(rng *rand.Rand, truth bool) bool { return Judge(rng, truth, m.Pc) }
+
+// Judge draws one judgment of a fact whose ground truth is truth by a worker
+// of accuracy acc: correct with probability acc, flipped otherwise. It uses
+// one rng.Float64. Model, Simulator, Pool and the platform simulator draw
+// every crowd answer with it.
+func Judge(rng *rand.Rand, truth bool, acc float64) bool {
+	if rng.Float64() < acc {
 		return truth
 	}
 	return !truth
@@ -123,12 +129,7 @@ func (s *Simulator) accuracyFor(fact int) float64 {
 func (s *Simulator) Answers(tasks []int) []bool {
 	out := make([]bool, len(tasks))
 	for i, f := range tasks {
-		truth := s.Truth.Has(f)
-		if s.rng.Float64() < s.accuracyFor(f) {
-			out[i] = truth
-		} else {
-			out[i] = !truth
-		}
+		out[i] = Judge(s.rng, s.Truth.Has(f), s.accuracyFor(f))
 		s.askCount++
 	}
 	return out
@@ -138,22 +139,10 @@ func (s *Simulator) Answers(tasks []int) []bool {
 // counter used by the budget experiments).
 func (s *Simulator) Asked() int { return s.askCount }
 
-// Worker is one crowd member with an individual accuracy and optional
-// per-domain accuracies (real workers are reliable only in familiar domains,
-// as the paper's eCampus.com example illustrates).
+// Worker is one crowd member with an individual accuracy.
 type Worker struct {
-	ID        string
-	Accuracy  float64
-	PerDomain map[string]float64
-}
-
-// AccuracyIn returns the worker's accuracy for a domain, falling back to the
-// general accuracy when the worker has no domain-specific figure.
-func (w Worker) AccuracyIn(domain string) float64 {
-	if a, ok := w.PerDomain[domain]; ok {
-		return a
-	}
-	return w.Accuracy
+	ID       string
+	Accuracy float64
 }
 
 // Pool is a set of workers from which task assignments are drawn.
@@ -219,48 +208,50 @@ func (p *Pool) MeanAccuracy() float64 {
 	return sum / float64(len(p.workers))
 }
 
-// MajorityAnswer assigns the task to r distinct randomly drawn workers
-// (r capped at the pool size and rounded up to odd) and returns the majority
-// judgment along with the individual answers.
-func (p *Pool) MajorityAnswer(rng *rand.Rand, fact int, truth bool, r int) (bool, []Answer) {
-	if r < 1 {
-		r = 1
-	}
-	if r > len(p.workers) {
-		r = len(p.workers)
-	}
+// Redundancy returns how many distinct workers a majority vote asked for r
+// answers uses: r clamped to [1, pool size], then an even count rounded
+// down to odd (4 → 3), so the vote never ties.
+func (p *Pool) Redundancy(r int) int {
+	r = max(1, min(r, len(p.workers)))
 	if r%2 == 0 {
 		r--
-		if r < 1 {
-			r = 1
-		}
 	}
+	return r
+}
+
+// MajorityAnswer assigns the task to Redundancy(r) distinct randomly drawn
+// workers and returns the majority judgment along with the individual
+// answers. Each worker answers with their own accuracy, or with acc[0] when
+// it is given: a per-task override such as the hard statements of Section
+// V-D, which leaves the draw of workers unchanged.
+func (p *Pool) MajorityAnswer(rng *rand.Rand, fact int, truth bool, r int, acc ...float64) (bool, []Answer) {
+	r = p.Redundancy(r)
 	perm := rng.Perm(len(p.workers))[:r]
 	answers := make([]Answer, r)
 	votes := 0
 	for i, wi := range perm {
 		w := p.workers[wi]
-		v := truth
-		if rng.Float64() >= w.Accuracy {
-			v = !truth
+		pc := w.Accuracy
+		if len(acc) > 0 {
+			pc = acc[0]
 		}
+		v := Judge(rng, truth, pc)
 		answers[i] = Answer{Fact: fact, Value: v, Worker: w.ID}
 		if v == truth {
 			votes++
 		}
 	}
 	// Majority of r answers; ties impossible since r is odd.
-	correct := votes*2 > r
-	majority := truth
-	if !correct {
-		majority = !truth
+	if votes*2 > r {
+		return truth, answers
 	}
-	return majority, answers
+	return !truth, answers
 }
 
 // MajorityAccuracy returns the analytic accuracy of a majority vote over r
 // independent answers each with accuracy pc: the probability that more than
-// half of r Bernoulli(pc) trials succeed. r is rounded up to odd.
+// half of r Bernoulli(pc) trials succeed. Unlike Pool.Redundancy, it rounds
+// an even r up to odd (2 → 3).
 func MajorityAccuracy(pc float64, r int) float64 {
 	if r < 1 {
 		r = 1

@@ -180,17 +180,6 @@ func TestRandomPool(t *testing.T) {
 	}
 }
 
-func TestWorkerDomainAccuracy(t *testing.T) {
-	w := Worker{ID: "x", Accuracy: 0.9,
-		PerDomain: map[string]float64{"non-textbook": 0.55}}
-	if got := w.AccuracyIn("textbook"); got != 0.9 {
-		t.Errorf("fallback accuracy = %v", got)
-	}
-	if got := w.AccuracyIn("non-textbook"); got != 0.55 {
-		t.Errorf("domain accuracy = %v", got)
-	}
-}
-
 func TestMajorityAnswer(t *testing.T) {
 	p, err := RandomPool(30, 0.8, 0.8, 5)
 	if err != nil {

@@ -2,23 +2,22 @@
 // gMission (Chen et al., VLDB 2014), which the paper uses for its
 // empirical study: tasks are posted in rounds, pushed to a pool of
 // anonymous workers, answered independently — optionally by several workers
-// whose votes are aggregated by majority — and collected asynchronously.
+// whose votes are aggregated by majority — and collected.
 //
-// The simulation is concurrent (each task is answered by its own goroutine,
-// bounded by a configurable parallelism) yet fully deterministic: every
-// posted task derives its own RNG from the platform seed and the task's
-// global sequence number, so results are independent of goroutine
-// scheduling.
+// The simulation is sequential and fully deterministic: every posted task
+// draws its answers from its own RNG, seeded from the platform seed and the
+// task's global sequence number, so a fresh platform given the same calls
+// replays every answer. The draws themselves live in internal/crowd.
 package platform
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
-	"time"
 
 	"crowdfusion/internal/crowd"
 	"crowdfusion/internal/dist"
@@ -36,29 +35,24 @@ type Config struct {
 	// Pool supplies the workers. Required.
 	Pool *crowd.Pool
 	// Redundancy is how many distinct workers answer each task; their
-	// majority vote becomes the task's answer. Rounded up to odd,
-	// capped at the pool size. Default 1.
+	// majority vote becomes the task's answer. New resolves it with
+	// crowd.Pool.Redundancy, so 0 means 1.
 	Redundancy int
 	// Seed drives all randomness.
 	Seed int64
 	// PerTaskAccuracy overrides the workers' accuracy on specific facts
 	// (hard statements per Section V-D). Optional.
 	PerTaskAccuracy map[int]float64
-	// Parallelism bounds concurrent task processing. Default 8.
-	Parallelism int
-	// Latency, when positive, is slept by each simulated worker before
-	// answering, for end-to-end pacing demos. Keep zero in tests.
-	Latency time.Duration
 }
 
-// Platform is a running simulated crowdsourcing platform. It satisfies the
-// engine's AnswerProvider interface. Safe for use from one engine at a
-// time; internal state is mutex-protected.
+// Platform is a simulated crowdsourcing platform. It satisfies the
+// engine's AnswerProvider interface. Its methods may be called from several
+// goroutines: each post runs to completion under the platform's mutex, so
+// tasks take their sequence numbers in call order.
 type Platform struct {
 	cfg    Config
 	mu     sync.Mutex
-	seq    int            // global task sequence number
-	posted int            // tasks posted
+	posted int            // tasks posted; the next task's sequence number
 	log    []crowd.Answer // every individual worker answer
 }
 
@@ -67,59 +61,33 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.Pool == nil || cfg.Pool.Size() == 0 {
 		return nil, errors.New("platform: worker pool required")
 	}
-	if cfg.Redundancy < 1 {
-		cfg.Redundancy = 1
-	}
-	if cfg.Redundancy > cfg.Pool.Size() {
-		cfg.Redundancy = cfg.Pool.Size()
-	}
-	if cfg.Redundancy%2 == 0 {
-		cfg.Redundancy--
-	}
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = 8
-	}
+	cfg.Redundancy = cfg.Pool.Redundancy(cfg.Redundancy)
 	for f, pc := range cfg.PerTaskAccuracy {
-		if pc < 0 || pc > 1 {
+		if pc < 0 || pc > 1 || math.IsNaN(pc) {
 			return nil, fmt.Errorf("platform: per-task accuracy %v for fact %d out of [0,1]", pc, f)
 		}
 	}
 	return &Platform{cfg: cfg}, nil
 }
 
-// Answers posts one round of tasks and blocks until every task has been
-// answered, returning the (majority-aggregated) judgment per task. It
-// implements the CrowdFusion engine's AnswerProvider.
+// Answers posts one round of tasks and returns the (majority-aggregated)
+// judgment per task. It implements the CrowdFusion engine's AnswerProvider.
 func (p *Platform) Answers(tasks []int) []bool {
 	p.mu.Lock()
-	baseSeq := p.seq
-	p.seq += len(tasks)
-	p.posted += len(tasks)
-	p.mu.Unlock()
-
+	defer p.mu.Unlock()
 	out := make([]bool, len(tasks))
-	logs := make([][]crowd.Answer, len(tasks))
-	sem := make(chan struct{}, p.cfg.Parallelism)
-	var wg sync.WaitGroup
+	var rng *rand.Rand
 	for i, fact := range tasks {
-		wg.Add(1)
-		go func(slot, fact, seq int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if p.cfg.Latency > 0 {
-				time.Sleep(p.cfg.Latency)
-			}
-			out[slot], logs[slot] = p.answerOne(fact, seq)
-		}(i, fact, baseSeq+i)
+		rng = p.next(rng)
+		var answers []crowd.Answer
+		truth := p.cfg.Truth.Has(fact)
+		if acc, ok := p.cfg.PerTaskAccuracy[fact]; ok {
+			out[i], answers = p.cfg.Pool.MajorityAnswer(rng, fact, truth, p.cfg.Redundancy, acc)
+		} else {
+			out[i], answers = p.cfg.Pool.MajorityAnswer(rng, fact, truth, p.cfg.Redundancy)
+		}
+		p.log = append(p.log, answers...)
 	}
-	wg.Wait()
-
-	p.mu.Lock()
-	for _, l := range logs {
-		p.log = append(p.log, l...)
-	}
-	p.mu.Unlock()
 	return out
 }
 
@@ -155,7 +123,9 @@ func (a *Attributed) Answers(tasks []int) []bool {
 
 // JudgmentsContext posts one round of tasks, each answered by a single
 // worker drawn deterministically from the pool, and returns the attributed
-// judgments.
+// judgments. A context that is already done posts the tasks — they take
+// their sequence numbers and count as posted — but draws and records no
+// answer, and its error is returned.
 //
 // Unlike Answers, Redundancy does not apply here: the judgments form
 // rejects duplicate tasks within one submission, and aggregating
@@ -165,94 +135,38 @@ func (a *Attributed) Answers(tasks []int) []bool {
 func (a *Attributed) JudgmentsContext(ctx context.Context, tasks []int) ([]service.Judgment, error) {
 	p := a.p
 	p.mu.Lock()
-	baseSeq := p.seq
-	p.seq += len(tasks)
-	p.posted += len(tasks)
-	p.mu.Unlock()
-
-	out := make([]service.Judgment, len(tasks))
-	sem := make(chan struct{}, p.cfg.Parallelism)
-	var wg sync.WaitGroup
-	for i, fact := range tasks {
-		wg.Add(1)
-		go func(slot, fact, seq int) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			defer func() { <-sem }()
-			if p.cfg.Latency > 0 {
-				select {
-				case <-time.After(p.cfg.Latency):
-				case <-ctx.Done():
-					return
-				}
-			}
-			out[slot] = p.judgeOne(fact, seq)
-		}(i, fact, baseSeq+i)
-	}
-	wg.Wait()
+	defer p.mu.Unlock()
 	if err := ctx.Err(); err != nil {
+		p.posted += len(tasks)
 		return nil, err
 	}
-
-	p.mu.Lock()
-	for _, j := range out {
-		p.log = append(p.log, crowd.Answer{Fact: j.Task, Value: j.Answer, Worker: j.Worker})
+	out := make([]service.Judgment, len(tasks))
+	var rng *rand.Rand
+	for i, fact := range tasks {
+		rng = p.next(rng)
+		w := p.cfg.Pool.Draw(rng)
+		acc := w.Accuracy
+		if override, ok := p.cfg.PerTaskAccuracy[fact]; ok {
+			acc = override
+		}
+		v := crowd.Judge(rng, p.cfg.Truth.Has(fact), acc)
+		out[i] = service.Judgment{Task: fact, Answer: v, Worker: w.ID, Source: Source}
+		p.log = append(p.log, crowd.Answer{Fact: fact, Value: v, Worker: w.ID})
 	}
-	p.mu.Unlock()
 	return out, nil
 }
 
-// judgeOne simulates one attributed task: a single worker, chosen by the
-// task's own RNG, answers with their configured accuracy. Like answerOne,
-// the result depends only on the seed and the sequence number.
-func (p *Platform) judgeOne(fact, seq int) service.Judgment {
-	rng := rand.New(rand.NewSource(mix(p.cfg.Seed, int64(seq))))
-	truth := p.cfg.Truth.Has(fact)
-
-	w := p.cfg.Pool.Workers()[rng.Intn(p.cfg.Pool.Size())]
-	acc := w.Accuracy
-	if override, ok := p.cfg.PerTaskAccuracy[fact]; ok {
-		acc = override
+// next posts one task: it takes the task's sequence number and returns an
+// RNG seeded from it and the platform seed alone. A non-nil rng is reseeded
+// and returned, which draws exactly what a new one would. Callers hold p.mu.
+func (p *Platform) next(rng *rand.Rand) *rand.Rand {
+	seed := mix(p.cfg.Seed, int64(p.posted))
+	p.posted++
+	if rng == nil {
+		return rand.New(rand.NewSource(seed))
 	}
-	v := truth
-	if rng.Float64() >= acc {
-		v = !truth
-	}
-	return service.Judgment{Task: fact, Answer: v, Worker: w.ID, Source: Source}
-}
-
-// answerOne simulates one task: Redundancy distinct workers answer, the
-// majority wins. The RNG is derived from the seed and the task's sequence
-// number only, so the result does not depend on scheduling.
-func (p *Platform) answerOne(fact, seq int) (bool, []crowd.Answer) {
-	rng := rand.New(rand.NewSource(mix(p.cfg.Seed, int64(seq))))
-	truth := p.cfg.Truth.Has(fact)
-	override, hasOverride := p.cfg.PerTaskAccuracy[fact]
-
-	workers := p.cfg.Pool.Workers()
-	perm := rng.Perm(len(workers))[:p.cfg.Redundancy]
-	answers := make([]crowd.Answer, 0, p.cfg.Redundancy)
-	votesTrue := 0
-	for _, wi := range perm {
-		w := workers[wi]
-		acc := w.Accuracy
-		if hasOverride {
-			acc = override
-		}
-		v := truth
-		if rng.Float64() >= acc {
-			v = !truth
-		}
-		if v {
-			votesTrue++
-		}
-		answers = append(answers, crowd.Answer{Fact: fact, Value: v, Worker: w.ID})
-	}
-	return votesTrue*2 > p.cfg.Redundancy, answers
+	rng.Seed(seed)
+	return rng
 }
 
 // mix combines the platform seed and a sequence number into an RNG seed

@@ -1,6 +1,8 @@
 package platform
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -24,8 +26,10 @@ func TestNewValidation(t *testing.T) {
 		t.Error("missing pool accepted")
 	}
 	pool := testPool(t, 0.8)
-	if _, err := New(Config{Pool: pool, PerTaskAccuracy: map[int]float64{0: 2}}); err == nil {
-		t.Error("bad per-task accuracy accepted")
+	for _, pc := range []float64{2, math.NaN()} {
+		if _, err := New(Config{Pool: pool, PerTaskAccuracy: map[int]float64{0: pc}}); err == nil {
+			t.Errorf("bad per-task accuracy %v accepted", pc)
+		}
 	}
 	p, err := New(Config{Pool: pool, Redundancy: 4})
 	if err != nil {
@@ -46,7 +50,7 @@ func TestNewValidation(t *testing.T) {
 func TestAnswersDeterministic(t *testing.T) {
 	truth := dist.World(0b1010101)
 	mk := func() *Platform {
-		p, err := New(Config{Truth: truth, Pool: testPool(t, 0.8), Seed: 11, Parallelism: 4})
+		p, err := New(Config{Truth: truth, Pool: testPool(t, 0.8), Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +143,7 @@ func TestPerTaskOverride(t *testing.T) {
 
 func TestConcurrentSafety(t *testing.T) {
 	truth := dist.World(0b11110000)
-	p, err := New(Config{Truth: truth, Pool: testPool(t, 0.9), Seed: 17, Parallelism: 16})
+	p, err := New(Config{Truth: truth, Pool: testPool(t, 0.9), Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,4 +264,47 @@ func TestMixSpreads(t *testing.T) {
 		}
 		seen[v] = true
 	}
+}
+
+// BenchmarkPlatformRound posts one 3-task round to a platform shaped like
+// the load generator's crowd: twelve workers at accuracies evenly spaced
+// over 0.70–0.95, Redundancy 3. Majority answers as fixed sessions ask for
+// them; Attributed judgments as em sessions do.
+func BenchmarkPlatformRound(b *testing.B) {
+	workers := make([]crowd.Worker, 12)
+	for i := range workers {
+		workers[i] = crowd.Worker{
+			ID:       fmt.Sprintf("w%02d", i),
+			Accuracy: 0.7 + 0.25*float64(i)/float64(len(workers)-1),
+		}
+	}
+	pool, err := crowd.NewPool(workers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tasks := []int{1, 4, 7}
+	newPlatform := func(b *testing.B) *Platform {
+		p, err := New(Config{Truth: dist.World(0b10110010), Pool: pool, Redundancy: 3, Seed: 5})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
+	b.Run("Majority", func(b *testing.B) {
+		p := newPlatform(b)
+		b.ReportAllocs()
+		for b.Loop() {
+			p.Answers(tasks)
+		}
+	})
+	b.Run("Attributed", func(b *testing.B) {
+		a := newPlatform(b).Attributed()
+		ctx := context.Background()
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := a.JudgmentsContext(ctx, tasks); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
