@@ -18,6 +18,10 @@
 // state applies to everything — is divided out before gating, so only a
 // benchmark that moved against the pack can fail.
 //
+// Next to each delta the report prints both sides' own spread across
+// their passes (max/min - 1), so a delta can be read against the noise
+// the benchmark showed on each side. The spread is reported, never gated.
+//
 // Benchmarks matching the -allow regex still appear in the report but
 // only ever warn — the escape hatch for entries dominated by scheduler or
 // I/O noise. -lenient-cpu downgrades every failure to a warning when the
@@ -58,15 +62,17 @@ type Report struct {
 
 // Finding is one comparison outcome, ordered worst-first in the report.
 type Finding struct {
-	Name    string
-	Base    float64 // baseline ns/op
-	Cur     float64 // current ns/op, 0 when missing
-	Delta   float64 // (cur-base)/base, +0.25 = 25% slower
-	Adj     float64 // Delta with the run-wide drift divided out; what the gate uses
-	Missing bool    // in the baseline, absent from the current run
-	Fails   bool    // counts against the exit status
-	Allowed bool    // matched the allowlist: warn, never fail
-	Lenient bool    // downgraded by a CPU mismatch
+	Name       string
+	Base       float64 // baseline ns/op
+	Cur        float64 // current ns/op, 0 when missing
+	Delta      float64 // (cur-base)/base, +0.25 = 25% slower
+	Adj        float64 // Delta with the run-wide drift divided out; what the gate uses
+	BaseSpread float64 // baseline's own max/min - 1 across its passes; never gated
+	CurSpread  float64 // the same for the current run
+	Missing    bool    // in the baseline, absent from the current run
+	Fails      bool    // counts against the exit status
+	Allowed    bool    // matched the allowlist: warn, never fail
+	Lenient    bool    // downgraded by a CPU mismatch
 }
 
 // key identifies a benchmark across documents: package-qualified name, so
@@ -78,26 +84,34 @@ func key(r Result) string {
 	return r.Package + "." + r.Name
 }
 
-// minNs collapses a report to the minimum ns/op per benchmark, in first-
+// passes is one benchmark's ns/op range across a document's passes.
+type passes struct{ min, max float64 }
+
+// spread is max/min - 1: how far the slowest pass sat above the fastest.
+func (p passes) spread() float64 { return p.max/p.min - 1 }
+
+// collapse reduces a report to the ns/op range per benchmark, in first-
 // appearance order. The suite is run several times over and the gate
 // compares minima: the minimum is the least noise-contaminated sample a
 // run produced (scheduler preemption and cache pollution only ever slow
 // an iteration down), so min-vs-min is far stabler than any single shot.
-func minNs(r *Report) (order []string, min map[string]float64) {
-	min = make(map[string]float64, len(r.Results))
+// The maximum only feeds the reported spread.
+func collapse(r *Report) (order []string, ns map[string]passes) {
+	ns = make(map[string]passes, len(r.Results))
 	for _, res := range r.Results {
 		if res.NsPerOp <= 0 {
 			continue // nothing to ratchet against
 		}
 		k := key(res)
-		if prev, ok := min[k]; !ok {
+		p, ok := ns[k]
+		if !ok {
 			order = append(order, k)
-			min[k] = res.NsPerOp
-		} else if res.NsPerOp < prev {
-			min[k] = res.NsPerOp
+			p = passes{res.NsPerOp, res.NsPerOp}
 		}
+		p.min, p.max = min(p.min, res.NsPerOp), max(p.max, res.NsPerOp)
+		ns[k] = p
 	}
-	return order, min
+	return order, ns
 }
 
 // driftFloor is the measured-entry count below which drift correction is
@@ -137,18 +151,18 @@ func drift(fs []Finding) (float64, bool) {
 // lenient downgrades every failure to a warning. The returned shift is
 // the drift the gate divided out (0 when too few entries to estimate).
 func compare(baseline, current *Report, threshold float64, allow *regexp.Regexp, lenient bool) (findings []Finding, shift float64) {
-	baseOrder, base := minNs(baseline)
-	_, cur := minNs(current)
+	baseOrder, base := collapse(baseline)
+	_, cur := collapse(current)
 	var out []Finding
 	for _, name := range baseOrder {
-		f := Finding{Name: name, Base: base[name]}
+		f := Finding{Name: name, Base: base[name].min, BaseSpread: base[name].spread()}
 		f.Allowed = allow != nil && allow.MatchString(f.Name)
 		c, ok := cur[name]
 		if !ok {
 			f.Missing = true
 		} else {
-			f.Cur = c
-			f.Delta = (c - f.Base) / f.Base
+			f.Cur, f.CurSpread = c.min, c.spread()
+			f.Delta = (f.Cur - f.Base) / f.Base
 		}
 		out = append(out, f)
 	}
@@ -201,8 +215,8 @@ func render(w io.Writer, findings []Finding, threshold, shift float64, cpuMismat
 			fmt.Fprintf(w, "%-4s %-70s %12.0f ns/op -> MISSING\n", status, f.Name, f.Base)
 			continue
 		}
-		fmt.Fprintf(w, "%-4s %-70s %12.0f ns/op -> %12.0f ns/op  %+6.1f%% (%+6.1f%% adj)\n",
-			status, f.Name, f.Base, f.Cur, 100*f.Delta, 100*f.Adj)
+		fmt.Fprintf(w, "%-4s %-70s %12.0f ns/op -> %12.0f ns/op  %+6.1f%% (%+6.1f%% adj)  spread %5.1f%% -> %5.1f%%\n",
+			status, f.Name, f.Base, f.Cur, 100*f.Delta, 100*f.Adj, 100*f.BaseSpread, 100*f.CurSpread)
 	}
 	return failed
 }

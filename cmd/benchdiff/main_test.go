@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -65,6 +66,16 @@ func TestCompareTakesMinOfRepeats(t *testing.T) {
 	f := findings[0]
 	if f.Base != 1000 || f.Cur != 1050 || f.Fails {
 		t.Fatalf("min-of-repeats not applied: %+v", f)
+	}
+	// Each side's own spread across its passes is max/min - 1, and the
+	// report prints it next to the delta.
+	if math.Abs(f.BaseSpread-0.4) > 1e-12 || math.Abs(f.CurSpread-(1300.0/1050-1)) > 1e-12 {
+		t.Fatalf("spreads %v / %v, want 0.4 / %v", f.BaseSpread, f.CurSpread, 1300.0/1050-1)
+	}
+	var sb strings.Builder
+	render(&sb, findings, 0.10, 0, false)
+	if !strings.Contains(sb.String(), "spread  40.0% ->  23.8%") {
+		t.Fatalf("report lacks the spreads:\n%s", sb.String())
 	}
 	// And a genuine regression of the minimum still fails.
 	cur.Results[1].NsPerOp = 1200

@@ -43,7 +43,7 @@
 // "fenced" + the new holder's address. Cluster mode defaults to
 // -lease 10s; single-node mode defaults to off (one process, one writer).
 // -clock-skew shifts this node's clock (lease arithmetic included) for
-// chaos testing — see scripts/chaos_smoke.sh.
+// chaos testing — see the chaos subtest of smoke_test.go.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: the listener stops
 // accepting, in-flight requests (including merges) drain, live sessions

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -475,12 +476,16 @@ func writeError(w http.ResponseWriter, r *http.Request, err error) {
 	writeJSON(w, status, ErrorResponse{Error: err.Error(), Code: code, RequestID: reqID})
 }
 
-// decodeJSON strictly decodes a request body into v.
+// decodeJSON strictly decodes a request body into v: one JSON value with
+// no unknown fields, followed by nothing but white space.
 func decodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("service: decoding request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("service: decoding request: trailing data after the JSON value")
 	}
 	return nil
 }

@@ -142,16 +142,23 @@ func TestServerErrorStatuses(t *testing.T) {
 	if s := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", bad, &errResp); s != http.StatusBadRequest {
 		t.Fatalf("invalid create status %d", s)
 	}
-	// Unknown fields: 400 (strict decoding at the trust boundary).
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/sessions",
-		strings.NewReader(`{"marginals":[0.5],"pc":0.8,"k":1,"budget":2,"bogus":1}`))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown-field create status %d", resp.StatusCode)
+	// Unknown fields and trailing data: 400 (strict decoding at the trust
+	// boundary). Trailing white space is not data.
+	const valid = `{"marginals":[0.5],"pc":0.8,"k":1,"budget":2}`
+	for body, want := range map[string]int{
+		`{"marginals":[0.5],"pc":0.8,"k":1,"budget":2,"bogus":1}`: http.StatusBadRequest,
+		valid + ` garbage`: http.StatusBadRequest,
+		valid + valid:      http.StatusBadRequest,
+		valid + " \n":      http.StatusCreated,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("create %q: status %d, want %d", body, resp.StatusCode, want)
+		}
 	}
 	// Unknown session: 404 on every per-session route.
 	for _, r := range []struct{ method, path string }{
