@@ -105,7 +105,10 @@ loadgen-test:
 # `go vet ./...` skips), gofmt, staticcheck and tidy, lint enforces a
 # dependency rule: the daemon serves sessions over priors its clients send, so
 # cmd/crowdfusiond must not depend on the offline evaluation stack (the
-# paper's experiments and their synthetic book data).
+# paper's experiments and their synthetic book data). A second rule keeps
+# the worker model in one place: non-test internal/service code must not
+# name crowd.EstimateEM, crowd.EstimateDawidSkene or EMOptions, so sessions
+# fit their workers only through crowd.WorkerModel.
 lint:
 	$(GO) vet ./...
 	$(GO) vet -tags smoke ./cmd/crowdfusiond/
@@ -125,6 +128,12 @@ lint:
 	if [ -n "$$offline" ]; then \
 		echo "cmd/crowdfusiond must not depend on the offline evaluation stack:" >&2; \
 		echo "$$offline" >&2; \
+		exit 1; \
+	fi
+	@direct=$$(grep -nE 'crowd\.(EstimateEM|EstimateDawidSkene)|EMOptions' $$(ls internal/service/*.go | grep -v '_test\.go$$')); \
+	if [ -n "$$direct" ]; then \
+		echo "internal/service must reach the worker-model estimators only through crowd.WorkerModel:" >&2; \
+		echo "$$direct" >&2; \
 		exit 1; \
 	fi
 

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"crowdfusion/internal/crowd"
@@ -214,23 +213,11 @@ func (s WorkerStats) Accuracy() float64 {
 func (p *Platform) Stats() []WorkerStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	byWorker := make(map[string]*WorkerStats)
-	for _, a := range p.log {
-		st, ok := byWorker[a.Worker]
-		if !ok {
-			st = &WorkerStats{Worker: a.Worker}
-			byWorker[a.Worker] = st
-		}
-		st.Answered++
-		if a.Value == p.cfg.Truth.Has(a.Fact) {
-			st.Correct++
-		}
+	tallies := crowd.Tally(p.log, p.cfg.Truth.Has)
+	out := make([]WorkerStats, len(tallies))
+	for i, t := range tallies {
+		out[i] = WorkerStats{Worker: t.Worker, Answered: t.Support, Correct: t.Correct}
 	}
-	out := make([]WorkerStats, 0, len(byWorker))
-	for _, st := range byWorker {
-		out = append(out, *st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Worker < out[j].Worker })
 	return out
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"crowdfusion/internal/core"
+	"crowdfusion/internal/crowd"
 	"crowdfusion/internal/dist"
 	"crowdfusion/internal/store"
 )
@@ -150,16 +151,32 @@ func BenchmarkServiceMerge(b *testing.B) {
 // Three distinct worker channels defeat the uniform-case delegation, so
 // this is the genuinely weighted arithmetic an em/dawid-skene session pays
 // on every post-refit merge, with the entropy and marginals the merge
-// reports read as in BenchmarkServiceMerge.
+// reports read as in BenchmarkServiceMerge. The channels are a
+// Dawid-Skene fit of a 12-fact log on which w1 always answers the truth, w2
+// errs on every fourth fact and w3 on every third.
 func BenchmarkWeightedMerge(b *testing.B) {
 	s := newSession("bench", benchJoint(b), core.NewGreedyPrunePre(),
 		"Approx+Prune+Pre", 0.8, 3, 1<<30, time.Unix(0, 0))
-	s.workerModel = WorkerModelEM
+	s.workers = crowd.NewWorkerModel(WorkerModelDawidSkene, 0.8, 1)
+	var log []crowd.Answer
+	for f := 0; f < 12; f++ {
+		truth := f%2 == 0
+		log = append(log,
+			crowd.Answer{Fact: f, Value: truth, Worker: "w1"},
+			crowd.Answer{Fact: f, Value: truth != (f%4 == 1), Worker: "w2"},
+			crowd.Answer{Fact: f, Value: truth != (f%3 == 0), Worker: "w3"})
+	}
+	if !s.workers.Fit(log) {
+		b.Fatal("worker model fit failed")
+	}
 	s.refits = 1
-	s.estimates = map[string]workerEstimate{
-		"w1": {sens: 0.91, spec: 0.89},
-		"w2": {sens: 0.78, spec: 0.81},
-		"w3": {sens: 0.64, spec: 0.58},
+	channels := make(map[[2]float64]bool)
+	for _, w := range []string{"w1", "w2", "w3"} {
+		sens, spec, _ := s.workers.Channel(w)
+		channels[[2]float64{sens, spec}] = true
+	}
+	if len(channels) != 3 {
+		b.Fatalf("%d distinct channels, want 3", len(channels))
 	}
 	tasks := []int{0, 2, 4, 6, 8, 10}
 	answers := []bool{true, false, true, true, false, true}

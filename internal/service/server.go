@@ -305,7 +305,9 @@ func (w *statusWriter) Flush() {
 // observe is the per-request observability middleware: it continues the
 // caller's W3C trace (or starts a fresh one), stamps X-Request-Id and
 // traceparent on the response before the handler runs, and emits one
-// structured access-log line per request. The request ID is this hop's
+// structured access-log line per request: at INFO, except a successful
+// GET /healthz, which every peer sends every heartbeat and which logs at
+// DEBUG so it cannot bury the request lines. The request ID is this hop's
 // root span ID — short enough for support tickets, and it joins the
 // access log, the error envelope, and /debug/traces on one key.
 func (s *Server) observe(next http.Handler) http.Handler {
@@ -333,7 +335,11 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		}
 		sp.SetAttr("status", sw.status)
 		sp.End()
-		s.mgr.cfg.Logger.Info("http request",
+		level := slog.LevelInfo
+		if r.Method == http.MethodGet && r.URL.Path == "/healthz" && sw.status < 300 {
+			level = slog.LevelDebug
+		}
+		s.mgr.cfg.Logger.Log(ctx, level, "http request",
 			"method", r.Method,
 			"path", r.URL.Path,
 			"status", sw.status,

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -239,6 +240,32 @@ func TestServerHealthzAndMetrics(t *testing.T) {
 	}
 	if svc.Metrics().SelectsServed.Load() != 2 {
 		t.Fatalf("selects served counter %d", svc.Metrics().SelectsServed.Load())
+	}
+}
+
+// TestServerAccessLogSkipsHealthz: at INFO the access log carries the
+// request lines and not the liveness probes peers send every heartbeat.
+func TestServerAccessLogSkipsHealthz(t *testing.T) {
+	logBuf := &lockedBuffer{}
+	_, ts := newTestServer(t, Config{Logger: slog.New(slog.NewTextHandler(logBuf, &slog.HandlerOptions{Level: slog.LevelInfo}))})
+	for i := 0; i < 3; i++ {
+		if s := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil, &struct{}{}); s != http.StatusOK {
+			t.Fatalf("healthz status %d", s)
+		}
+	}
+	if s := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", testCreateReq(), &struct{}{}); s != http.StatusCreated {
+		t.Fatalf("create status %d", s)
+	}
+	// The middleware logs after the response is written: wait for the line.
+	var logs string
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(logs, "path=/v1/sessions "); logs = logBuf.String() {
+		if time.Now().After(deadline) {
+			t.Fatalf("no access-log line for POST /v1/sessions in:\n%s", logs)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if strings.Contains(logs, "path=/healthz") {
+		t.Errorf("access log at INFO carries GET /healthz:\n%s", logs)
 	}
 }
 

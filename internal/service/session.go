@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"iter"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -102,20 +101,17 @@ type Session struct {
 
 	// journal is every op the session applied, in order, less the
 	// partial and done ops a later merge superseded (store.Extend): the
-	// session's durable history, and the observation log the worker models
-	// are estimated from.
+	// session's durable history, and the observation log the worker model
+	// is fitted to.
 	journal []store.Op
 
-	// Worker model state. workerModel names how crowd accuracy enters
-	// merging (fixed / em / dawid-skene); anonWorker is the identity that
+	// workers is the worker model: how crowd accuracy enters merging
+	// (fixed / em / dawid-skene) and each worker's channel from the last
+	// refit; refits counts those refits. anonWorker is the identity that
 	// unattributed (legacy-form) judgments are recorded under.
-	workerModel string
-	anonWorker  string
-
-	// estimates holds each worker's channel from the last refit. Nil
-	// before the first refit (and always, under the fixed model).
-	estimates map[string]workerEstimate
-	refits    int
+	workers    crowd.WorkerModel
+	refits     int
+	anonWorker string
 
 	// metrics receives refit latency and the weighted-merge count, updated
 	// while holding mu.
@@ -186,33 +182,24 @@ type Session struct {
 // the parameters and constructed the prior.
 func newSession(id string, prior *dist.Joint, selector core.Selector, selName string, pc float64, k, budget int, now time.Time) *Session {
 	return &Session{
-		id:          id,
-		selector:    selector,
-		selName:     selName,
-		pc:          pc,
-		k:           k,
-		budget:      budget,
-		posterior:   prior,
-		workerModel: WorkerModelFixed,
-		anonWorker:  DefaultAnonWorker,
-		lastAccess:  now,
-		created:     now,
-		metrics:     &Metrics{}, // the manager's counters replace it on attach
+		id:         id,
+		selector:   selector,
+		selName:    selName,
+		pc:         pc,
+		k:          k,
+		budget:     budget,
+		posterior:  prior,
+		workers:    crowd.NewWorkerModel(WorkerModelFixed, pc, 0),
+		anonWorker: DefaultAnonWorker,
+		lastAccess: now,
+		created:    now,
+		metrics:    &Metrics{}, // the manager's counters replace it on attach
 	}
 }
 
 // DefaultAnonWorker is the worker identity unattributed judgments are
 // recorded under when no -anon-worker override is configured.
 const DefaultAnonWorker = "anon"
-
-// workerPriorStrength is the pseudo-count of the Beta prior anchoring
-// every worker's accuracy estimate at the session's configured pc. Four
-// pseudo-observations mean a fresh worker starts exactly at pc and a
-// worker with n judgments sits at (4·pc + n·estimate)/(4 + n) — strong
-// enough that a handful of lucky agreements cannot catapult anyone to
-// 0.99, weak enough that a planted adversary's estimate crosses below an
-// honest worker's within a couple of rounds.
-const workerPriorStrength = 4.0
 
 // ID returns the session identifier.
 func (s *Session) ID() string { return s.id }
@@ -253,7 +240,7 @@ func (s *Session) infoLocked(withRounds bool) SessionInfo {
 		K:           s.k,
 		Pc:          s.pc,
 		Selector:    s.selName,
-		WorkerModel: s.workerModel,
+		WorkerModel: s.workers.Name(),
 		Done:        s.done || s.spent >= s.budget,
 	}
 	if s.pendBatch != nil {
@@ -521,7 +508,7 @@ func (s *Session) Merge(ctx context.Context, now time.Time, req *AnswersRequest)
 	// legacy-form one on a fixed session: that one journals no observation,
 	// so the session's log is byte-identical to one written before worker
 	// models existed.
-	if attributed || s.workerModel != WorkerModelFixed {
+	if attributed || s.workers.Name() != WorkerModelFixed {
 		for i := range js {
 			if js[i].Worker == "" {
 				js[i].Worker = s.anonWorker
@@ -774,17 +761,16 @@ func observationsSince(ops []store.Op, v int) iter.Seq2[int, Judgment] {
 	}
 }
 
-// observations yields every observation journaled in ops, in journal order.
-func observations(ops []store.Op) iter.Seq[Judgment] {
-	return func(yield func(Judgment) bool) {
-		for _, op := range ops {
-			for i := 0; i < len(op.Tasks) && op.Kind == store.OpObserve; i++ {
-				if !yield(Judgment{Task: op.Tasks[i], Answer: op.Answers[i], Worker: op.Workers[i]}) {
-					return
-				}
-			}
+// journalAnswers returns every observation journaled in ops, in journal
+// order, as the answers the worker model is fitted to and tallies.
+func journalAnswers(ops []store.Op) []crowd.Answer {
+	var answers []crowd.Answer
+	for _, op := range ops {
+		for i := 0; i < len(op.Tasks) && op.Kind == store.OpObserve; i++ {
+			answers = append(answers, crowd.Answer{Fact: op.Tasks[i], Value: op.Answers[i], Worker: op.Workers[i]})
 		}
 	}
+	return answers
 }
 
 // attributionLocked derives the worker attribution of a judgment set at
@@ -813,17 +799,6 @@ func (s *Session) attributionLocked(v int, tasks []int, answers []bool, extra []
 	return workers
 }
 
-// workerChannelLocked returns the smoothed (sensitivity, specificity)
-// channel for a worker, falling back to the session's scalar pc for
-// workers the last refit did not cover (including everyone, before the
-// first refit).
-func (s *Session) workerChannelLocked(w string) (sens, spec float64) {
-	if e, ok := s.estimates[w]; ok {
-		return e.sens, e.spec
-	}
-	return s.pc, s.pc
-}
-
 // channelsLocked returns the channel each judgment of tasks is conditioned
 // on, parallel to tasks; both nil on a fixed session, which conditions on
 // the scalar pc. A judgment whose channel the journal records — on op, or,
@@ -836,7 +811,7 @@ func (s *Session) workerChannelLocked(w string) (sens, spec float64) {
 // the scalar one inside dist, so a fresh em session is bit-identical to a
 // fixed one until evidence arrives.
 func (s *Session) channelsLocked(op store.Op, tasks []int, workers []string) (sens, spec []float64) {
-	if s.workerModel == WorkerModelFixed {
+	if s.workers.Name() == WorkerModelFixed {
 		return nil, nil
 	}
 	weighted := s.refits > 0 && workers != nil
@@ -849,7 +824,7 @@ func (s *Session) channelsLocked(op store.Op, tasks []int, workers []string) (se
 		case ok:
 			sens[i], spec[i] = sn, sp
 		case weighted:
-			sens[i], spec[i] = s.workerChannelLocked(workers[i])
+			sens[i], spec[i], _ = s.workers.Channel(workers[i])
 		default:
 			sens[i], spec[i] = s.pc, s.pc
 		}
@@ -887,77 +862,20 @@ func (s *Session) conditionLocked(tasks []int, answers []bool, sens, spec []floa
 	return core.MergeAnswersWeighted(s.posterior, tasks, answers, sens, spec)
 }
 
-// refitLocked re-estimates every worker's accuracy from the accumulated
-// observation log (fitWorkersLocked); callers hold mu and have just
-// committed a merge. An estimator failure keeps the previous estimates —
-// the merge that triggered the refit is already committed and must not be
+// refitLocked refits the worker model to the accumulated observation log;
+// callers hold mu and have just committed a merge. A fixed session, an
+// empty log or an estimator failure keeps the previous channels — the
+// merge that triggered the refit is already committed and must not be
 // unwound.
 func (s *Session) refitLocked(ctx context.Context) {
 	start := time.Now()
-	if !s.fitWorkersLocked(s.journal) {
+	if s.workers.Name() == WorkerModelFixed || !s.workers.Fit(journalAnswers(s.journal)) {
 		return
 	}
 	s.refits++
 	s.metrics.WorkerRefits.Add(1)
 	s.metrics.RefitDuration.observe(time.Since(start))
 	s.emitLocked(ctx, EventRefit, func(ev *SessionEvent) { ev.Refits = s.refits })
-}
-
-// fitWorkersLocked estimates every worker's channel from the observations
-// journaled in ops and reports whether it did: a fixed session, an empty
-// log or an estimator failure leaves the estimates as they were. The raw
-// estimates (symmetric EM or Dawid–Skene, seeded from the session seed so
-// recovery replays the identical arithmetic) are shrunk toward the
-// configured pc by a Beta prior of strength workerPriorStrength.
-func (s *Session) fitWorkersLocked(ops []store.Op) bool {
-	if s.workerModel != WorkerModelEM && s.workerModel != WorkerModelDawidSkene {
-		return false
-	}
-	var answers []crowd.Answer
-	support := make(map[string]int)
-	for o := range observations(ops) {
-		answers = append(answers, crowd.Answer{Fact: o.Task, Value: o.Answer, Worker: o.Worker})
-		support[o.Worker]++
-	}
-	if len(answers) == 0 {
-		return false
-	}
-	var rawSens, rawSpec map[string]float64
-	opts := crowd.EMOptions{Seed: s.seed}
-	switch s.workerModel {
-	case WorkerModelEM:
-		est, err := crowd.EstimateEM(answers, opts)
-		if err != nil {
-			return false
-		}
-		rawSens, rawSpec = est.WorkerAccuracy, est.WorkerAccuracy
-	case WorkerModelDawidSkene:
-		est, err := crowd.EstimateDawidSkene(answers, opts)
-		if err != nil {
-			return false
-		}
-		rawSens, rawSpec = est.Sensitivity, est.Specificity
-	}
-	s.estimates = make(map[string]workerEstimate, len(rawSens))
-	for w, sn := range rawSens {
-		n := float64(support[w])
-		sp := rawSpec[w]
-		s.estimates[w] = workerEstimate{
-			sens: (workerPriorStrength*s.pc + n*sn) / (workerPriorStrength + n),
-			spec: (workerPriorStrength*s.pc + n*sp) / (workerPriorStrength + n),
-			raw:  (sn + sp) / 2,
-		}
-	}
-	return true
-}
-
-// workerEstimate is one worker's channel from the last refit. sens and
-// spec are the raw estimator output shrunk toward the configured pc by a
-// Beta prior of strength workerPriorStrength, so a worker with no evidence
-// sits exactly at pc; raw keeps the unsmoothed balanced accuracy for
-// reporting.
-type workerEstimate struct {
-	sens, spec, raw float64
 }
 
 // transition is one op's effect, computed by stepLocked and committed by
@@ -988,7 +906,7 @@ func (s *Session) stepLocked(op store.Op, extra []store.Op) (transition, error) 
 	}
 	if len(op.Sens) > 0 || len(op.Spec) > 0 {
 		switch {
-		case s.workerModel == WorkerModelFixed:
+		case s.workers.Name() == WorkerModelFixed:
 			return t, fmt.Errorf("service: %s op on a fixed session carries channels", op.Kind)
 		case op.Kind != store.OpMerge && op.Kind != store.OpPartial:
 			return t, fmt.Errorf("service: %s op carries channels", op.Kind)
@@ -1199,69 +1117,50 @@ func (s *Session) Calibration(now time.Time, nBins int) (*CalibrationResponse, e
 		return nil, errSessionRetired
 	}
 	s.touch(now)
-	marginals, gold := s.pseudoGoldLocked()
-	observed := 0
-	for range observations(s.journal) {
-		observed++
-	}
+	marginals := s.posterior.Marginals()
+	gold := quality.Labels(marginals)
 	cal, err := quality.Calibrate(marginals, gold, nBins)
 	if err != nil {
 		return nil, fmt.Errorf("service: calibration: %w", err)
 	}
+	workers, observed := s.workerInfosLocked(gold), 0
+	for _, w := range workers {
+		observed += w.Support
+	}
 	return &CalibrationResponse{
 		ID:           s.id,
 		Version:      s.version,
-		WorkerModel:  s.workerModel,
+		WorkerModel:  s.workers.Name(),
 		Refits:       s.refits,
 		Observations: observed,
 		Calibration:  *cal,
-		Workers:      s.workerInfosLocked(gold),
+		Workers:      workers,
 	}, nil
 }
 
 // workerInfosLocked builds the per-worker view: support and consensus
-// agreement from the observation log, the smoothed channel estimate the
-// next weighted merge will use, and a Wilson interval on the agreement
-// rate. gold is the pseudo-gold labeling from the committed posterior;
-// callers hold mu.
+// agreement from the observation log, the smoothed channel the next
+// weighted merge will use, and a Wilson interval on the agreement rate.
+// gold is the pseudo-gold labeling, each task's MAP label under the
+// committed posterior (quality.Labels): it covers every task, and stepLocked
+// admits no observe op outside them. Callers hold mu.
 func (s *Session) workerInfosLocked(gold []bool) []WorkerInfo {
-	type tally struct{ support, correct, trues int }
-	tallies := make(map[string]*tally)
-	for o := range observations(s.journal) {
-		t := tallies[o.Worker]
-		if t == nil {
-			t = &tally{}
-			tallies[o.Worker] = t
-		}
-		t.support++
-		if o.Answer {
-			t.trues++
-		}
-		if o.Task >= 0 && o.Task < len(gold) && o.Answer == gold[o.Task] {
-			t.correct++
-		}
-	}
-	infos := make([]WorkerInfo, 0, len(tallies))
-	for w, t := range tallies {
-		sens, spec := s.workerChannelLocked(w)
-		info := WorkerInfo{
-			Worker:   w,
+	tallies := crowd.Tally(journalAnswers(s.journal), func(task int) bool { return gold[task] })
+	infos := make([]WorkerInfo, len(tallies))
+	for i, t := range tallies {
+		sens, spec, raw := s.workers.Channel(t.Worker)
+		lo, hi := crowd.WilsonInterval(t.Correct, t.Support)
+		infos[i] = WorkerInfo{
+			Worker:   t.Worker,
 			Accuracy: (sens + spec) / 2,
-			Raw:      s.pc,
-			Bias:     0.5,
-			Support:  t.support,
-			Correct:  t.correct,
+			Raw:      raw,
+			Bias:     float64(t.Trues) / float64(t.Support),
+			Support:  t.Support,
+			Correct:  t.Correct,
+			WilsonLo: lo,
+			WilsonHi: hi,
 		}
-		if e, ok := s.estimates[w]; ok {
-			info.Raw = e.raw
-		}
-		if t.support > 0 {
-			info.Bias = float64(t.trues) / float64(t.support)
-		}
-		info.WilsonLo, info.WilsonHi = crowd.WilsonInterval(t.correct, t.support)
-		infos = append(infos, info)
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Worker < infos[j].Worker })
 	return infos
 }
 
@@ -1271,16 +1170,7 @@ func (s *Session) workerInfosLocked(gold []bool) []WorkerInfo {
 func (s *Session) WorkerStats() []WorkerInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, gold := s.pseudoGoldLocked()
-	return s.workerInfosLocked(gold)
-}
-
-// pseudoGoldLocked returns the committed posterior's marginals and the
-// pseudo-gold labeling they induce: each fact's MAP label, true when its
-// marginal is at least 0.5. Callers hold mu.
-func (s *Session) pseudoGoldLocked() ([]float64, []bool) {
-	marginals := s.posterior.Marginals()
-	return marginals, quality.Labels(marginals)
+	return s.workerInfosLocked(quality.Labels(s.posterior.Marginals()))
 }
 
 // record snapshots the session's full durable state: creation parameters
@@ -1309,11 +1199,11 @@ func (s *Session) recordLocked() *store.Record {
 		Ops:        slices.Clone(s.journal),
 		LeaseEpoch: s.leaseEpoch,
 	}
-	if s.workerModel != WorkerModelFixed {
+	if s.workers.Name() != WorkerModelFixed {
 		// Recorded only when it carries information: a fixed session's
 		// record stays byte-identical to one written before worker models
 		// existed.
-		rec.WorkerModel = s.workerModel
+		rec.WorkerModel = s.workers.Name()
 	}
 	return rec
 }
@@ -1411,7 +1301,7 @@ func replayRecord(rec *store.Record, anonWorker string, now time.Time, history b
 	s.seed = rec.Seed
 	s.created = rec.Created
 	if rec.WorkerModel != "" {
-		s.workerModel = rec.WorkerModel
+		s.workers = crowd.NewWorkerModel(rec.WorkerModel, rec.Pc, rec.Seed)
 	}
 	s.anonWorker = anonWorker
 	s.historyDeferred = !history && slices.ContainsFunc(rec.Ops, func(op store.Op) bool { return op.Kind == store.OpMerge })
@@ -1423,7 +1313,7 @@ func replayRecord(rec *store.Record, anonWorker string, now time.Time, history b
 	// after an observation was such a refit. A journal with a conditioning
 	// op that records none — written before channels were, or extended by a
 	// binary that ignores them — refits after every merge, as live did.
-	perMerge := s.workerModel != WorkerModelFixed && slices.ContainsFunc(rec.Ops, func(op store.Op) bool {
+	perMerge := s.workers.Name() != WorkerModelFixed && slices.ContainsFunc(rec.Ops, func(op store.Op) bool {
 		return (op.Kind == store.OpMerge || op.Kind == store.OpPartial) && len(op.Sens) == 0
 	})
 	observed, fitted := false, 0
@@ -1439,7 +1329,7 @@ func replayRecord(rec *store.Record, anonWorker string, now time.Time, history b
 		case op.Kind != store.OpMerge:
 		case perMerge:
 			s.refitLocked(context.Background())
-		case observed && s.workerModel != WorkerModelFixed:
+		case observed && s.workers.Name() != WorkerModelFixed:
 			s.refits++
 			fitted = len(s.journal)
 		}
@@ -1448,7 +1338,7 @@ func replayRecord(rec *store.Record, anonWorker string, now time.Time, history b
 	// read no worker estimate, so it skips the final fit. The per-merge
 	// refits stay: those merges condition on them.
 	if fitted > 0 && !history {
-		s.fitWorkersLocked(s.journal[:fitted])
+		s.workers.Fit(journalAnswers(s.journal[:fitted]))
 	}
 	return s, nil
 }

@@ -46,20 +46,17 @@ import (
 	"time"
 
 	"crowdfusion/internal/core"
+	"crowdfusion/internal/crowd"
 	"crowdfusion/internal/dist"
 	"crowdfusion/internal/quality"
 )
 
-// Worker-model names accepted by CreateSessionRequest.WorkerModel. The
-// model decides how crowd accuracy enters the merge: fixed uses the
-// configured scalar pc for every judgment (the paper's Definition 2
-// channel); em and dawid-skene estimate per-worker accuracy online from
-// attributed judgments and condition each judgment on its worker's
-// current estimate instead.
+// Worker-model names accepted by CreateSessionRequest.WorkerModel: those of
+// crowd.WorkerModel, which decides how crowd accuracy enters the merge.
 const (
-	WorkerModelFixed      = "fixed"
-	WorkerModelEM         = "em"
-	WorkerModelDawidSkene = "dawid-skene"
+	WorkerModelFixed      = crowd.WorkerModelFixed
+	WorkerModelEM         = crowd.WorkerModelEM
+	WorkerModelDawidSkene = crowd.WorkerModelDawidSkene
 )
 
 // Typed judgment-validation failures, surfaced as machine-readable
@@ -629,6 +626,6 @@ type WorkerFleetInfo struct {
 // each node's response.
 type WorkersResponse struct {
 	Workers []WorkerFleetInfo `json:"workers"`
-	// Sessions counts the resident sessions scanned.
+	// Sessions counts the resident sessions with at least one worker row.
 	Sessions int `json:"sessions"`
 }

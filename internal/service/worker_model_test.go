@@ -351,8 +351,8 @@ func TestCrashRecoveryWeightedBitIdentical(t *testing.T) {
 	}
 	em.mu.Lock()
 	uniform := true
-	sn1, sp1 := em.workerChannelLocked("w1")
-	sn3, sp3 := em.workerChannelLocked("w3")
+	sn1, sp1, _ := em.workers.Channel("w1")
+	sn3, sp3, _ := em.workers.Channel("w3")
 	if sn1 != sn3 || sp1 != sp3 {
 		uniform = false
 	}
