@@ -1,7 +1,7 @@
 // Command benchdiff compares two benchjson documents — a committed
 // baseline and a fresh run — and fails (exit 1) when any benchmark's
-// ns/op regressed beyond the threshold, or when a baseline benchmark
-// vanished from the fresh run. This is the perf ratchet: CI runs
+// ns/op or B/op regressed beyond the threshold, or when a baseline
+// benchmark vanished from the fresh run. This is the perf ratchet: CI runs
 // `make bench-diff`, so a change that slows the selection kernel or the
 // serving path past the noise floor cannot land silently.
 //
@@ -24,10 +24,18 @@
 //
 // Benchmarks matching the -allow regex still appear in the report but
 // only ever warn — the escape hatch for entries dominated by scheduler or
-// I/O noise. -lenient-cpu downgrades every failure to a warning when the
-// two documents were measured on different CPU models: a committed
-// baseline crosses machines, and cross-machine ns/op is trend data, not a
-// gate.
+// I/O noise. -lenient-cpu downgrades every ns/op failure to a warning
+// when the two documents were measured on different CPU models: a
+// committed baseline crosses machines, and cross-machine ns/op is trend
+// data, not a gate.
+//
+// B/op is gated too, on its minimum across passes, with no drift
+// correction and no CPU leniency: how much a benchmark allocates does
+// not depend on the machine's state or CPU model, so across passes it
+// holds within a few percent where ns/op does not. A growth of fewer
+// than bytesSlack bytes per op never fails, so a benchmark that
+// allocates next to nothing cannot fail on a pool refilled after a GC. Allowlisted benchmarks only
+// warn, as for ns/op.
 package main
 
 import (
@@ -69,10 +77,13 @@ type Finding struct {
 	Adj        float64 // Delta with the run-wide drift divided out; what the gate uses
 	BaseSpread float64 // baseline's own max/min - 1 across its passes; never gated
 	CurSpread  float64 // the same for the current run
+	BaseBytes  float64 // baseline's least B/op across its passes
+	CurBytes   float64 // the same for the current run
+	BytesGrew  bool    // B/op grew past the threshold and bytesSlack
 	Missing    bool    // in the baseline, absent from the current run
 	Fails      bool    // counts against the exit status
 	Allowed    bool    // matched the allowlist: warn, never fail
-	Lenient    bool    // downgraded by a CPU mismatch
+	Lenient    bool    // an ns/op failure downgraded by a CPU mismatch
 }
 
 // key identifies a benchmark across documents: package-qualified name, so
@@ -84,8 +95,9 @@ func key(r Result) string {
 	return r.Package + "." + r.Name
 }
 
-// passes is one benchmark's ns/op range across a document's passes.
-type passes struct{ min, max float64 }
+// passes is one benchmark's ns/op range and least B/op across a
+// document's passes.
+type passes struct{ min, max, bytes float64 }
 
 // spread is max/min - 1: how far the slowest pass sat above the fastest.
 func (p passes) spread() float64 { return p.max/p.min - 1 }
@@ -95,7 +107,8 @@ func (p passes) spread() float64 { return p.max/p.min - 1 }
 // compares minima: the minimum is the least noise-contaminated sample a
 // run produced (scheduler preemption and cache pollution only ever slow
 // an iteration down), so min-vs-min is far stabler than any single shot.
-// The maximum only feeds the reported spread.
+// The maximum only feeds the reported spread. B/op is reduced to its
+// minimum the same way.
 func collapse(r *Report) (order []string, ns map[string]passes) {
 	ns = make(map[string]passes, len(r.Results))
 	for _, res := range r.Results {
@@ -106,12 +119,26 @@ func collapse(r *Report) (order []string, ns map[string]passes) {
 		p, ok := ns[k]
 		if !ok {
 			order = append(order, k)
-			p = passes{res.NsPerOp, res.NsPerOp}
+			p = passes{res.NsPerOp, res.NsPerOp, res.BytesPerOp}
 		}
 		p.min, p.max = min(p.min, res.NsPerOp), max(p.max, res.NsPerOp)
+		p.bytes = min(p.bytes, res.BytesPerOp)
 		ns[k] = p
 	}
 	return order, ns
+}
+
+// bytesSlack is the B/op growth below which the allocation gate never
+// fails, whatever the relative growth. A pooled scratch refilled after a
+// GC is amortized over a pass's iterations, which moves a small figure
+// by up to about 100 B between passes (BenchmarkServiceSelect read 448 to
+// 525 B/op over three).
+const bytesSlack = 256
+
+// bytesGrew reports whether B/op grew from base to cur by more than the
+// threshold and by at least bytesSlack.
+func bytesGrew(base, cur, threshold float64) bool {
+	return cur-base >= bytesSlack && cur > base*(1+threshold)
 }
 
 // driftFloor is the measured-entry count below which drift correction is
@@ -147,9 +174,10 @@ func drift(fs []Finding) (float64, bool) {
 }
 
 // compare diffs current against baseline, minimum ns/op per benchmark on
-// both sides, drift-corrected. allow may be nil (empty allowlist);
-// lenient downgrades every failure to a warning. The returned shift is
-// the drift the gate divided out (0 when too few entries to estimate).
+// both sides, drift-corrected, and minimum B/op, as measured. allow may
+// be nil (empty allowlist); lenient downgrades every ns/op failure to a
+// warning, but no B/op failure. The returned shift is the drift the gate
+// divided out (0 when too few entries to estimate).
 func compare(baseline, current *Report, threshold float64, allow *regexp.Regexp, lenient bool) (findings []Finding, shift float64) {
 	baseOrder, base := collapse(baseline)
 	_, cur := collapse(current)
@@ -163,6 +191,8 @@ func compare(baseline, current *Report, threshold float64, allow *regexp.Regexp,
 		} else {
 			f.Cur, f.CurSpread = c.min, c.spread()
 			f.Delta = (f.Cur - f.Base) / f.Base
+			f.BaseBytes, f.CurBytes = base[name].bytes, c.bytes
+			f.BytesGrew = bytesGrew(f.BaseBytes, f.CurBytes, threshold)
 		}
 		out = append(out, f)
 	}
@@ -178,6 +208,9 @@ func compare(baseline, current *Report, threshold float64, allow *regexp.Regexp,
 		if f.Fails && lenient {
 			f.Fails = false
 			f.Lenient = true
+		}
+		if f.BytesGrew && !f.Allowed {
+			f.Fails = true
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -208,15 +241,20 @@ func render(w io.Writer, findings []Finding, threshold, shift float64, cpuMismat
 		case f.Fails:
 			status = "FAIL"
 			failed = true
-		case f.Missing, f.Adj > threshold:
+		case f.Missing, f.Adj > threshold, f.BytesGrew:
 			status = "warn"
 		}
 		if f.Missing {
 			fmt.Fprintf(w, "%-4s %-70s %12.0f ns/op -> MISSING\n", status, f.Name, f.Base)
 			continue
 		}
-		fmt.Fprintf(w, "%-4s %-70s %12.0f ns/op -> %12.0f ns/op  %+6.1f%% (%+6.1f%% adj)  spread %5.1f%% -> %5.1f%%\n",
-			status, f.Name, f.Base, f.Cur, 100*f.Delta, 100*f.Adj, 100*f.BaseSpread, 100*f.CurSpread)
+		grew := ""
+		if f.BytesGrew {
+			grew = "  B/op grew"
+		}
+		fmt.Fprintf(w, "%-4s %-70s %12.0f ns/op -> %12.0f ns/op  %+6.1f%% (%+6.1f%% adj)  spread %5.1f%% -> %5.1f%%  %10.0f B/op -> %10.0f B/op%s\n",
+			status, f.Name, f.Base, f.Cur, 100*f.Delta, 100*f.Adj, 100*f.BaseSpread, 100*f.CurSpread,
+			f.BaseBytes, f.CurBytes, grew)
 	}
 	return failed
 }
@@ -238,9 +276,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	baselinePath := fs.String("baseline", "BENCH_selection.json", "committed baseline benchjson document")
 	currentPath := fs.String("current", "BENCH_fresh.json", "fresh benchjson document to gate")
-	threshold := fs.Float64("threshold", 0.10, "relative ns/op regression that fails the gate")
+	threshold := fs.Float64("threshold", 0.10, "relative ns/op or B/op regression that fails the gate")
 	allowExpr := fs.String("allow", "", "regex of benchmark names that warn instead of failing")
-	lenientCPU := fs.Bool("lenient-cpu", false, "downgrade failures to warnings when the CPU models differ")
+	lenientCPU := fs.Bool("lenient-cpu", false, "downgrade ns/op failures to warnings when the CPU models differ")
 	outPath := fs.String("out", "", "also write the report to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -277,7 +315,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if failed {
-		fmt.Fprintf(stderr, "benchdiff: ns/op regression beyond %.0f%% (see report)\n", *threshold*100)
+		fmt.Fprintf(stderr, "benchdiff: ns/op or B/op regression beyond %.0f%% (see report)\n", *threshold*100)
 		return 1
 	}
 	return 0

@@ -148,6 +148,55 @@ func TestCompareLenientCPUDowngrades(t *testing.T) {
 	}
 }
 
+// TestCompareGatesBytes: B/op is gated on its minimum across passes,
+// with no drift correction: a planted 32 KiB allocation fails even
+// across CPU models (-lenient-cpu downgrades only ns/op), a shrink or a
+// growth within the threshold passes, a growth under bytesSlack passes
+// whatever its ratio, and an allowlisted growth only warns.
+func TestCompareGatesBytes(t *testing.T) {
+	b := func(name string, ns, bytes float64) Result {
+		return Result{Name: name, Package: "p", NsPerOp: ns, BytesPerOp: bytes}
+	}
+	base := report("cpuA",
+		b("BenchmarkPlanted", 1000, 2255), b("BenchmarkPlanted", 1100, 2300),
+		b("BenchmarkShrunk", 1000, 41072),
+		b("BenchmarkWithin", 1000, 10000),
+		b("BenchmarkTiny", 1000, 0),
+		b("BenchmarkAllowed", 1000, 100),
+	)
+	cur := report("cpuB",
+		b("BenchmarkPlanted", 1000, 2255+32768), b("BenchmarkPlanted", 1000, 2255+32800),
+		b("BenchmarkShrunk", 1000, 33056),
+		b("BenchmarkWithin", 1000, 10900),
+		b("BenchmarkTiny", 1000, 7),
+		b("BenchmarkAllowed", 1000, 50000),
+	)
+	findings, _ := compare(base, cur, 0.10, regexp.MustCompile("Allowed"), true)
+	byName := map[string]Finding{}
+	for _, f := range findings {
+		byName[f.Name] = f
+	}
+	planted := byName["p.BenchmarkPlanted"]
+	if !planted.Fails || !planted.BytesGrew || planted.BaseBytes != 2255 || planted.CurBytes != 2255+32768 {
+		t.Fatalf("planted allocation passed the gate: %+v", planted)
+	}
+	for _, name := range []string{"p.BenchmarkShrunk", "p.BenchmarkWithin", "p.BenchmarkTiny", "p.BenchmarkAllowed"} {
+		if f := byName[name]; f.Fails {
+			t.Errorf("%s failed the gate: %+v", name, f)
+		}
+	}
+	if !byName["p.BenchmarkAllowed"].BytesGrew {
+		t.Error("allowlisted growth not reported")
+	}
+	var sb strings.Builder
+	if failed := render(&sb, findings, 0.10, 0, true); !failed {
+		t.Fatal("render reported no failure for a planted allocation")
+	}
+	if !strings.Contains(sb.String(), "2255 B/op ->      35023 B/op  B/op grew") {
+		t.Fatalf("report lacks the B/op growth:\n%s", sb.String())
+	}
+}
+
 // TestRunEndToEnd drives the CLI through run(): a synthetic >10%
 // regression must exit 1 in strict mode and 0 with -lenient-cpu across
 // differing CPUs.
@@ -180,5 +229,20 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if _, err := os.Stat(outFile); err != nil {
 		t.Fatalf("-out report not written: %v", err)
+	}
+	// A B/op growth fails even with -lenient-cpu across differing CPUs.
+	withBytes := func(name, cpu string, bytes int) string {
+		path := filepath.Join(dir, name)
+		data := `{"goos":"linux","goarch":"amd64","cpu":"` + cpu + `","results":[` +
+			`{"name":"BenchmarkX","package":"p","iterations":10,"ns_per_op":1000,"bytes_per_op":` +
+			strconv.Itoa(bytes) + `}]}`
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	baseB, curBytes := withBytes("baseB.json", "cpuA", 2255), withBytes("curBytes.json", "cpuB", 35023)
+	if code := run([]string{"-baseline", baseB, "-current", curBytes, "-lenient-cpu"}, &out, &errOut); code != 1 {
+		t.Fatalf("B/op growth exit = %d, want 1\n%s", code, out.String())
 	}
 }

@@ -80,6 +80,12 @@ func (s *kernelScratch) denseZero(n int) []float64 {
 	return d
 }
 
+// holds reports whether v is a view of the scratch's dense buffer, as a
+// butterfly-preprocessed answer vector is.
+func (s *kernelScratch) holds(v []float64) bool {
+	return len(v) > 0 && cap(s.dense) > 0 && &v[0] == &s.dense[:1][0]
+}
+
 // pairBuf returns a length-n view of the pattern/mass pair buffer.
 func (s *kernelScratch) pairBuf(n int) []patMass {
 	if cap(s.pairs) < n {

@@ -15,6 +15,9 @@ import (
 //	BenchmarkTaskEntropyKernel/Butterfly/...  vs  .../Reference/...
 //	BenchmarkPreprocessKernel/Fast            vs  .../Reference
 //	BenchmarkGreedySelectKernel/PatternCache  vs  .../Reference
+//
+// BenchmarkGreedySelectKernel/PrunePre times the selector the daemon
+// serves, which has no reference twin.
 
 // benchDenseJoint builds the paper's own support regime: a dense 2^n-world
 // joint from independent marginals — the regime where |O| ≫ k and the
@@ -140,6 +143,17 @@ func BenchmarkGreedySelectKernel(b *testing.B) {
 	for _, k := range []int{4, 8} {
 		b.Run(fmt.Sprintf("PatternCache/k=%d", k), func(b *testing.B) {
 			sel := NewGreedy()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sel.Select(j, k, 0.8); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		// The selector the daemon serves: lazy greedy over the
+		// preprocessed answer joint.
+		b.Run(fmt.Sprintf("PrunePre/k=%d", k), func(b *testing.B) {
+			sel := NewGreedyPrunePre()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := sel.Select(j, k, 0.8); err != nil {

@@ -32,7 +32,9 @@ type Preprocessed struct {
 }
 
 // maxPreprocessButterflyFacts caps the dense cube the preprocessing
-// butterfly may allocate: 2^20 float64s = 8 MB, transient per call.
+// butterfly works in: 2^20 float64s = 8 MB, the pooled scratch's dense
+// buffer. The answer vector is gathered to the front of that cube and
+// stays there for the caller that lent the scratch (see preprocess).
 const maxPreprocessButterflyFacts = 20
 
 // Preprocess computes the answer joint distribution for the given output
@@ -52,48 +54,58 @@ const maxPreprocessButterflyFacts = 20
 // The result may be reused for any number of task-set evaluations and
 // selections, but is invalidated by answer merging (the posterior is a
 // different distribution); each selection round preprocesses once, as the
-// paper notes.
+// paper notes. It owns its answer vector.
 func Preprocess(j *dist.Joint, pc float64) (*Preprocessed, error) {
-	return preprocessWorkers(j, pc, 0)
+	s := getScratch()
+	defer putScratch(s)
+	p, err := preprocess(s, j, pc)
+	if err != nil {
+		return nil, err
+	}
+	if s.holds(p.answerP) {
+		p.answerP = append([]float64(nil), p.answerP...)
+	}
+	return p, nil
 }
 
-// preprocessWorkers is Preprocess with an explicit worker count (0 = all
-// CPUs), split out so tests can exercise the parallel path on any machine.
-func preprocessWorkers(j *dist.Joint, pc float64, workers int) (*Preprocessed, error) {
+// preprocess is Preprocess over the caller's scratch: the butterfly's
+// answer vector is a view of s's dense buffer, valid until the caller
+// next uses or returns s. GreedySelector.Select holds s for the whole
+// selection and so pays no allocation for A.
+func preprocess(s *kernelScratch, j *dist.Joint, pc float64) (*Preprocessed, error) {
 	if err := checkAccuracy(pc); err != nil {
 		return nil, err
 	}
 	n := j.N()
 	size := uint64(j.SupportSize())
 	if n <= maxPreprocessButterflyFacts && uint64(n)<<uint(n) < size*size {
-		return preprocessButterfly(j, pc), nil
+		return preprocessButterfly(s, j, pc), nil
 	}
-	return preprocessPairwise(j, pc, workers), nil
+	return preprocessPairwise(j, pc, 0), nil
 }
 
 // preprocessButterfly computes the answer joint by scattering the support
 // into the dense 2^n cube and applying the n-stage channel butterfly, then
-// gathering the support rows back out: O(|O| + n·2^n) total, an
-// asymptotic win over the pairwise loop whenever the support is within a
-// square root of the cube.
-func preprocessButterfly(j *dist.Joint, pc float64) *Preprocessed {
+// gathering the support rows to the front of the cube: O(|O| + n·2^n)
+// total, an asymptotic win over the pairwise loop whenever the support is
+// within a square root of the cube. The gather runs in place, in support
+// order: the support is sorted and distinct, so its r-th world w_r ≥ r
+// and row r reads a cell no earlier row has written.
+func preprocessButterfly(s *kernelScratch, j *dist.Joint, pc float64) *Preprocessed {
 	worlds := j.Worlds()
 	probs := j.Probs()
 	n := j.N()
-	s := getScratch()
-	defer putScratch(s)
-	dense := s.denseZero(1 << uint(n)) // transient: pooled, not allocated
+	dense := s.denseZero(1 << uint(n))
 	for i, w := range worlds {
 		dense[w] = probs[i] // support worlds are distinct
 	}
 	bscButterfly(dense, n, pc)
-	a := make([]float64, len(worlds)) // escapes into the Preprocessed
 	var total float64
 	for r, w := range worlds {
-		a[r] = dense[w]
-		total += dense[w]
+		dense[r] = dense[w]
+		total += dense[r]
 	}
-	return &Preprocessed{joint: j, pc: pc, answerP: a, total: total}
+	return &Preprocessed{joint: j, pc: pc, answerP: dense[:len(worlds)], total: total}
 }
 
 // preprocessPairwise is the direct O(|O|²) computation, row-partitioned

@@ -254,13 +254,15 @@ func (g *GreedySelector) Select(j *dist.Joint, k int, pc float64) ([]int, error)
 	var preScratch *kernelScratch
 	var cache *patternCache
 	if g.Options.Preprocess {
+		// The answer vector lives in preScratch's dense buffer, which
+		// nothing else in the selection touches, until Select returns.
+		preScratch = getScratch()
+		defer putScratch(preScratch)
 		var err error
-		pre, err = Preprocess(j, pc)
+		pre, err = preprocess(preScratch, j, pc)
 		if err != nil {
 			return nil, err
 		}
-		preScratch = getScratch()
-		defer putScratch(preScratch)
 		part = newPartition(j.SupportSize(), preScratch)
 	} else {
 		cache = newPatternCache(j, pc)

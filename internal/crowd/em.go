@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // emVote is one (worker, judgment) pair attached to a task; the symmetric
@@ -251,6 +252,11 @@ func (x *answerIndex) byFact(q []float64) map[int]float64 {
 	return m
 }
 
+// restartRands holds the sources of EstimateEM's restart perturbations. A
+// math/rand source is about 4.9 KB; reseeded, a pooled one draws exactly
+// what a new one with that seed would.
+var restartRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // EstimateEM runs EM on an answer log. Answers must carry worker IDs;
 // anonymous answers (empty Worker) are rejected because the model needs to
 // attribute agreement.
@@ -264,8 +270,14 @@ func EstimateEM(answers []Answer, opts EMOptions) (*EMEstimate, error) {
 	}
 
 	// One restart's state: acc holds the accuracies, next the M-step's
-	// scratch, q the task posteriors.
-	var acc, next, q []float64
+	// scratch, q the task posteriors. Every restart overwrites all three,
+	// so they are allocated once, and a restart that beats the best so far
+	// swaps its acc and q with the best's.
+	acc := make([]float64, len(x.workers))
+	next := make([]float64, len(x.workers))
+	q := make([]float64, len(x.facts))
+	bestAcc := make([]float64, len(x.workers))
+	bestQ := make([]float64, len(x.facts))
 	// M-step: a worker's accuracy is the posterior probability that its
 	// votes are correct, averaged over its votes. Every indexed worker has
 	// at least one vote.
@@ -299,16 +311,14 @@ func EstimateEM(answers []Answer, opts EMOptions) (*EMEstimate, error) {
 	// Run EM from several initializations and keep the solution with the
 	// highest marginal likelihood of the observed answers. The first starts
 	// from the majority vote, the others from random accuracies.
-	rng := rand.New(rand.NewSource(opts.Seed + 777))
-	var bestAcc, bestQ []float64
+	rng := restartRands.Get().(*rand.Rand)
+	defer restartRands.Put(rng)
+	rng.Seed(opts.Seed + 777)
 	var bestPi float64
 	bestIters := 0
 	bestLL := math.Inf(-1)
 	logs := make([]workerLogs, len(x.workers))
 	for restart := 0; restart < opts.Restarts; restart++ {
-		acc = make([]float64, len(x.workers))
-		next = make([]float64, len(x.workers))
-		q = make([]float64, len(x.facts))
 		for i := range acc {
 			if restart == 0 {
 				acc[i] = opts.InitAccuracy
@@ -325,7 +335,9 @@ func EstimateEM(answers []Answer, opts EMOptions) (*EMEstimate, error) {
 		ll := logLikelihood(x.votes, voteLogs(logs, acc, acc), pi)
 		if ll > bestLL {
 			bestLL = ll
-			bestAcc, bestQ, bestPi, bestIters = acc, q, pi, iters
+			acc, bestAcc = bestAcc, acc
+			q, bestQ = bestQ, q
+			bestPi, bestIters = pi, iters
 		}
 	}
 	pi := canonicalize(bestAcc, nil, bestQ, bestPi)

@@ -80,17 +80,9 @@ func kahan(sum, comp, x float64) (float64, float64) {
 	return t, (t - sum) - y
 }
 
-// posteriorBuffer returns the one allocation a conditioning makes besides
-// the Joint header: room for a mass per world of the support, which
-// become the posterior's probabilities in place, and for its marginals.
-func (j *Joint) posteriorBuffer() (ps, marginals []float64) {
-	m := len(j.worlds)
-	buf := make([]float64, m+j.n)
-	return buf[:m:m], buf[m:]
-}
-
-// posterior finishes a conditioning: ps holds the likelihood-weighted
-// masses parallel to the receiver's support, with their Kahan total and
+// posterior finishes a conditioning: ps, the one allocation a conditioning
+// makes besides the Joint header, holds the likelihood-weighted masses
+// parallel to the receiver's support, with their Kahan total and
 // whether any of them is zero. In the common case none is (impossible
 // for accuracies strictly inside (0, 1)) and the posterior shares the
 // receiver's worlds slice (both are immutable; a full support is the
@@ -98,12 +90,12 @@ func (j *Joint) posteriorBuffer() (ps, marginals []float64) {
 // worlds are compacted into a slice of the posterior's own. Either way no
 // allocation is shared with another posterior, so a dropped posterior is
 // garbage at once.
-func (j *Joint) posterior(ps, marginals []float64, total float64, zero bool) (*Joint, error) {
+func (j *Joint) posterior(ps []float64, total float64, zero bool) (*Joint, error) {
 	var kept []World
 	if zero {
 		kept = make([]World, len(ps))
 	}
-	post, err := finish(j.n, j.worlds, kept, ps, marginals, total)
+	post, err := finish(j.n, j.worlds, kept, ps, total)
 	if err != nil {
 		return nil, ErrImpossibleAnswers
 	}
@@ -182,7 +174,7 @@ func (j *Joint) Condition(tasks []int, answers []bool, pc float64) (*Joint, erro
 	var wbuf [MaxFacts + 1]float64
 	weights := FillChannelWeights(wbuf[:k+1], pc)
 	mask, ans := taskBits(tasks, answers)
-	ps, marginals := j.posteriorBuffer()
+	ps := make([]float64, len(j.worlds)) // the posterior's probabilities, in place
 	worlds, probs := j.worlds, j.probs[:len(j.worlds)]
 	var total, comp float64
 	zero := false
@@ -194,7 +186,7 @@ func (j *Joint) Condition(tasks []int, answers []bool, pc float64) (*Joint, erro
 		}
 		total, comp = kahan(total, comp, p)
 	}
-	return j.posterior(ps, marginals, total, zero)
+	return j.posterior(ps, total, zero)
 }
 
 // checkEvidenceWeighted validates a per-judgment evidence set: one
@@ -260,7 +252,7 @@ func (j *Joint) ConditionWeighted(tasks []int, answers []bool, sens, spec []floa
 	}
 	var jbuf [MaxFacts]judgment
 	js := fillJudgments(jbuf[:k], tasks, answers, sens, spec)
-	ps, marginals := j.posteriorBuffer()
+	ps := make([]float64, len(j.worlds)) // the posterior's probabilities, in place
 	worlds, probs := j.worlds, j.probs[:len(j.worlds)]
 	var total, comp float64
 	zero := false
@@ -278,5 +270,5 @@ func (j *Joint) ConditionWeighted(tasks []int, answers []bool, sens, spec []floa
 		}
 		total, comp = kahan(total, comp, p)
 	}
-	return j.posterior(ps, marginals, total, zero)
+	return j.posterior(ps, total, zero)
 }

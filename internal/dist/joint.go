@@ -24,14 +24,37 @@ import (
 // of a journal replay) never pays for them, and after the first read the
 // accessors the selection inner loop leans on (Entropy, Marginal, Prob) do
 // no allocation and no recomputation. Concurrent first reads are safe.
+//
+// The marginals live in the header: up to MaxDenseFacts facts they slice
+// an inline array, so the probability buffer holds the probabilities and
+// nothing else. A 12-fact posterior is then one exact 32 KiB buffer and a
+// header, where a buffer with the marginals behind the probabilities
+// would be rounded up to a 40 KiB span. A Joint is never copied by value
+// (its marginals would keep pointing into the original).
 type Joint struct {
 	n      int
 	worlds []World   // sorted ascending, no duplicates, no zero-mass entries
-	probs  []float64 // parallel to worlds; sums to 1
+	probs  []float64 // parallel to worlds; sums to 1; cap == len
 
 	stats     sync.Once // guards the two fields below
 	marginals []float64 // marginals[i] = P(fact i is true); arrives zeroed
 	entropy   float64   // H(O) in bits
+
+	inline [MaxDenseFacts]float64 // backs marginals when n <= MaxDenseFacts
+}
+
+// newJoint builds the header of every Joint over the support ws with
+// probabilities ps, capped at their length, and its marginals zeroed for
+// computeStats: a slice of the inline array, or for the sparse-only
+// n > MaxDenseFacts a buffer of their own.
+func newJoint(n int, ws []World, ps []float64) *Joint {
+	j := &Joint{n: n, worlds: ws, probs: ps[:len(ps):len(ps)]}
+	if n <= MaxDenseFacts {
+		j.marginals = j.inline[:n:n]
+	} else {
+		j.marginals = make([]float64, n)
+	}
+	return j
 }
 
 // Construction errors.
@@ -91,7 +114,7 @@ func New(n int, worlds []World, probs []float64) (*Joint, error) {
 		ws = append(ws, worlds[i])
 		ps = append(ps, probs[i])
 	}
-	return finish(n, ws, ws, ps, make([]float64, n), info.Sum(ps))
+	return finish(n, ws, ws, ps, info.Sum(ps))
 }
 
 // Dense builds a distribution over the full 2^n world cube, with probs
@@ -127,7 +150,7 @@ func dense(n int, ps []float64) (*Joint, error) {
 	} else {
 		ws = fullCube(n, nil)
 	}
-	return finish(n, ws, kept, ps, make([]float64, n), info.Sum(ps))
+	return finish(n, ws, kept, ps, info.Sum(ps))
 }
 
 // Uniform builds the uniform prior over all 2^n worlds — the
@@ -206,9 +229,10 @@ func fullCube(n int, ws []World) []World {
 // the surviving worlds are compacted into it (kept may be ws itself), else
 // ps must hold no zero. A support of all 2^n worlds is the shared cube, so
 // full-support priors and their posteriors hold one world array between
-// them. marginals (zeroed, len n) becomes the Joint's, filled by
-// computeStats on first read.
-func finish(n int, ws, kept []World, ps, marginals []float64, total float64) (*Joint, error) {
+// them. Every caller allocates ps at the size of the support it passes,
+// so the Joint's probability buffer is exact-size; the marginals come
+// with the header (newJoint).
+func finish(n int, ws, kept []World, ps []float64, total float64) (*Joint, error) {
 	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
 		return nil, ErrZeroMass
 	}
@@ -234,7 +258,7 @@ func finish(n int, ws, kept []World, ps, marginals []float64, total float64) (*J
 		// Sorted, duplicate-free and in range: exactly the cube.
 		ws = fullCube(n, ws)
 	}
-	return &Joint{n: n, worlds: ws, probs: ps[:out:out], marginals: marginals}, nil
+	return newJoint(n, ws, ps[:out]), nil
 }
 
 // computeStats fills the marginals and the entropy, once. For each world,
@@ -389,12 +413,7 @@ func (j *Joint) Validate() error {
 // immutable, so this is only needed to decouple lifetimes. The copy
 // computes its statistics on its own first read, to the same bits.
 func (j *Joint) Clone() *Joint {
-	return &Joint{
-		n:         j.n,
-		worlds:    append([]World(nil), j.worlds...),
-		probs:     append([]float64(nil), j.probs...),
-		marginals: make([]float64, j.n),
-	}
+	return newJoint(j.n, append([]World(nil), j.worlds...), append([]float64(nil), j.probs...))
 }
 
 // Truncate returns a distribution keeping only the m highest-probability
@@ -427,7 +446,7 @@ func (j *Joint) Truncate(m int) *Joint {
 		ws[i] = j.worlds[k]
 		ps[i] = j.probs[k]
 	}
-	t, err := finish(j.n, ws, ws, ps, make([]float64, j.n), info.Sum(ps))
+	t, err := finish(j.n, ws, ws, ps, info.Sum(ps))
 	if err != nil {
 		// Unreachable: the support is non-empty with positive mass.
 		panic(fmt.Sprintf("dist: truncate: %v", err))

@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -161,10 +163,9 @@ func TestCubeSharedAcrossGoroutines(t *testing.T) {
 }
 
 // TestConstructionAllocations: a conditioning that rules no world out
-// allocates the posterior's header and one buffer for its probabilities
-// and marginals, nothing else; a product prior over the full cube
-// allocates its probability vector, its marginals and its header, with
-// no copy of the vector and no world slice.
+// allocates the posterior's header and its probability buffer, nothing
+// else; so does a product prior over the full cube, with no copy of the
+// vector and no world slice. The marginals ride in the header.
 func TestConstructionAllocations(t *testing.T) {
 	prior := memoryPrior(t, 0)
 	marginals := append([]float64(nil), prior.Marginals()...)
@@ -177,8 +178,8 @@ func TestConstructionAllocations(t *testing.T) {
 	}{
 		{"Condition", 2, func() error { _, err := prior.Condition(tasks, answers, 0.8); return err }},
 		{"ConditionWeighted", 2, func() error { _, err := prior.ConditionWeighted(tasks, answers, sens, spec); return err }},
-		{"Independent", 3, func() error { _, err := Independent(marginals); return err }},
-		{"Uniform", 3, func() error { _, err := Uniform(12); return err }},
+		{"Independent", 2, func() error { _, err := Independent(marginals); return err }},
+		{"Uniform", 2, func() error { _, err := Uniform(12); return err }},
 	} {
 		var err error
 		if got := testing.AllocsPerRun(20, func() { err = c.fn() }); got != c.want {
@@ -187,5 +188,109 @@ func TestConstructionAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
+	}
+}
+
+// bytesPerRun returns the heap bytes one call of fn allocates: the least
+// of three averages over runs calls, so a stray allocation elsewhere in
+// the process cannot inflate it.
+func bytesPerRun(runs int, fn func()) uint64 {
+	fn() // warm: the shared cube, lazily built tables
+	best := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, (after.TotalAlloc-before.TotalAlloc)/uint64(runs))
+	}
+	return best
+}
+
+// TestProbabilityBufferExactSize: the probability buffer of every
+// constructor's and every conditioning's result is exactly its support,
+// with nothing behind it. cap(Probs()) shows the slice; the bytes a call
+// allocates show the buffer beneath it, which a three-index slice would
+// hide: a 12-fact result may allocate its 32 KiB of probabilities and a
+// header, not the 40 KiB span that 32 KiB plus the marginals rounds to.
+func TestProbabilityBufferExactSize(t *testing.T) {
+	prior := memoryPrior(t, 0)
+	marginals := append([]float64(nil), prior.Marginals()...)
+	tasks, answers := []int{1, 6, 11}, []bool{true, false, true}
+	sens, spec := []float64{0.9, 0.7, 0.8}, []float64{0.85, 0.6, 0.75}
+	rng := rand.New(rand.NewSource(3))
+	sparse := randomJoint(t, rng, 30, 50)
+	holed := make([]float64, 1<<12)
+	for i := range holed {
+		holed[i] = float64(i % 7)
+	}
+	const header = 512 // a Joint header with its inline marginals, with room
+	for _, c := range []struct {
+		name  string
+		fn    func() (*Joint, error)
+		bytes bool // fn allocates only the result: gate its bytes too
+	}{
+		{"New", func() (*Joint, error) { return New(30, sparse.Worlds(), sparse.Probs()) }, false},
+		{"Dense", func() (*Joint, error) { return Dense(12, holed) }, false},
+		{"Uniform", func() (*Joint, error) { return Uniform(12) }, true},
+		{"Independent", func() (*Joint, error) { return Independent(marginals) }, true},
+		{"Clone", func() (*Joint, error) { return prior.Clone(), nil }, false},
+		{"Truncate", func() (*Joint, error) { return prior.Truncate(1000), nil }, false},
+		{"Condition", func() (*Joint, error) { return prior.Condition(tasks, answers, 0.8) }, true},
+		{"Condition/pc=1", func() (*Joint, error) { return prior.Condition(tasks, answers, 1) }, false},
+		{"ConditionWeighted", func() (*Joint, error) { return prior.ConditionWeighted(tasks, answers, sens, spec) }, true},
+		{"Condition/sparse", func() (*Joint, error) { return sparse.Condition([]int{0, 29}, []bool{true, false}, 0.7) }, false},
+	} {
+		j, err := c.fn()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if cap(j.Probs()) != j.SupportSize() {
+			t.Errorf("%s: cap(Probs()) = %d for a support of %d", c.name, cap(j.Probs()), j.SupportSize())
+		}
+		if !c.bytes {
+			continue
+		}
+		want := uint64(8*j.SupportSize() + header)
+		if got := bytesPerRun(20, func() { _, err = c.fn() }); got > want {
+			t.Errorf("%s allocates %d B per call for a support of %d, want at most %d",
+				c.name, got, j.SupportSize(), want)
+		}
+	}
+}
+
+// TestSparseMarginalsBeyondInline: past MaxDenseFacts the marginals do
+// not fit the header's inline array and get a buffer of their own. They
+// still match a plain per-fact sum in support order bit for bit, for a
+// sparse prior and its posterior, and neither shares them with the other.
+func TestSparseMarginalsBeyondInline(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = MaxDenseFacts + 10
+	prior := randomJoint(t, rng, n, 200)
+	post, err := prior.Condition([]int{0, 7, MaxDenseFacts, n - 1}, []bool{true, false, true, true}, 0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, j := range map[string]*Joint{"prior": prior, "posterior": post} {
+		got := j.Marginals()
+		if len(got) != n || cap(got) != n {
+			t.Fatalf("%s: marginals len %d cap %d, want %d", name, len(got), cap(got), n)
+		}
+		for f := 0; f < n; f++ {
+			var want float64
+			for i, w := range j.Worlds() {
+				if w.Has(f) {
+					want += j.Probs()[i]
+				}
+			}
+			if math.Float64bits(got[f]) != math.Float64bits(want) {
+				t.Errorf("%s: marginal %d = %v, plain sum %v", name, f, got[f], want)
+			}
+		}
+	}
+	if &prior.Marginals()[0] == &post.Marginals()[0] {
+		t.Error("posterior shares its prior's marginals")
 	}
 }
