@@ -108,7 +108,10 @@ loadgen-test:
 # paper's experiments and their synthetic book data). A second rule keeps
 # the worker model in one place: non-test internal/service code must not
 # name crowd.EstimateEM, crowd.EstimateDawidSkene or EMOptions, so sessions
-# fit their workers only through crowd.WorkerModel.
+# fit their workers only through crowd.WorkerModel. A third keeps the
+# refinement loop in one place: non-test internal/eval and internal/service
+# code must not call .Condition(, .ConditionWeighted( or core.MergeAnswers,
+# so the harness and the sessions condition and charge only through core.Run.
 lint:
 	$(GO) vet ./...
 	$(GO) vet -tags smoke ./cmd/crowdfusiond/
@@ -134,6 +137,12 @@ lint:
 	if [ -n "$$direct" ]; then \
 		echo "internal/service must reach the worker-model estimators only through crowd.WorkerModel:" >&2; \
 		echo "$$direct" >&2; \
+		exit 1; \
+	fi
+	@bypass=$$(grep -nE '\.(Condition|ConditionWeighted)\(|core\.MergeAnswers' $$(ls internal/eval/*.go internal/service/*.go | grep -v '_test\.go$$')); \
+	if [ -n "$$bypass" ]; then \
+		echo "internal/eval and internal/service must condition only through core.Run:" >&2; \
+		echo "$$bypass" >&2; \
 		exit 1; \
 	fi
 

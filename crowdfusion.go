@@ -335,28 +335,6 @@ func CalibrationReport(instances []*Instance, joints []*Joint, nBins int) (*Cali
 	return eval.CalibrationReport(instances, joints, nBins)
 }
 
-// Round-size policies (Section V-C2's latency/quality trade-off) and
-// cost-aware selection (heterogeneous task prices).
-type (
-	// KPolicy decides the next round's task count; see FixedK,
-	// EntropyAdaptiveK and HalvingK in internal/core.
-	KPolicy = core.KPolicy
-	// EntropyAdaptiveK shrinks rounds as the posterior sharpens.
-	EntropyAdaptiveK = core.EntropyAdaptiveK
-	// HalvingK halves the round size on a fixed schedule.
-	HalvingK = core.HalvingK
-	// FixedK posts the same number of tasks every round.
-	FixedK = core.FixedK
-	// CostSelector maximizes H(T) under a heterogeneous-cost budget.
-	CostSelector = core.CostSelector
-)
-
-// NewCostSelector builds a selector for facts with per-task prices
-// (missing entries cost 1).
-func NewCostSelector(costs map[int]float64) *CostSelector {
-	return core.NewCostSelector(costs)
-}
-
 // ScoreJudgments compares judgments against gold labels.
 func ScoreJudgments(judgments, gold []bool) (Metrics, error) { return eval.Score(judgments, gold) }
 

@@ -85,38 +85,16 @@ func (e *Engine) Validate() error {
 }
 
 // Run executes rounds of K tasks until the budget is exhausted, the
-// selector returns no tasks (all facts certain), or merging fails.
+// selector returns no tasks (all facts certain), or a round fails; a batch
+// larger than the remaining budget fails it with ErrBudgetExhausted.
 func (e *Engine) Run() (*Result, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	return e.run(FixedK(e.K))
-}
-
-// run is the round loop of Run and RunWithPolicy on a validated engine:
-// policy sizes each round, clamped to [1, remaining budget] and the fact
-// count.
-func (e *Engine) run(policy KPolicy) (*Result, error) {
-	current := e.Prior.Clone()
-	initialH := current.Entropy()
+	run := Run{Posterior: e.Prior.Clone(), Pc: e.Pc, Budget: e.Budget}
 	res := &Result{}
-	for round := 1; res.Cost < e.Budget; round++ {
-		k := policy.NextK(PolicyStats{
-			Round:           round,
-			Entropy:         current.Entropy(),
-			InitialEntropy:  initialH,
-			RemainingBudget: e.Budget - res.Cost,
-		})
-		if k < 1 {
-			k = 1
-		}
-		if remaining := e.Budget - res.Cost; k > remaining {
-			k = remaining
-		}
-		if n := current.N(); k > n {
-			k = n
-		}
-		tasks, err := e.Selector.Select(current, k, e.Pc)
+	for round := 1; run.K(e.K) > 0; round++ {
+		tasks, err := run.Select(e.Selector, run.K(e.K))
 		if err != nil {
 			return nil, fmt.Errorf("core: round %d selection: %w", round, err)
 		}
@@ -128,28 +106,27 @@ func (e *Engine) run(policy KPolicy) (*Result, error) {
 			return nil, fmt.Errorf("core: round %d: %d tasks but %d answers",
 				round, len(tasks), len(answers))
 		}
-		taskH, err := TaskEntropy(current, tasks, e.Pc)
+		taskH, err := TaskEntropy(run.Posterior, tasks, e.Pc)
 		if err != nil {
 			return nil, err
 		}
-		updated, err := current.Condition(tasks, answers, e.Pc)
+		post, err := run.Update(tasks, answers, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: round %d merge: %w", round, err)
 		}
-		current = updated
-		res.Cost += len(tasks)
+		run.Commit(post, len(tasks))
 		res.Rounds = append(res.Rounds, RoundStats{
 			Round:    round,
 			Tasks:    append([]int(nil), tasks...),
 			Answers:  append([]bool(nil), answers...),
-			CumCost:  res.Cost,
-			Entropy:  current.Entropy(),
-			Utility:  -current.Entropy(),
+			CumCost:  run.Spent,
+			Entropy:  post.Entropy(),
+			Utility:  -post.Entropy(),
 			TaskH:    taskH,
 			Selected: e.Selector.Name(),
 		})
 	}
-	res.Final = current
+	res.Final, res.Cost = run.Posterior, run.Spent
 	return res, nil
 }
 
@@ -161,22 +138,4 @@ func MergeAnswers(j *dist.Joint, tasks []int, answers []bool, pc float64) (*dist
 		return nil, err
 	}
 	return j.Condition(tasks, answers, pc)
-}
-
-// MergeAnswersWeighted is the per-judgment form of MergeAnswers: each
-// answer carries its own channel parameters — sens[i] = P(answer true |
-// fact true), spec[i] = P(answer false | fact false) — typically a
-// worker's current accuracy estimate (symmetric EM) or confusion row
-// (Dawid–Skene). Uniform weights sens[i] == spec[i] == pc reproduce
-// MergeAnswers(…, pc) bit-for-bit (Joint.ConditionWeighted delegates to
-// the scalar path in that case).
-//
-// The task-set validation reuses checkTasks with a neutral pc = 1: the
-// per-judgment accuracies are validated by dist (each a probability, not
-// bounded below by 0.5 — an adversarial worker's estimate may be).
-func MergeAnswersWeighted(j *dist.Joint, tasks []int, answers []bool, sens, spec []float64) (*dist.Joint, error) {
-	if err := checkTasks(j, tasks, 1); err != nil {
-		return nil, err
-	}
-	return j.ConditionWeighted(tasks, answers, sens, spec)
 }

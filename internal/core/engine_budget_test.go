@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"crowdfusion/internal/crowd"
@@ -163,5 +164,37 @@ func TestEngineKBeyondFactCount(t *testing.T) {
 	}
 	if res.Cost > 6 {
 		t.Fatalf("cost %d exceeded budget", res.Cost)
+	}
+}
+
+// allFactsSelector ignores k and returns every fact.
+type allFactsSelector struct{}
+
+func (allFactsSelector) Name() string { return "AllFacts" }
+
+func (allFactsSelector) Select(j *dist.Joint, k int, pc float64) ([]int, error) {
+	tasks := make([]int, j.N())
+	for i := range tasks {
+		tasks[i] = i
+	}
+	return tasks, nil
+}
+
+// TestEngineRefusesOverBudgetBatch: a selector that ignores k cannot spend
+// past the budget; the engine refuses its batch with ErrBudgetExhausted
+// instead of charging it.
+func TestEngineRefusesOverBudgetBatch(t *testing.T) {
+	j, err := dist.Uniform(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := Engine{Prior: j, Selector: allFactsSelector{}, Crowd: &countingProvider{}, Pc: 0.8, K: 2, Budget: 3}
+	res, err := eng.Run()
+	if !errors.Is(err, ErrBudgetExhausted) {
+		cost := -1
+		if res != nil {
+			cost = res.Cost
+		}
+		t.Fatalf("6-task batch on a budget of 3: err %v, cost %d; want ErrBudgetExhausted", err, cost)
 	}
 }

@@ -2,9 +2,10 @@
 // paper: computing the entropy H(T) of the crowd-answer distribution for a
 // candidate task set, selecting task sets (brute-force OPT, the greedy
 // (1-1/e)-approximation of Algorithm 1, its pruning and preprocessing
-// accelerations, and a random baseline), merging crowd answers back into the
-// output distribution (Equation 3), the query-based variant of Section IV,
-// and the NP-hardness reduction of Theorem 1.
+// accelerations, and a random baseline), the refinement loop (Run) that
+// merges crowd answers back into the output distribution (Equation 3), and
+// the query-based variant of Section IV. The NP-hardness reduction of
+// Theorem 1 is checked in reduction_test.go.
 //
 // The entropy kernel is built for the hot path: the answer-channel
 // convolution runs as a k-stage butterfly in O(|O| + k·2^k) instead of the

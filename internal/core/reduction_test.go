@@ -1,10 +1,193 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"crowdfusion/internal/dist"
 )
+
+// This file implements the Theorem 1 reduction from PARTITION to the
+// decision version of task selection (DTaskSelect), as a runnable artifact:
+// the construction in the paper's proof, a DTaskSelect decision procedure,
+// and a PARTITION extractor, so the equivalence can be tested in both
+// directions.
+//
+// Construction: given s positive numbers c_1..c_s with total Sum, build an
+// instance with n = 2^s facts and s support outputs. Output o_i (one per
+// number) has probability x_i = c_i / Sum, and judges fact f_I true exactly
+// when bit i of I is set. The judgments of fact f_I across the outputs thus
+// spell out the binary representation of I, enumerating every subset of the
+// numbers. With k = 1 and Pc = 1, H(T) for T = {f_I} is the binary entropy
+// of P(f_I) = sum of x_i over the subset, which reaches the target H_t = 1
+// exactly when the subset sums to Sum/2 — i.e. when a partition exists.
+
+// MaxPartitionItems bounds the PARTITION instance size: the reduction
+// creates 2^s facts and worlds are 64-bit masks, so s <= 6.
+const MaxPartitionItems = 6
+
+// ErrPartitionSize is returned when the instance exceeds MaxPartitionItems.
+var ErrPartitionSize = errors.New("core: partition instance too large (limit 6 numbers)")
+
+// ReducePartition builds the DTaskSelect joint distribution for a PARTITION
+// instance. The returned distribution has 2^s facts and at most s support
+// worlds.
+func ReducePartition(c []uint64) (*dist.Joint, error) {
+	s := len(c)
+	if s == 0 {
+		return nil, errors.New("core: empty partition instance")
+	}
+	if s > MaxPartitionItems {
+		return nil, ErrPartitionSize
+	}
+	var sum uint64
+	for i, ci := range c {
+		if ci == 0 {
+			return nil, fmt.Errorf("core: partition numbers must be positive (c[%d] = 0)", i)
+		}
+		sum += ci
+	}
+	n := 1 << uint(s)
+	worlds := make([]dist.World, s)
+	probs := make([]float64, s)
+	for i := 0; i < s; i++ {
+		// Output i judges fact I true iff bit i of I is set.
+		var w dist.World
+		for fact := 0; fact < n; fact++ {
+			if fact&(1<<uint(i)) != 0 {
+				w = w.Set(fact, true)
+			}
+		}
+		worlds[i] = w
+		probs[i] = float64(c[i]) / float64(sum)
+	}
+	return dist.New(n, worlds, probs)
+}
+
+// DTaskSelect decides the paper's decision problem: is there a selection of
+// k tasks with H(T) >= target? It is exact (brute force) and therefore only
+// suitable for small instances — which is the point of the reduction.
+func DTaskSelect(j *dist.Joint, k int, pc, target float64) (bool, []int, error) {
+	best, err := (OptSelector{}).Select(j, k, pc)
+	if err != nil {
+		return false, nil, err
+	}
+	h, err := TaskEntropy(j, best, pc)
+	if err != nil {
+		return false, nil, err
+	}
+	if h >= target-1e-9 {
+		return true, best, nil
+	}
+	return false, nil, nil
+}
+
+// HasEqualPartition answers the original PARTITION question through the
+// reduction: it builds the DTaskSelect instance, asks for a single task
+// reaching entropy 1 with a perfect crowd, and decodes the witness fact
+// index into the two subsets.
+func HasEqualPartition(c []uint64) (ok bool, subset []int, err error) {
+	j, err := ReducePartition(c)
+	if err != nil {
+		return false, nil, err
+	}
+	yes, witness, err := DTaskSelect(j, 1, 1.0, 1.0)
+	if err != nil {
+		return false, nil, err
+	}
+	if !yes {
+		return false, nil, nil
+	}
+	// Decode: bit i of the witness fact index says c_i is in the subset.
+	fact := witness[0]
+	for i := 0; i < len(c); i++ {
+		if fact&(1<<uint(i)) != 0 {
+			subset = append(subset, i)
+		}
+	}
+	return true, subset, nil
+}
+
+// VerifyPartition checks that the indices in subset select numbers summing
+// to exactly half the total — the certificate check for PARTITION.
+func VerifyPartition(c []uint64, subset []int) bool {
+	var total, part uint64
+	for _, ci := range c {
+		total += ci
+	}
+	if total%2 != 0 {
+		return false
+	}
+	used := make(map[int]bool, len(subset))
+	for _, i := range subset {
+		if i < 0 || i >= len(c) || used[i] {
+			return false
+		}
+		used[i] = true
+		part += c[i]
+	}
+	return part*2 == total
+}
+
+// BruteForcePartition solves PARTITION directly by subset enumeration, as
+// the independent oracle the reduction tests compare against.
+func BruteForcePartition(c []uint64) (ok bool, subset []int) {
+	var total uint64
+	for _, ci := range c {
+		total += ci
+	}
+	if total%2 != 0 {
+		return false, nil
+	}
+	half := total / 2
+	for mask := 0; mask < 1<<uint(len(c)); mask++ {
+		var part uint64
+		for i := range c {
+			if mask&(1<<uint(i)) != 0 {
+				part += c[i]
+			}
+		}
+		if part == half {
+			var sel []int
+			for i := range c {
+				if mask&(1<<uint(i)) != 0 {
+					sel = append(sel, i)
+				}
+			}
+			return true, sel
+		}
+	}
+	return false, nil
+}
+
+// PartitionEntropy returns the single-task entropy H({f_I}) at Pc = 1 in
+// the reduced instance for the subset encoded by fact index I — the binary
+// entropy of the subset's probability mass. Exposed for tests that verify
+// the reduction's arithmetic directly.
+func PartitionEntropy(c []uint64, fact int) (float64, error) {
+	s := len(c)
+	if s == 0 || s > MaxPartitionItems {
+		return 0, ErrPartitionSize
+	}
+	if fact < 0 || fact >= 1<<uint(s) {
+		return 0, fmt.Errorf("core: fact %d out of range", fact)
+	}
+	var sum, part uint64
+	for i, ci := range c {
+		sum += ci
+		if fact&(1<<uint(i)) != 0 {
+			part += ci
+		}
+	}
+	p := float64(part) / float64(sum)
+	if p <= 0 || p >= 1 {
+		return 0, nil
+	}
+	return -p*math.Log2(p) - (1-p)*math.Log2(1-p), nil
+}
 
 func TestReducePartitionValidation(t *testing.T) {
 	if _, err := ReducePartition(nil); err == nil {

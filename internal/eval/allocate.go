@@ -50,7 +50,7 @@ type AllocationResult struct {
 	StopFull bool // true when the budget ran out (vs all books certain)
 }
 
-// allocBook is one book's run (its cost counts the tasks funded for it)
+// allocBook is one book's run (its Spent counts the tasks funded for it)
 // plus its current best single task.
 type allocBook struct {
 	*bookRun
@@ -81,8 +81,9 @@ func RunAllocation(cfg AllocationConfig) (*AllocationResult, error) {
 		return nil, fmt.Errorf("eval: TotalBudget must be positive")
 	}
 	noise := info.Binary(cfg.Pc)
-	crowdCfg := SweepConfig{Instances: cfg.Instances, Pc: cfg.Pc, CrowdPc: cfg.CrowdPc,
-		UseDifficulty: cfg.UseDifficulty, Seed: cfg.Seed}
+	// Each book may take the whole budget; the loop below bounds the sum.
+	crowdCfg := SweepConfig{Instances: cfg.Instances, Budget: cfg.TotalBudget, Pc: cfg.Pc,
+		CrowdPc: cfg.CrowdPc, UseDifficulty: cfg.UseDifficulty, Seed: cfg.Seed}
 
 	res := &AllocationResult{Config: cfg}
 	// Per-book setup — simulator construction plus the O(n) first
@@ -99,7 +100,7 @@ func RunAllocation(cfg AllocationConfig) (*AllocationResult, error) {
 			return
 		}
 		book := &allocBook{bookRun: r}
-		books[i], errs[i] = book, book.refreshBest(cfg.Pc, noise)
+		books[i], errs[i] = book, book.refreshBest(noise)
 	})
 	h := make(allocHeap, 0, len(cfg.Instances))
 	for i, err := range errs {
@@ -117,15 +118,14 @@ func RunAllocation(cfg AllocationConfig) (*AllocationResult, error) {
 		if book.bestGain <= 1e-12 {
 			break // every remaining book is certain
 		}
-		answers := book.sim.Answers([]int{book.bestFact})
-		post, err := book.joint.Condition([]int{book.bestFact}, answers, cfg.Pc)
+		task := []int{book.bestFact}
+		post, err := book.run.Update(task, book.sim.Answers(task), nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		book.joint = post
-		book.cost++
+		book.run.Commit(post, 1)
 		res.Cost++
-		if err := book.refreshBest(cfg.Pc, noise); err != nil {
+		if err := book.refreshBest(noise); err != nil {
 			return nil, err
 		}
 		if book.bestFact >= 0 {
@@ -138,7 +138,7 @@ func RunAllocation(cfg AllocationConfig) (*AllocationResult, error) {
 	res.PerBook, res.Joints = make([]int, len(books)), make([]*dist.Joint, len(books))
 	for i, book := range books {
 		runs[i] = book.bookRun
-		res.PerBook[i], res.Joints[i] = book.cost, book.joint
+		res.PerBook[i], res.Joints[i] = book.run.Spent, book.run.Posterior
 	}
 	var err error
 	if res.Utility, res.Final, err = score(runs); err != nil {
@@ -148,11 +148,11 @@ func RunAllocation(cfg AllocationConfig) (*AllocationResult, error) {
 }
 
 // refreshBest finds the book's current best single task and its net gain.
-func (b *allocBook) refreshBest(pc, noise float64) error {
+func (b *allocBook) refreshBest(noise float64) error {
 	b.bestFact = -1
 	b.bestGain = 0
-	for f := 0; f < b.joint.N(); f++ {
-		h, err := core.TaskEntropy(b.joint, []int{f}, pc)
+	for f := 0; f < b.run.Posterior.N(); f++ {
+		h, err := core.TaskEntropy(b.run.Posterior, []int{f}, b.run.Pc)
 		if err != nil {
 			return err
 		}

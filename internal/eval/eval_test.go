@@ -3,6 +3,7 @@ package eval
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -311,6 +312,53 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 	}
 	if seq.Final != got.Final {
 		t.Errorf("final metrics diverged: %+v vs %+v", seq.Final, got.Final)
+	}
+}
+
+// TestSweepMatchesEngine: a one-book sweep and core.Engine over the same
+// prior, selector seed and crowd seed end with the same posterior, bit for
+// bit, at the same cost — the harness refines the way the engine does. The
+// budget is not a multiple of K, so the final round is clamped.
+func TestSweepMatchesEngine(t *testing.T) {
+	const seed, k, budget, pc = 5, 3, 10, 0.8
+	for _, kind := range []core.SelectorKind{core.SelApproxFull, core.SelRandom} {
+		for bi, in := range testInstances(t, 3, 10, 17) {
+			res, err := RunSweep(SweepConfig{Instances: []*worlds.Instance{in}, Selector: kind,
+				K: k, Budget: budget, Pc: pc, Seed: seed, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sel, err := core.NewSelector(kind, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := in.UniformSimulator(pc, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := core.Engine{Prior: in.Joint, Selector: sel, Crowd: sim, Pc: pc, K: k, Budget: budget}
+			want, err := eng.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Cost == 0 {
+				t.Fatalf("%s book %d: the engine asked nothing", kind, bi)
+			}
+			cost := 0
+			if n := len(res.Trace); n > 0 {
+				cost = res.Trace[n-1].Cost
+			}
+			if cost != want.Cost {
+				t.Errorf("%s book %d: sweep cost %d, engine cost %d", kind, bi, cost, want.Cost)
+			}
+			got := res.Joints[0]
+			if !slices.Equal(got.Worlds(), want.Final.Worlds()) ||
+				!slices.EqualFunc(got.Probs(), want.Final.Probs(), func(a, b float64) bool {
+					return math.Float64bits(a) == math.Float64bits(b)
+				}) {
+				t.Errorf("%s book %d: sweep posterior differs from the engine's", kind, bi)
+			}
+		}
 	}
 }
 

@@ -57,24 +57,22 @@ type SweepResult struct {
 	Joints []*dist.Joint
 }
 
-// bookRun tracks one instance's refinement state between global rounds.
+// bookRun tracks one instance's refinement loop between global rounds.
 type bookRun struct {
 	in *worlds.Instance
 	// foi lists the facts of interest the run is scored on; nil scores
 	// all facts.
-	foi   []int
-	joint *dist.Joint
-	sel   core.Selector
-	sim   *crowd.Simulator
-	cost  int
-	done  bool
+	foi []int
+	run core.Run
+	sel core.Selector
+	sim *crowd.Simulator
 }
 
-// newRun starts book i of cfg.Instances from a clone of its prior, with its
-// own simulated crowd: accuracy cfg.CrowdPc (cfg.Pc when 0), statement
-// difficulty when cfg.UseDifficulty is set, and seed cfg.Seed + i*1009.
-// It returns that seed too, for the book's selector and sampling; the run
-// has no selector yet.
+// newRun starts book i of cfg.Instances from a clone of its prior, on a
+// budget of cfg.Budget, with its own simulated crowd: accuracy cfg.CrowdPc
+// (cfg.Pc when 0), statement difficulty when cfg.UseDifficulty is set, and
+// seed cfg.Seed + i*1009. It returns that seed too, for the book's selector
+// and sampling; the run has no selector yet.
 func newRun(cfg SweepConfig, i int) (*bookRun, int64, error) {
 	in := cfg.Instances[i]
 	seed := cfg.Seed + int64(i)*1009
@@ -92,7 +90,8 @@ func newRun(cfg SweepConfig, i int) (*bookRun, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return &bookRun{in: in, joint: in.Joint.Clone(), sim: sim}, seed, nil
+	run := core.Run{Posterior: in.Joint.Clone(), Pc: cfg.Pc, Budget: cfg.Budget}
+	return &bookRun{in: in, run: run, sim: sim}, seed, nil
 }
 
 // RunSweep executes the paper's round-interleaved protocol: every round,
@@ -121,7 +120,7 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 	}
 	res := &SweepResult{Config: cfg, Trace: trace, Final: final, Joints: make([]*dist.Joint, len(runs))}
 	for i, r := range runs {
-		res.Joints[i] = r.joint
+		res.Joints[i] = r.run.Posterior
 	}
 	return res, nil
 }
@@ -177,7 +176,7 @@ func stepAll(runs []*bookRun, cfg SweepConfig) (int, error) {
 	counts := make([]int, len(runs))
 	errs := make([]error, len(runs))
 	parallel.For(cfg.Parallelism, len(runs), func(i int) {
-		counts[i], errs[i] = runs[i].step(cfg)
+		counts[i], errs[i] = runs[i].step(cfg.K)
 	})
 	asked := 0
 	for i := range runs {
@@ -189,33 +188,25 @@ func stepAll(runs []*bookRun, cfg SweepConfig) (int, error) {
 	return asked, nil
 }
 
-// step runs one round for one book, returning the number of tasks asked.
-func (r *bookRun) step(cfg SweepConfig) (int, error) {
-	if r.done || r.cost >= cfg.Budget {
+// step runs one round of up to k tasks for one book, returning the number
+// of tasks asked.
+func (r *bookRun) step(k int) (int, error) {
+	if k = r.run.K(k); k == 0 {
 		return 0, nil
 	}
-	k := cfg.K
-	if rem := cfg.Budget - r.cost; k > rem {
-		k = rem
-	}
-	if n := r.joint.N(); k > n {
-		k = n
-	}
-	tasks, err := r.sel.Select(r.joint, k, cfg.Pc)
+	tasks, err := r.run.Select(r.sel, k)
 	if err != nil {
 		return 0, err
 	}
 	if len(tasks) == 0 {
-		r.done = true
+		r.run.Done = true
 		return 0, nil
 	}
-	answers := r.sim.Answers(tasks)
-	post, err := r.joint.Condition(tasks, answers, cfg.Pc)
+	post, err := r.run.Update(tasks, r.sim.Answers(tasks), nil, nil)
 	if err != nil {
 		return 0, err
 	}
-	r.joint = post
-	r.cost += len(tasks)
+	r.run.Commit(post, len(tasks))
 	return len(tasks), nil
 }
 
@@ -227,9 +218,10 @@ func score(runs []*bookRun) (float64, Metrics, error) {
 	var utility float64
 	var total Metrics
 	for _, r := range runs {
-		u, labels, gold := r.joint.Utility(), quality.Labels(r.joint.Marginals()), r.in.Gold
+		j := r.run.Posterior
+		u, labels, gold := j.Utility(), quality.Labels(j.Marginals()), r.in.Gold
 		if r.foi != nil {
-			h, err := r.joint.FactEntropy(r.foi)
+			h, err := j.FactEntropy(r.foi)
 			if err != nil {
 				return 0, Metrics{}, err
 			}
@@ -262,7 +254,7 @@ func PriorQuality(instances []*worlds.Instance) (float64, Metrics, error) {
 	}
 	runs := make([]*bookRun, len(instances))
 	for i, in := range instances {
-		runs[i] = &bookRun{in: in, joint: in.Joint}
+		runs[i] = &bookRun{in: in, run: core.Run{Posterior: in.Joint}}
 	}
 	return score(runs)
 }

@@ -125,9 +125,10 @@ func BenchmarkServiceSelectHTTP(b *testing.B) {
 // BenchmarkServiceMerge measures the scalar conditioning path — the
 // fixed-pc Bayesian update every merge on a fixed-model session pays —
 // against the same 4096-world posterior the selection benchmarks use.
-// No channels, so this is exactly conditionLocked's scalar path. A live
-// merge reports the posterior's entropy and marginals, which are computed
-// on first read, so each iteration reads them.
+// No channels, so this is exactly the session run's scalar conditioning
+// (core.Run.Update). A live merge reports the posterior's entropy and
+// marginals, which are computed on first read, so each iteration reads
+// them.
 func BenchmarkServiceMerge(b *testing.B) {
 	s := newSession("bench", benchJoint(b), core.NewGreedyPrunePre(),
 		"Approx+Prune+Pre", 0.8, 3, 1<<30, time.Unix(0, 0))
@@ -136,7 +137,7 @@ func BenchmarkServiceMerge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		post, err := s.conditionLocked(tasks, answers, nil, nil)
+		post, err := s.run.Update(tasks, answers, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +186,7 @@ func BenchmarkWeightedMerge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sens, spec := s.channelsLocked(store.Op{}, tasks, workers)
-		post, err := s.conditionLocked(tasks, answers, sens, spec)
+		post, err := s.run.Update(tasks, answers, sens, spec)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -26,7 +26,7 @@ var (
 	ErrVersionConflict = errors.New("service: answer set references a stale posterior version; re-select")
 	// ErrBudgetExhausted is returned when a merge would spend more tasks
 	// than the session budget has left.
-	ErrBudgetExhausted = errors.New("service: session budget exhausted")
+	ErrBudgetExhausted = core.ErrBudgetExhausted
 	// ErrStore is returned when the session store fails: the merge was NOT
 	// applied (persistence happens before the in-memory commit, so a
 	// client seeing this error can safely retry).
@@ -52,8 +52,9 @@ var errSessionRetired = errors.New("service: session instance retired; re-resolv
 // Session is one refinement loop: a posterior distribution refined round by
 // round through the select → await → merge state machine.
 //
-// Its refinement state changes only through one transition function over
-// store.Op: stepLocked computes an op's effect, applyLocked commits it.
+// Its refinement state, a core.Run, changes only through one transition
+// function over store.Op: stepLocked computes an op's effect, applyLocked
+// commits it.
 // Live Merge and Select build the op, step it, persist it, then apply it;
 // Create and crash recovery both build the session from a store.Record and
 // apply its ops in journal order (restoreSession). The posterior after
@@ -71,15 +72,12 @@ type Session struct {
 	id       string
 	selector core.Selector
 	selName  string
-	pc       float64
 	k        int
-	budget   int
 
-	mu        sync.Mutex
-	posterior *dist.Joint
-	version   int  // number of merges applied
-	spent     int  // tasks asked (accounted at merge time)
-	done      bool // latched when a selection finds nothing uncertain
+	mu sync.Mutex
+	// run is the refinement loop: the committed posterior, pc, budget,
+	// spent, version (merges applied) and the done latch.
+	run core.Run
 
 	// sel caches the last selection; valid while its Version is the
 	// current version and selK is the requested k, so clients that retry
@@ -123,10 +121,10 @@ type Session struct {
 	// judgments received so far, pendTaskH the batch's H(T), and pendPost
 	// the PROVISIONAL posterior — the round-start posterior conditioned on
 	// the answered prefix in one batch-order pass (stepLocked), never step
-	// by step. s.posterior never moves until the ledger commits as the
-	// merge op of the whole batch in batch order — the op, on the inputs, a
-	// batched submission journals — so the commit is bit-identical to it,
-	// and budget and version advance exactly once.
+	// by step. The run's posterior never moves until the ledger commits as
+	// the merge op of the whole batch in batch order — the op, on the
+	// inputs, a batched submission journals — so the commit is
+	// bit-identical to it, and budget and version advance exactly once.
 	pendBatch []int
 	pendAns   map[int]bool
 	pendTaskH float64
@@ -185,10 +183,8 @@ func newSession(id string, prior *dist.Joint, selector core.Selector, selName st
 		id:         id,
 		selector:   selector,
 		selName:    selName,
-		pc:         pc,
 		k:          k,
-		budget:     budget,
-		posterior:  prior,
+		run:        core.Run{Posterior: prior, Pc: pc, Budget: budget},
 		workers:    crowd.NewWorkerModel(WorkerModelFixed, pc, 0),
 		anonWorker: DefaultAnonWorker,
 		lastAccess: now,
@@ -223,29 +219,29 @@ func (s *Session) idleSince() time.Time {
 // provisional posterior, Version stays at the committed version, and
 // Pending describes the ledger.
 func (s *Session) infoLocked(withRounds bool) SessionInfo {
-	post := s.posterior
+	post := s.run.Posterior
 	if s.pendPost != nil {
 		post = s.pendPost
 	}
 	info := SessionInfo{
 		ID:          s.id,
-		Version:     s.version,
+		Version:     s.run.Version,
 		N:           post.N(),
 		SupportSize: post.SupportSize(),
 		Marginals:   append([]float64(nil), post.Marginals()...),
 		Entropy:     post.Entropy(),
 		Utility:     post.Utility(),
-		Spent:       s.spent,
-		Budget:      s.budget,
+		Spent:       s.run.Spent,
+		Budget:      s.run.Budget,
 		K:           s.k,
-		Pc:          s.pc,
+		Pc:          s.run.Pc,
 		Selector:    s.selName,
 		WorkerModel: s.workers.Name(),
-		Done:        s.done || s.spent >= s.budget,
+		Done:        s.run.Done || s.run.Spent >= s.run.Budget,
 	}
 	if s.pendBatch != nil {
 		p := &PendingInfo{
-			Version:   s.version,
+			Version:   s.run.Version,
 			Tasks:     append([]int(nil), s.pendBatch...),
 			Answered:  []AnswerEvent{},
 			Remaining: []int{},
@@ -372,7 +368,7 @@ func (s *Session) Select(ctx context.Context, now time.Time, kOverride int) (res
 		return &SelectResponse{
 			Tasks:       append([]int(nil), s.pendBatch...),
 			TaskEntropy: s.pendTaskH,
-			Version:     s.version,
+			Version:     s.run.Version,
 			Cached:      true,
 		}, true, nil
 	}
@@ -381,31 +377,25 @@ func (s *Session) Select(ctx context.Context, now time.Time, kOverride int) (res
 	if kOverride > 0 {
 		k = kOverride
 	}
-	if remaining := s.budget - s.spent; k > remaining {
-		k = remaining
+	if k = s.run.K(k); k == 0 {
+		return &SelectResponse{Tasks: []int{}, Version: s.run.Version, Done: true}, false, nil
 	}
-	if n := s.posterior.N(); k > n {
-		k = n
-	}
-	if k <= 0 || s.done {
-		return &SelectResponse{Tasks: []int{}, Version: s.version, Done: true}, false, nil
-	}
-	if s.sel != nil && s.sel.Version == s.version && s.selK == k {
+	if s.sel != nil && s.sel.Version == s.run.Version && s.selK == k {
 		hit := *s.sel
 		hit.Cached = true
 		return &hit, true, nil
 	}
 
-	tasks, err := s.selector.Select(s.posterior, k, s.pc)
+	tasks, err := s.run.Select(s.selector, k)
 	if err != nil {
 		return nil, false, fmt.Errorf("service: selection: %w", err)
 	}
-	resp = &SelectResponse{Tasks: tasks, Version: s.version}
+	resp = &SelectResponse{Tasks: tasks, Version: s.run.Version}
 	if len(tasks) == 0 {
 		// Theorem 2: no remaining task nets positive utility. Latch so
 		// later selects and Info report completion without re-sweeping.
 		resp.Done = true
-		op := store.Op{Kind: store.OpDone, Version: s.version, Epoch: s.leaseEpoch, Time: now}
+		op := store.Op{Kind: store.OpDone, Version: s.run.Version, Epoch: s.leaseEpoch, Time: now}
 		if s.persist != nil {
 			// Best-effort: the latch is derived state — a restarted
 			// daemon re-derives it with one re-sweep — so a store hiccup
@@ -420,7 +410,7 @@ func (s *Session) Select(ctx context.Context, now time.Time, kOverride int) (res
 		}
 		s.applyLocked(ctx, transition{op: op})
 	} else {
-		if resp.TaskEntropy, err = core.TaskEntropy(s.posterior, tasks, s.pc); err != nil {
+		if resp.TaskEntropy, err = core.TaskEntropy(s.run.Posterior, tasks, s.run.Pc); err != nil {
 			return nil, false, err
 		}
 		s.emitLocked(ctx, EventSelect, func(ev *SessionEvent) {
@@ -543,7 +533,7 @@ func (s *Session) Merge(ctx context.Context, now time.Time, req *AnswersRequest)
 	}
 	op := store.Op{
 		Kind:    store.OpPartial,
-		Version: s.version,
+		Version: s.run.Version,
 		Tasks:   make([]int, len(fresh)),
 		Answers: make([]bool, len(fresh)),
 		Epoch:   s.leaseEpoch,
@@ -595,7 +585,7 @@ func (s *Session) replayLocked(ctx context.Context, req *AnswersRequest, js []Ju
 		return nil, false, nil
 	}
 	v := *req.Version
-	if v == s.version {
+	if v == s.run.Version {
 		return nil, false, nil
 	}
 	i := slices.IndexFunc(s.journal, func(op store.Op) bool { return op.Kind == store.OpMerge && op.Version == v })
@@ -667,7 +657,7 @@ func (s *Session) foldLocked(batch []int, js []Judgment, attributed bool) ([]Jud
 				return nil, fmt.Errorf("%w: task %d", ErrAnswerConflict, j.Task)
 			}
 			if attributed {
-				if o, ok := s.observedLocked(s.version, j.Task, nil); ok && o.Worker != j.Worker {
+				if o, ok := s.observedLocked(s.run.Version, j.Task, nil); ok && o.Worker != j.Worker {
 					return nil, fmt.Errorf("%w: task %d journaled for worker %q", ErrAttributionConflict, j.Task, o.Worker)
 				}
 			}
@@ -695,7 +685,7 @@ func (s *Session) observeOpsLocked(now time.Time, js []Judgment) []store.Op {
 	}
 	op := store.Op{
 		Kind:    store.OpObserve,
-		Version: s.version,
+		Version: s.run.Version,
 		Tasks:   make([]int, len(js)),
 		Answers: make([]bool, len(js)),
 		Workers: make([]string, len(js)),
@@ -718,7 +708,7 @@ func (s *Session) observeOpsLocked(now time.Time, js []Judgment) []store.Op {
 // ends with exactly this judgment set at the current version.
 func (s *Session) observationsTailMatchLocked(js []Judgment) bool {
 	n := len(js)
-	for _, o := range observationsSince(s.journal, s.version) {
+	for _, o := range observationsSince(s.journal, s.run.Version) {
 		if n == 0 {
 			break
 		}
@@ -826,7 +816,7 @@ func (s *Session) channelsLocked(op store.Op, tasks []int, workers []string) (se
 		case weighted:
 			sens[i], spec[i], _ = s.workers.Channel(workers[i])
 		default:
-			sens[i], spec[i] = s.pc, s.pc
+			sens[i], spec[i] = s.run.Pc, s.run.Pc
 		}
 	}
 	return sens, spec
@@ -843,23 +833,13 @@ func (s *Session) recordedChannelLocked(op store.Op, task int) (sens, spec float
 	if j := slices.Index(op.Tasks, task); j >= 0 {
 		return op.Sens[j], op.Spec[j], true
 	}
-	for i := len(s.journal) - 1; i >= 0 && s.journal[i].Version == s.version; i-- {
+	for i := len(s.journal) - 1; i >= 0 && s.journal[i].Version == s.run.Version; i-- {
 		p := s.journal[i]
 		if j := slices.Index(p.Tasks, task); p.Kind == store.OpPartial && j >= 0 && len(p.Sens) > 0 {
 			return p.Sens[j], p.Spec[j], true
 		}
 	}
 	return 0, 0, false
-}
-
-// conditionLocked conditions the committed posterior on one judgment set,
-// on the scalar pc when sens is nil and on the per-judgment channels
-// otherwise.
-func (s *Session) conditionLocked(tasks []int, answers []bool, sens, spec []float64) (*dist.Joint, error) {
-	if sens == nil {
-		return core.MergeAnswers(s.posterior, tasks, answers, s.pc)
-	}
-	return core.MergeAnswersWeighted(s.posterior, tasks, answers, sens, spec)
 }
 
 // refitLocked refits the worker model to the accumulated observation log;
@@ -895,8 +875,8 @@ type transition struct {
 // they are already applied), so attribution reads the same log either way.
 func (s *Session) stepLocked(op store.Op, extra []store.Op) (transition, error) {
 	t := transition{op: op}
-	if op.Version != s.version {
-		return t, fmt.Errorf("service: %s op at version %d, session at %d", op.Kind, op.Version, s.version)
+	if op.Version != s.run.Version {
+		return t, fmt.Errorf("service: %s op at version %d, session at %d", op.Kind, op.Version, s.run.Version)
 	}
 	if len(op.Answers) != len(op.Tasks) {
 		return t, fmt.Errorf("service: %s op has %d tasks but %d answers", op.Kind, len(op.Tasks), len(op.Answers))
@@ -922,8 +902,8 @@ func (s *Session) stepLocked(op store.Op, extra []store.Op) (transition, error) 
 				len(op.Tasks), len(op.Workers), len(op.Sources))
 		}
 		for i, task := range op.Tasks {
-			if task < 0 || task >= s.posterior.N() {
-				return t, fmt.Errorf("service: observe op task %d out of range [0,%d)", task, s.posterior.N())
+			if task < 0 || task >= s.run.Posterior.N() {
+				return t, fmt.Errorf("service: observe op task %d out of range [0,%d)", task, s.run.Posterior.N())
 			}
 			if op.Workers[i] == "" {
 				return t, fmt.Errorf("service: observe op judgment %d has no worker", i)
@@ -949,20 +929,17 @@ func (s *Session) stepLocked(op store.Op, extra []store.Op) (transition, error) 
 			if tasks, answers = s.ledgerPrefixLocked(batch, op.Tasks, op.Answers); len(tasks) == len(batch) {
 				return t, fmt.Errorf("service: partial op completes its batch of %d", len(batch))
 			}
-		} else if s.spent+len(op.Tasks) > s.budget {
-			return t, fmt.Errorf("%w: %d spent of %d, %d more requested",
-				ErrBudgetExhausted, s.spent, s.budget, len(op.Tasks))
 		}
-		var err error
+		sens, spec := s.channelsLocked(op, tasks, s.attributionLocked(op.Version, tasks, answers, extra))
+		var err error // the run refuses a set larger than the remaining budget
+		if t.post, err = s.run.Update(tasks, answers, sens, spec); err != nil {
+			return t, fmt.Errorf("service: merge: %w", err)
+		}
 		if op.Kind == store.OpPartial || !s.historyDeferred {
 			// A merge's H(T) is read only by the round it records.
 			if t.taskH, err = s.taskEntropyLocked(batch); err != nil {
 				return t, err
 			}
-		}
-		sens, spec := s.channelsLocked(op, tasks, s.attributionLocked(op.Version, tasks, answers, extra))
-		if t.post, err = s.conditionLocked(tasks, answers, sens, spec); err != nil {
-			return t, fmt.Errorf("service: merge: %w", err)
 		}
 		if sens != nil && len(op.Sens) == 0 {
 			// The op to journal records the channel each of its judgments
@@ -1004,18 +981,15 @@ func (s *Session) applyLocked(ctx context.Context, t transition) {
 		s.pendPost = t.post
 		s.emitLocked(ctx, EventPartial, nil)
 	case store.OpMerge:
-		s.posterior = t.post
-		s.version++
-		s.spent += len(op.Tasks)
-		s.sel = nil    // selection cache is bound to the previous posterior
-		s.done = false // the new posterior may be uncertain again; re-derive
+		s.run.Commit(t.post, len(op.Tasks))
+		s.sel = nil // selection cache is bound to the previous posterior
 		s.pendBatch, s.pendAns, s.pendPost, s.pendTaskH = nil, nil, nil, 0
 		if !s.historyDeferred {
 			s.rounds = append(s.rounds, RoundInfo{
-				Round:   s.version,
+				Round:   s.run.Version,
 				Tasks:   op.Tasks,
 				Answers: op.Answers,
-				CumCost: s.spent,
+				CumCost: s.run.Spent,
 				Entropy: t.post.Entropy(),
 				TaskH:   t.taskH,
 			})
@@ -1023,7 +997,7 @@ func (s *Session) applyLocked(ctx context.Context, t transition) {
 		}
 		s.emitLocked(ctx, EventMerge, nil)
 	case store.OpDone:
-		s.done = true
+		s.run.Done = true
 		s.emitLocked(ctx, EventDone, nil)
 	}
 }
@@ -1071,7 +1045,7 @@ func (s *Session) taskEntropyLocked(tasks []int) (float64, error) {
 	if s.sel != nil && slices.Equal(s.sel.Tasks, tasks) {
 		return s.sel.TaskEntropy, nil
 	}
-	return core.TaskEntropy(s.posterior, tasks, s.pc)
+	return core.TaskEntropy(s.run.Posterior, tasks, s.run.Pc)
 }
 
 // ledgerPrefixLocked returns the pending ledger extended by (tasks,
@@ -1100,7 +1074,7 @@ func (s *Session) ledgerPrefixLocked(batch, tasks []int, answers []bool) ([]int,
 func (s *Session) Posterior() *dist.Joint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.posterior
+	return s.run.Posterior
 }
 
 // Calibration reports how well the session's per-task marginals are
@@ -1117,7 +1091,7 @@ func (s *Session) Calibration(now time.Time, nBins int) (*CalibrationResponse, e
 		return nil, errSessionRetired
 	}
 	s.touch(now)
-	marginals := s.posterior.Marginals()
+	marginals := s.run.Posterior.Marginals()
 	gold := quality.Labels(marginals)
 	cal, err := quality.Calibrate(marginals, gold, nBins)
 	if err != nil {
@@ -1129,7 +1103,7 @@ func (s *Session) Calibration(now time.Time, nBins int) (*CalibrationResponse, e
 	}
 	return &CalibrationResponse{
 		ID:           s.id,
-		Version:      s.version,
+		Version:      s.run.Version,
 		WorkerModel:  s.workers.Name(),
 		Refits:       s.refits,
 		Observations: observed,
@@ -1170,7 +1144,7 @@ func (s *Session) workerInfosLocked(gold []bool) []WorkerInfo {
 func (s *Session) WorkerStats() []WorkerInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.workerInfosLocked(quality.Labels(s.posterior.Marginals()))
+	return s.workerInfosLocked(quality.Labels(s.run.Posterior.Marginals()))
 }
 
 // record snapshots the session's full durable state: creation parameters
@@ -1189,9 +1163,9 @@ func (s *Session) recordLocked() *store.Record {
 	rec := &store.Record{
 		ID:         s.id,
 		Selector:   s.selName,
-		Pc:         s.pc,
+		Pc:         s.run.Pc,
 		K:          s.k,
-		Budget:     s.budget,
+		Budget:     s.run.Budget,
 		Seed:       s.seed,
 		Prior:      s.priorRec,
 		Created:    s.created,
@@ -1265,7 +1239,7 @@ func (s *Session) historyLocked(ctx context.Context) {
 	}
 	_, sp := s.tracer.Start(ctx, "session.history")
 	sp.SetAttr("session", s.id)
-	sp.SetAttr("rounds", s.version)
+	sp.SetAttr("rounds", s.run.Version)
 	defer sp.End()
 	r, err := replayRecord(s.recordLocked(), s.anonWorker, s.lastAccess, true)
 	if err != nil {

@@ -263,7 +263,7 @@ func TestSessionMergeClearsDoneLatch(t *testing.T) {
 	s := testSession(t, 2, 10)
 	now := time.Unix(1, 0)
 	s.mu.Lock()
-	s.done = true // as if a previous sweep found nothing uncertain
+	s.run.Done = true // as if a previous sweep found nothing uncertain
 	s.mu.Unlock()
 
 	sel, _, err := s.Select(context.Background(), now, 0)
@@ -403,7 +403,7 @@ func TestConcurrentSelectBitIdentical(t *testing.T) {
 	sessions := mixedSessions(t, 12)
 	want := make([][]int, len(sessions))
 	for i, s := range sessions {
-		tasks, err := s.selector.Select(s.Posterior(), s.k, s.pc)
+		tasks, err := s.selector.Select(s.Posterior(), s.k, s.run.Pc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +461,7 @@ func (c *countingSelector) Select(j *dist.Joint, k int, pc float64) ([]int, erro
 // same version.
 func TestConcurrentSelectSameSession(t *testing.T) {
 	s := mixedSessions(t, 1)[0]
-	want, err := s.selector.Select(s.Posterior(), s.k, s.pc)
+	want, err := s.selector.Select(s.Posterior(), s.k, s.run.Pc)
 	if err != nil {
 		t.Fatal(err)
 	}
